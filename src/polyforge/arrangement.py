@@ -6,8 +6,10 @@ intersection of arrangement members, ordered by reverse inclusion.  The
 Betti numbers of the complement are then assembled from reduced homology
 ranks of order complexes of lower intervals, one summand per poset node.
 
-Everything here is exact rational arithmetic; inputs are coerced to
-:class:`fractions.Fraction`.
+Everything here is exact rational arithmetic.  Inputs (ints, strings or
+:class:`fractions.Fraction`) are coerced to rational :class:`FieldElem`
+values, so the elimination runs on the package's one exact path; they
+come back as Fractions only from ``span_form`` and ``to_json``.
 """
 
 from __future__ import annotations
@@ -16,19 +18,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexcore import SimplicialComplex
-from .exactfield import _echelon, mat_nullspace, mat_rank, mat_solve
+from .exactfield import (
+    ONE,
+    ZERO,
+    FieldElem,
+    _echelon,
+    mat_nullspace,
+    mat_rank,
+    mat_solve,
+    vec_dot,
+)
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
+def _rat(x) -> FieldElem:
+    if isinstance(x, (int, str, Fraction)):
+        return FieldElem(x)
     raise TypeError(f"expected a rational, got {type(x).__name__}")
 
 
-def _frac_vec(v, n: int) -> list[Fraction]:
-    out = [_frac(x) for x in v]
+def _rat_vec(v, n: int) -> list[FieldElem]:
+    out = [_rat(x) for x in v]
     if len(out) != n:
         raise ValueError(f"expected a vector of length {n}, got {len(out)}")
     return out
@@ -48,20 +57,12 @@ class AffineSubspace:
     def __init__(self, ambient_dim: int, basis, offset):
         if ambient_dim < 0:
             raise ValueError("ambient dimension must be nonnegative")
-        off = _frac_vec(offset, ambient_dim)
-        rows = [_frac_vec(v, ambient_dim) for v in basis]
+        off = _rat_vec(offset, ambient_dim)
+        rows = [_rat_vec(v, ambient_dim) for v in basis]
         if rows and mat_rank(rows) != len(rows):
             raise ValueError("direction vectors must be linearly independent")
-        if rows:
-            normals = mat_nullspace(rows)
-        elif ambient_dim:
-            normals = [
-                tuple(Fraction(int(i == j)) for j in range(ambient_dim))
-                for i in range(ambient_dim)
-            ]
-        else:
-            normals = []
-        aug = [list(a) + [sum(ai * oi for ai, oi in zip(a, off))] for a in normals]
+        normals = mat_nullspace(rows) if rows else _unit_vectors(ambient_dim)
+        aug = [list(a) + [vec_dot(a, off)] for a in normals]
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "_canon", _canonicalize(aug))
 
@@ -79,31 +80,31 @@ class AffineSubspace:
     def dim(self) -> int:
         return self.ambient_dim - len(self._canon)
 
-    def span_form(self) -> tuple[list[Fraction], list[tuple[Fraction, ...]]]:
-        """Recover (offset, basis) deterministically from the canon."""
+    def _span(self) -> tuple[list[FieldElem], list[tuple[FieldElem, ...]]]:
+        """(offset, basis), recovered deterministically from the canon."""
         n = self.ambient_dim
+        if not self._canon:
+            return [ZERO] * n, _unit_vectors(n)
         a_rows = [list(row[:n]) for row in self._canon]
         b = [row[n] for row in self._canon]
-        if not a_rows:
-            offset = [Fraction(0)] * n
-            basis = [
-                tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)
-            ]
-            return offset, basis
-        offset = list(mat_solve(a_rows, b))
-        return offset, mat_nullspace(a_rows)
+        return list(mat_solve(a_rows, b)), mat_nullspace(a_rows)
+
+    def span_form(self) -> tuple[list[Fraction], list[tuple[Fraction, ...]]]:
+        """Recover (offset, basis) deterministically from the canon."""
+        offset, basis = self._span()
+        return [x.a for x in offset], [tuple(x.a for x in v) for v in basis]
 
     def contains(self, other: "AffineSubspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         n = self.ambient_dim
-        offset, basis = other.span_form()
+        offset, basis = other._span()
         for row in self._canon:
             a, b = row[:n], row[n]
-            if sum(ai * oi for ai, oi in zip(a, offset)) != b:
+            if vec_dot(a, offset) != b:
                 return False
             for v in basis:
-                if any(ai * vi for ai, vi in zip(a, v)):
+                if vec_dot(a, v):
                     return False
         return True
 
@@ -142,6 +143,10 @@ class AffineSubspace:
     def from_json(cls, data: dict, ambient_dim: int | None = None) -> "AffineSubspace":
         n = ambient_dim if ambient_dim is not None else len(data["offset"])
         return cls(n, data["basis"], data["offset"])
+
+
+def _unit_vectors(n: int) -> list[tuple[FieldElem, ...]]:
+    return [tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)]
 
 
 def _canonicalize(aug_rows) -> tuple:
@@ -249,9 +254,9 @@ def betti_reduced_homology(c: SimplicialComplex, k: int) -> int:
         index = {f: i for i, f in enumerate(cod)}
         rows = []
         for f in dom:
-            row = [Fraction(0)] * len(cod)
+            row = [ZERO] * len(cod)
             for i in range(len(f)):
-                row[index[f[:i] + f[i + 1:]]] += Fraction((-1) ** i)
+                row[index[f[:i] + f[i + 1:]]] = -ONE if i % 2 else ONE
             rows.append(row)
         return mat_rank(rows)
 
@@ -278,12 +283,12 @@ def gm_betti(arr: list[AffineSubspace], i: int) -> int:
 def _slice_into(h: AffineSubspace, s: AffineSubspace):
     """Rewrite the flat s ∩ H in the (d−1)-chart of the hyperplane H."""
     n = h.ambient_dim
-    offset, basis = h.span_form()
+    offset, basis = h._span()
     rows, rhs = [], []
     for row in s._canon:
         a, b = row[:n], row[n]
-        rows.append([sum(ai * vi for ai, vi in zip(a, v)) for v in basis])
-        rhs.append(b - sum(ai * oi for ai, oi in zip(a, offset)))
+        rows.append([vec_dot(a, v) for v in basis])
+        rhs.append(b - vec_dot(a, offset))
     aug = [r + [v] for r, v in zip(rows, rhs)]
     rref, pivots = _echelon(aug)
     if len(basis) in pivots:

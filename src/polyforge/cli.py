@@ -268,17 +268,21 @@ def _cmd_arr_betti(args) -> int:
 # cct
 
 def _cct_checks(geo, jobs: int):
+    # the other predicates presuppose the screw symmetry, so it is checked
+    # once, first, and a tube without it fails outright
+    if not cct_mod.check_symmetric(geo):
+        raise ValueError("symmetry violation")
     checks = [
-        ("symmetry", cct_mod.check_symmetric(geo), "screw motion invariance"),
-        ("transversality", cct_mod.check_transversal(geo),
+        ("symmetry", True, "screw motion invariance"),
+        ("transversality", cct_mod._transversal_core(geo),
          "tube rays cross every slab cell"),
-        ("obtuse-slope", cct_mod.check_slope_obtuse(geo),
+        ("obtuse-slope", cct_mod._slope_core(geo),
          "consecutive slope vectors at obtuse angles"),
-        ("orientation", cct_mod.check_oriented(geo),
-         "all cells tilt toward the core circle"),
     ]
     normals = None
     if geo.width >= 3:
+        checks.append(("orientation", cct_mod._oriented_core(geo),
+                       "all cells tilt toward the core circle"))
         try:
             normals = cct_mod.check_convex_position(geo, jobs=jobs)
             checks.append(("convex-position", True,
@@ -286,6 +290,7 @@ def _cct_checks(geo, jobs: int):
         except ValueError as exc:
             checks.append(("convex-position", False, str(exc)))
     else:
+        checks.append(("orientation", True, "skipped: width below three"))
         checks.append(("convex-position", True, "skipped: width below three"))
     return checks, normals
 
@@ -456,6 +461,19 @@ def _cmd_proj_pcctp(args) -> int:
 # ---------------------------------------------------------------------------
 # wiring
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="FILE",
@@ -498,18 +516,18 @@ def _build_parser() -> argparse.ArgumentParser:
     arr = groups.add_parser("arr").add_subparsers(dest="command")
     betti = arr.add_parser("betti", parents=[common])
     betti.add_argument("--file", required=True)
-    betti.add_argument("--i", type=int, required=True)
+    betti.add_argument("--i", type=_int_at_least(0), required=True)
     betti.set_defaults(handler=_cmd_arr_betti)
 
     cct = groups.add_parser("cct").add_subparsers(dest="command")
     gen = cct.add_parser("generate", parents=[common])
-    gen.add_argument("--n", type=int, required=True)
+    gen.add_argument("--n", type=_int_at_least(1), required=True)
     gen.set_defaults(handler=_cmd_cct_generate)
     ver = cct.add_parser("verify", parents=[common])
     ver.add_argument("--file", required=True)
     ver.set_defaults(handler=_cmd_cct_verify)
     kap = cct.add_parser("kappa", parents=[common])
-    kap.add_argument("--upto", type=int, required=True)
+    kap.add_argument("--upto", type=_int_at_least(0), required=True)
     kap.set_defaults(handler=_cmd_cct_kappa)
 
     proj = groups.add_parser("proj").add_subparsers(dest="command")
@@ -525,7 +543,7 @@ def _build_parser() -> argparse.ArgumentParser:
     kcfg.add_argument("--verify", action="store_true")
     kcfg.set_defaults(handler=_cmd_proj_kconfig)
     pcc = proj.add_parser("pcctp", parents=[common])
-    pcc.add_argument("--n", type=int, required=True)
+    pcc.add_argument("--n", type=_int_at_least(1), required=True)
     pcc.add_argument("--counts", action="store_true")
     pcc.set_defaults(handler=_cmd_proj_pcctp)
 

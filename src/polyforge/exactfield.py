@@ -1,15 +1,19 @@
 """Exact arithmetic in the real quadratic tower Q(sqrt2, sqrt3).
 
-Elements are stored as a + b*sqrt2 + c*sqrt3 + d*sqrt6 with rational
-coefficients.  All comparisons go through an exact sign routine, so no
+Elements are stored as (a + b*sqrt2 + c*sqrt3 + d*sqrt6) / q with integer
+numerators a, b, c, d and one positive integer denominator q, kept coprime
+by a single multi-argument gcd per result.  Equal values therefore have
+equal stored integers, and the arithmetic never builds a Fraction; the
+coefficients are handed out as Fractions only at the public surface.  All
+comparisons go through an exact sign routine on the integers, so no
 floating point is ever consulted for a decision.  Floats are available
 only as a convenience embedding for display.
 
 The module also carries the small amount of exact linear algebra the rest
-of the package needs: vectors, matrices, Gaussian elimination (rank,
-determinant, nullspace, solving), and a phase-1 simplex for feasibility
-questions over the field.  Everything works verbatim over Fraction as
-well, since Fraction supports the same operator protocol.
+of the package needs, over FieldElem entries: vectors, matrices,
+Gauss-Jordan elimination with one inverse per pivot (rank, determinant,
+nullspace, solving), and a phase-1 simplex for feasibility questions over
+the field.
 """
 
 from __future__ import annotations
@@ -18,43 +22,87 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-Rat = Fraction
-
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
 _SQRT6 = math.sqrt(6.0)
 
+_gcd = math.gcd
+_new = object.__new__
+_ZERO_N = (0, 0, 0, 0, 1)
 
-def _sign_rat(q: Rat) -> int:
-    return (q > 0) - (q < 0)
+
+def _sign_int(n: int) -> int:
+    return (n > 0) - (n < 0)
 
 
-def _sign_q2(a: Rat, b: Rat) -> int:
-    """Exact sign of a + b*sqrt2."""
-    if b == 0:
-        return _sign_rat(a)
-    if a == 0:
-        return _sign_rat(b)
-    sa, sb = _sign_rat(a), _sign_rat(b)
+def _sign_q2(a: int, b: int) -> int:
+    """Exact sign of a + b*sqrt2 for integers a, b."""
+    if not b:
+        return _sign_int(a)
+    if not a:
+        return _sign_int(b)
+    sa, sb = _sign_int(a), _sign_int(b)
     if sa == sb:
         return sa
     # opposite signs: |a| vs |b|*sqrt2 decided by squaring
-    return _sign_rat(a * a - 2 * b * b) * sa
+    return _sign_int(a * a - 2 * b * b) * sa
+
+
+def _rat_text(n: int, q: int) -> str:
+    """``str(Fraction(n, q))`` for q > 0, without building the Fraction."""
+    g = _gcd(n, q)
+    return str(n // g) if g == q else f"{n // g}/{q // g}"
+
+
+def _wrap(n: tuple) -> "FieldElem":
+    x = _new(FieldElem)
+    x._n = n
+    return x
+
+
+def _elem(a: int, b: int, c: int, d: int, q: int) -> "FieldElem":
+    """(a + b*sqrt2 + c*sqrt3 + d*sqrt6) / q for q > 0, in lowest terms."""
+    g = _gcd(a, b, c, d, q)
+    if g != 1:
+        a //= g
+        b //= g
+        c //= g
+        d //= g
+        q //= g
+    x = _new(FieldElem)
+    x._n = (a, b, c, d, q)
+    return x
+
+
+def _coefficient(i: int, name: str) -> property:
+    return property(lambda self: Fraction(self._n[i], self._n[4]),
+                    doc=f"The rational coefficient of {name}.")
 
 
 class FieldElem:
-    """An element of Q(sqrt2, sqrt3)."""
+    """An element of Q(sqrt2, sqrt3).
 
-    __slots__ = ("a", "b", "c", "d")
+    ``_n`` holds the integers (a, b, c, d, q) of the value
+    (a + b*sqrt2 + c*sqrt3 + d*sqrt6) / q, with q > 0 and
+    gcd(a, b, c, d, q) = 1.
+    """
+
+    __slots__ = ("_n",)
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "c", Fraction(c))
-        object.__setattr__(self, "d", Fraction(d))
+        if type(a) is int and type(b) is int and type(c) is int and type(d) is int:
+            self._n = (a, b, c, d, 1)
+            return
+        fs = (Fraction(a), Fraction(b), Fraction(c), Fraction(d))
+        q = math.lcm(*(f.denominator for f in fs))
+        # q is the least common denominator of reduced fractions, so the
+        # scaled numerators share no factor with it
+        self._n = tuple(f.numerator * (q // f.denominator) for f in fs) + (q,)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElem is immutable")
+    a = _coefficient(0, "1")
+    b = _coefficient(1, "sqrt2")
+    c = _coefficient(2, "sqrt3")
+    d = _coefficient(3, "sqrt6")
 
     @classmethod
     def sqrt2(cls) -> "FieldElem":
@@ -69,83 +117,107 @@ class FieldElem:
         return cls(0, 0, 0, 1)
 
     def coeffs(self):
-        return (self.a, self.b, self.c, self.d)
+        a, b, c, d, q = self._n
+        return (Fraction(a, q), Fraction(b, q), Fraction(c, q), Fraction(d, q))
 
     def is_zero(self) -> bool:
-        return not (self.a or self.b or self.c or self.d)
+        return self._n == _ZERO_N
 
     def is_rational(self) -> bool:
-        return not (self.b or self.c or self.d)
+        n = self._n
+        return not (n[1] or n[2] or n[3])
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return self._n != _ZERO_N
 
     def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.coeffs() == other.coeffs()
+        if type(other) is not FieldElem:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self._n == other._n
 
     def __hash__(self):
-        return hash(self.coeffs())
+        return hash(self._n)
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.a + other.a, self.b + other.b,
-                         self.c + other.c, self.d + other.d)
+        if type(other) is not FieldElem:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a1, b1, c1, d1, q1 = self._n
+        a2, b2, c2, d2, q2 = other._n
+        if q1 == q2:
+            return _elem(a1 + a2, b1 + b2, c1 + c2, d1 + d2, q1)
+        return _elem(a1 * q2 + a2 * q1, b1 * q2 + b2 * q1,
+                     c1 * q2 + c2 * q1, d1 * q2 + d2 * q1, q1 * q2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElem(-self.a, -self.b, -self.c, -self.d)
+        a, b, c, d, q = self._n
+        return _wrap((-a, -b, -c, -d, q))
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not FieldElem:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a1, b1, c1, d1, q1 = self._n
+        a2, b2, c2, d2, q2 = other._n
+        if q1 == q2:
+            return _elem(a1 - a2, b1 - b2, c1 - c2, d1 - d2, q1)
+        return _elem(a1 * q2 - a2 * q1, b1 * q2 - b2 * q1,
+                     c1 * q2 - c2 * q1, d1 * q2 - d2 * q1, q1 * q2)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a1, b1, c1, d1 = self.coeffs()
-        a2, b2, c2, d2 = other.coeffs()
-        return FieldElem(
+        if type(other) is not FieldElem:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a1, b1, c1, d1, q1 = self._n
+        a2, b2, c2, d2, q2 = other._n
+        return _elem(
             a1 * a2 + 2 * b1 * b2 + 3 * c1 * c2 + 6 * d1 * d2,
             a1 * b2 + b1 * a2 + 3 * (c1 * d2 + d1 * c2),
             a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
             a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
+            q1 * q2,
         )
 
     __rmul__ = __mul__
 
     def conj_sqrt2(self) -> "FieldElem":
         """Galois conjugate negating sqrt2 (and hence sqrt6)."""
-        return FieldElem(self.a, -self.b, self.c, -self.d)
+        a, b, c, d, q = self._n
+        return _wrap((a, -b, c, -d, q))
 
     def conj_sqrt3(self) -> "FieldElem":
         """Galois conjugate negating sqrt3 (and hence sqrt6)."""
-        return FieldElem(self.a, self.b, -self.c, -self.d)
+        a, b, c, d, q = self._n
+        return _wrap((a, b, -c, -d, q))
 
     def inverse(self) -> "FieldElem":
-        if self.is_zero():
+        a, b, c, d, q = self._n
+        if not (a or b or c or d):
             raise ZeroDivisionError("inverse of zero field element")
-        # x * conj2(x) lies in Q(sqrt3); multiplying by its sqrt3-conjugate
-        # lands in Q, so the product of the three conjugates over the norm
-        # is the inverse.
-        y = self * self.conj_sqrt2()
-        norm = y * y.conj_sqrt3()
-        assert norm.is_rational() and norm.a != 0
-        return self.conj_sqrt2() * y.conj_sqrt3() * FieldElem(1 / norm.a)
+        # With N = a + b*sqrt2 + c*sqrt3 + d*sqrt6, N * conj2(N) is
+        # y0 + y1*sqrt3, and multiplying by its sqrt3-conjugate lands on the
+        # nonzero integer norm y0^2 - 3*y1^2.  So q/N is q * conj2(N) *
+        # (y0 - y1*sqrt3) / norm.
+        y0 = a * a - 2 * b * b + 3 * c * c - 6 * d * d
+        y1 = 2 * (a * c - 2 * b * d)
+        norm = y0 * y0 - 3 * y1 * y1
+        if norm < 0:
+            norm, y0, y1 = -norm, -y0, -y1
+        return _elem(q * (a * y0 - 3 * c * y1), q * (3 * d * y1 - b * y0),
+                     q * (c * y0 - a * y1), q * (b * y1 - d * y0), norm)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -162,27 +234,23 @@ class FieldElem:
     def sign(self) -> int:
         """Exact sign in {-1, 0, 1}.
 
-        Writing x = p + q*sqrt3 with p, q in Q(sqrt2), the sign reduces to
-        signs in Q(sqrt2): when p and q disagree in sign the comparison
-        p^2 vs 3*q^2 settles it, and p^2 - 3*q^2 again lives in Q(sqrt2).
+        The denominator is positive, so only the numerator counts.  Writing
+        it as p + r*sqrt3 with p, r in Z[sqrt2], the sign reduces to signs
+        in Z[sqrt2]: when p and r disagree in sign the comparison p^2 vs
+        3*r^2 settles it, and p^2 - 3*r^2 again lives in Z[sqrt2].
         """
-        pa, pb = self.a, self.b
-        qa, qb = self.c, self.d
-        if qa == 0 and qb == 0:
+        pa, pb, ra, rb, _ = self._n
+        if not (ra or rb):
             return _sign_q2(pa, pb)
-        if pa == 0 and pb == 0:
-            return _sign_q2(qa, qb)
+        if not (pa or pb):
+            return _sign_q2(ra, rb)
         sp = _sign_q2(pa, pb)
-        sq = _sign_q2(qa, qb)
-        if sp == sq:
+        if sp == _sign_q2(ra, rb):
             return sp
-        # p^2 - 3 q^2 in Q(sqrt2); it cannot vanish since sqrt3 is not in
-        # Q(sqrt2).
-        ta = pa * pa + 2 * pb * pb - 3 * (qa * qa + 2 * qb * qb)
-        tb = 2 * pa * pb - 6 * qa * qb
-        s = _sign_q2(ta, tb)
-        assert s != 0
-        return s * sp
+        # p^2 - 3 r^2 cannot vanish, since sqrt3 is not in Q(sqrt2)
+        ta = pa * pa + 2 * pb * pb - 3 * (ra * ra + 2 * rb * rb)
+        tb = 2 * pa * pb - 6 * ra * rb
+        return _sign_q2(ta, tb) * sp
 
     def __lt__(self, other):
         other = _coerce(other)
@@ -212,19 +280,21 @@ class FieldElem:
         return -self if self.sign() < 0 else self
 
     def __float__(self) -> float:
-        return (float(self.a) + float(self.b) * _SQRT2
-                + float(self.c) * _SQRT3 + float(self.d) * _SQRT6)
+        a, b, c, d, q = self._n
+        return a / q + b / q * _SQRT2 + c / q * _SQRT3 + d / q * _SQRT6
 
     def __repr__(self):
+        q = self._n[4]
         parts = []
-        for coeff, tag in zip(self.coeffs(), ("", "*s2", "*s3", "*s6")):
-            if coeff:
-                parts.append(f"{coeff}{tag}")
+        for n, tag in zip(self._n, ("", "*s2", "*s3", "*s6")):
+            if n:
+                parts.append(f"{_rat_text(n, q)}{tag}")
         return "FE(" + (" + ".join(parts) if parts else "0") + ")"
 
     def to_json(self) -> dict:
-        return {"a": str(self.a), "b": str(self.b),
-                "c": str(self.c), "d": str(self.d)}
+        a, b, c, d, q = self._n
+        return {"a": _rat_text(a, q), "b": _rat_text(b, q),
+                "c": _rat_text(c, q), "d": _rat_text(d, q)}
 
     @classmethod
     def from_json(cls, data: dict) -> "FieldElem":
@@ -233,10 +303,12 @@ class FieldElem:
 
 
 def _coerce(x):
-    if isinstance(x, FieldElem):
+    if type(x) is FieldElem:
         return x
-    if isinstance(x, (int, Fraction)):
-        return FieldElem(x)
+    if isinstance(x, int):
+        return _wrap((int(x), 0, 0, 0, 1))
+    if isinstance(x, Fraction):
+        return _wrap((x.numerator, 0, 0, 0, x.denominator))
     return NotImplemented
 
 
@@ -246,10 +318,6 @@ ONE = FieldElem(1)
 # A vector is a tuple of FieldElem; a matrix is a list of row lists.
 Vec = tuple
 Mat = list
-
-
-def vec(*entries) -> Vec:
-    return tuple(e if isinstance(e, FieldElem) else FieldElem(e) for e in entries)
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:
@@ -315,12 +383,12 @@ def _echelon(rows: Mat):
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = ONE / work[r][col] if isinstance(work[r][col], FieldElem) else 1 / work[r][col]
-        work[r] = [x * inv for x in work[r]]
+        inv = work[r][col].inverse()
+        prow = work[r] = [x * inv if x else x for x in work[r]]
         for i in range(nrows):
             if i != r and work[i][col]:
                 f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+                work[i] = [x - f * y if y else x for x, y in zip(work[i], prow)]
         pivots.append(col)
         r += 1
         if r == nrows:
@@ -341,8 +409,7 @@ def mat_rref(m: Mat):
 def mat_det(m: Mat) -> FieldElem:
     n = len(m)
     work = [list(r) for r in m]
-    zero = work[0][0] - work[0][0]
-    det = zero + 1
+    det = ONE
     sign_flip = 1
     for col in range(n):
         pivot_row = None
@@ -351,16 +418,17 @@ def mat_det(m: Mat) -> FieldElem:
                 pivot_row = i
                 break
         if pivot_row is None:
-            return zero
+            return ZERO
         if pivot_row != col:
             work[col], work[pivot_row] = work[pivot_row], work[col]
             sign_flip = -sign_flip
-        p = work[col][col]
-        det = det * p
+        prow = work[col]
+        det = det * prow[col]
+        inv = prow[col].inverse()
         for i in range(col + 1, n):
             if work[i][col]:
-                f = work[i][col] / p
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
+                f = work[i][col] * inv
+                work[i] = [x - f * y if y else x for x, y in zip(work[i], prow)]
     return det if sign_flip == 1 else -det
 
 
@@ -371,14 +439,12 @@ def mat_nullspace(m: Mat) -> list[Vec]:
     ncols = len(m[0])
     rref, pivots = _echelon(m)
     pivot_set = set(pivots)
-    zero = m[0][0] - m[0][0]
-    one = zero + 1 if not isinstance(zero, FieldElem) else ONE
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        v = [zero] * ncols
-        v[free] = one
+        v = [ZERO] * ncols
+        v[free] = ONE
         for r, pc in enumerate(pivots):
             v[pc] = -rref[r][free]
         basis.append(tuple(v))
@@ -392,8 +458,7 @@ def mat_solve(m: Mat, rhs: Vec):
     ncols = len(m[0])
     if ncols in pivots:
         return None
-    zero = m[0][0] - m[0][0]
-    x = [zero] * ncols
+    x = [ZERO] * ncols
     for r, pc in enumerate(pivots):
         x[pc] = rref[r][-1]
     return tuple(x)
@@ -427,40 +492,37 @@ def reflection_e4() -> Mat:
 def lp_feasible(eq_rows: Sequence[Sequence[FieldElem]], rhs: Sequence[FieldElem]) -> bool:
     """Exact feasibility of {x >= 0 : A x = b} by phase-1 simplex.
 
-    Bland's rule keeps the pivoting finite and deterministic.  Works for
-    FieldElem or Fraction entries.
+    Bland's rule keeps the pivoting finite and deterministic.
     """
     if not eq_rows:
         return True
     m = len(eq_rows)
     n = len(eq_rows[0])
-    zero = eq_rows[0][0] - eq_rows[0][0]
-    one = zero + 1 if not isinstance(zero, FieldElem) else ONE
 
     # tableau rows: [A | I | b] with b >= 0, artificial basis
     tab = []
     for row, b in zip(eq_rows, rhs, strict=True):
         r = list(row)
         bb = b
-        if _sign_of(bb) < 0:
+        if bb.sign() < 0:
             r = [-x for x in r]
             bb = -bb
-        tab.append(r + [zero] * m + [bb])
+        tab.append(r + [ZERO] * m + [bb])
     for i in range(m):
-        tab[i][n + i] = one
+        tab[i][n + i] = ONE
     basis = list(range(n, n + m))
     # objective: minimize sum of artificials; reduced cost row is the
     # artificial costs minus the sum of the tableau rows
-    cost = [zero] * (n + m + 1)
+    cost = [ZERO] * (n + m + 1)
     for i in range(m):
         cost = [c - t for c, t in zip(cost, tab[i])]
     for j in range(n, n + m):
-        cost[j] = cost[j] + one
+        cost[j] = cost[j] + ONE
 
     while True:
         enter = None
         for j in range(n + m):
-            if _sign_of(cost[j]) < 0:
+            if cost[j].sign() < 0:
                 enter = j
                 break
         if enter is None:
@@ -468,9 +530,9 @@ def lp_feasible(eq_rows: Sequence[Sequence[FieldElem]], rhs: Sequence[FieldElem]
         leave = None
         best = None
         for i in range(m):
-            if _sign_of(tab[i][enter]) > 0:
+            if tab[i][enter].sign() > 0:
                 ratio = tab[i][-1] / tab[i][enter]
-                if best is None or _sign_of(ratio - best) < 0 or (
+                if best is None or (ratio - best).sign() < 0 or (
                     ratio == best and basis[i] < basis[leave]
                 ):
                     best = ratio
@@ -482,22 +544,16 @@ def lp_feasible(eq_rows: Sequence[Sequence[FieldElem]], rhs: Sequence[FieldElem]
         piv = tab[leave][enter]
         tab[leave] = [x / piv for x in tab[leave]]
         for i in range(m):
-            if i != leave and _sign_of(tab[i][enter]) != 0:
+            if i != leave and tab[i][enter]:
                 f = tab[i][enter]
                 tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-        if _sign_of(cost[enter]) != 0:
+        if cost[enter]:
             f = cost[enter]
             cost = [x - f * y for x, y in zip(cost, tab[leave])]
         basis[leave] = enter
 
     # optimum of the artificial objective is -cost[-1]
-    return _sign_of(cost[-1]) == 0
-
-
-def _sign_of(x) -> int:
-    if isinstance(x, FieldElem):
-        return x.sign()
-    return (x > 0) - (x < 0)
+    return cost[-1].is_zero()
 
 
 def in_convex_hull(point: Vec, points: Sequence[Vec]) -> bool:
@@ -506,9 +562,8 @@ def in_convex_hull(point: Vec, points: Sequence[Vec]) -> bool:
         return False
     dim = len(point)
     rows = [[p[i] for p in points] for i in range(dim)]
-    one = ONE if isinstance(point[0], FieldElem) else Fraction(1)
-    rows.append([one] * len(points))
-    rhs = list(point) + [one]
+    rows.append([ONE] * len(points))
+    rhs = list(point) + [ONE]
     return lp_feasible(rows, rhs)
 
 

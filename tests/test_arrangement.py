@@ -80,6 +80,17 @@ class TestAffineSubspace:
         back = arrangement_from_json(data)
         assert back == [s, t]
 
+    def test_containment_tests_the_dot_product(self):
+        # the plane x + y = 0 holds the line along (1, -1, 0), although the
+        # coordinatewise products of its normal and that direction are not
+        # zero
+        plane = AffineSubspace(3, [[1, -1, 0], [0, 0, 1]], [0, 0, 0])
+        line = AffineSubspace(3, [[1, -1, 0]], [0, 0, 0])
+        assert plane.contains(line)
+        assert not line.contains(plane)
+        # the union is the plane, whose complement is two open half-spaces
+        assert [gm_betti([plane, line], i) for i in range(3)] == [2, 0, 0]
+
 
 class TestIntersectionPoset:
     def test_single_node(self):

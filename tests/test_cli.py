@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from polyforge import cct as cct_mod
 from polyforge.cli import main
 from polyforge.cct import generate
 from polyforge.complexcore import SimplicialComplex, boundary_sphere, simplex_complex
@@ -49,6 +50,22 @@ class TestExitDiscipline:
         bad.write_text("{not json", encoding="utf-8")
         assert main(["hirsch", "diameter", "--complex", str(bad)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["cct", "generate", "--n", "-3"],
+        ["cct", "generate", "--n", "0"],
+        ["cct", "kappa", "--upto", "-1"],
+        ["proj", "pcctp", "--n", "-2"],
+        ["arr", "betti", "--file", "unread.json", "--i", "-1"],
+    ])
+    def test_out_of_range_argument_is_usage_error(self, capsys, monkeypatch, argv):
+        # rejected while parsing, before any construction runs
+        monkeypatch.setattr(cct_mod, "generate", None)
+        monkeypatch.setattr(cct_mod, "kappa_chain", None)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "must be at least" in captured.err
+        assert captured.out == ""
 
 
 class TestHirschCommands:
@@ -224,6 +241,42 @@ class TestCctCommands:
         bad = write_json(tmp_path / "bad.json", doc)
         assert main(["cct", "verify", "--file", bad]) == 1
         capsys.readouterr()
+
+    def test_verify_checks_symmetry_once(self, tmp_path, capsys, monkeypatch):
+        out_file = tmp_path / "cct3.json"
+        assert main(["cct", "generate", "--n", "3", "--out", str(out_file)]) == 0
+        calls = []
+        real = cct_mod.check_symmetric
+        monkeypatch.setattr(cct_mod, "check_symmetric",
+                            lambda geo: calls.append(geo) or real(geo))
+        assert main(["cct", "verify", "--file", str(out_file)]) == 0
+        assert len(calls) == 1
+        capsys.readouterr()
+
+    def test_verify_rejects_broken_symmetry_bundle(self, tmp_path, capsys):
+        out_file = tmp_path / "cct3.json"
+        assert main(["cct", "generate", "--n", "3", "--out", str(out_file)]) == 0
+        capsys.readouterr()
+        doc = json.loads(out_file.read_text(encoding="utf-8"))
+        doc["cct"]["vertices"][5][1] = FieldElem(Fraction(2, 9)).to_json()
+        bad = write_json(tmp_path / "bad.json", doc)
+        assert main(["cct", "verify", "--file", bad]) == 1
+        assert "FAIL: symmetry violation" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_narrow_widths_pass(self, tmp_path, capsys, width):
+        out_file = tmp_path / f"cct{width}.json"
+        assert main(["cct", "generate", "--n", str(width),
+                     "--out", str(out_file)]) == 0
+        capsys.readouterr()
+        bundle = json.loads(out_file.read_text(encoding="utf-8"))
+        checks = {c["name"]: c for c in bundle["checks"]}
+        assert bundle["pass"] is True
+        assert checks["orientation"]["witness"] == "skipped: width below three"
+        assert checks["convex-position"]["witness"] == "skipped: width below three"
+        assert bundle["subject"]["f0"] == 12 * (width + 1)
+        assert main(["cct", "verify", "--file", str(out_file)]) == 0
+        assert "orientation: pass" in capsys.readouterr().out
 
 
 class TestProjCommands:

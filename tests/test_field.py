@@ -5,6 +5,7 @@ oracle) and then frozen into the test, so a regression in the hand-rolled
 arithmetic cannot hide behind the code under test.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -257,3 +258,194 @@ class TestFeasibility:
         assert in_cone((o, o), [(o, z), (z, o)])
         assert not in_cone((-o, z), [(o, z), (z, o)])
         assert in_cone((z, z), [(o, z)])
+
+
+# ---------------------------------------------------------------------------
+# The integer-backed kernel against the Fraction-coefficient arithmetic it
+# replaced, kept here as a second, independent oracle.
+
+
+def _ref_sign_q2(a: Fraction, b: Fraction) -> int:
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return (b > 0) - (b < 0)
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa == sb:
+        return sa
+    t = a * a - 2 * b * b
+    return ((t > 0) - (t < 0)) * sa
+
+
+class RefElem:
+    """a + b*sqrt2 + c*sqrt3 + d*sqrt6 with four Fraction coefficients."""
+
+    def __init__(self, a=0, b=0, c=0, d=0):
+        self.co = (Fraction(a), Fraction(b), Fraction(c), Fraction(d))
+
+    def __add__(self, other):
+        return RefElem(*(x + y for x, y in zip(self.co, other.co)))
+
+    def __neg__(self):
+        return RefElem(*(-x for x in self.co))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        a1, b1, c1, d1 = self.co
+        a2, b2, c2, d2 = other.co
+        return RefElem(
+            a1 * a2 + 2 * b1 * b2 + 3 * c1 * c2 + 6 * d1 * d2,
+            a1 * b2 + b1 * a2 + 3 * (c1 * d2 + d1 * c2),
+            a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
+            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
+        )
+
+    def conj_sqrt2(self):
+        a, b, c, d = self.co
+        return RefElem(a, -b, c, -d)
+
+    def conj_sqrt3(self):
+        a, b, c, d = self.co
+        return RefElem(a, b, -c, -d)
+
+    def inverse(self):
+        y = self * self.conj_sqrt2()
+        norm = y * y.conj_sqrt3()
+        return self.conj_sqrt2() * y.conj_sqrt3() * RefElem(1 / norm.co[0])
+
+    def sign(self) -> int:
+        pa, pb, qa, qb = self.co
+        if qa == 0 and qb == 0:
+            return _ref_sign_q2(pa, pb)
+        if pa == 0 and pb == 0:
+            return _ref_sign_q2(qa, qb)
+        sp, sq = _ref_sign_q2(pa, pb), _ref_sign_q2(qa, qb)
+        if sp == sq:
+            return sp
+        ta = pa * pa + 2 * pb * pb - 3 * (qa * qa + 2 * qb * qb)
+        tb = 2 * pa * pb - 6 * qa * qb
+        return _ref_sign_q2(ta, tb) * sp
+
+    def to_json(self) -> dict:
+        return dict(zip("abcd", (str(x) for x in self.co)))
+
+
+wide_rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                              max_denominator=10 ** 4)
+
+
+@st.composite
+def paired(draw, coeffs=wide_rationals):
+    """The same value as a kernel element and as a reference element."""
+    co = [draw(st.one_of(st.just(Fraction(0)), coeffs)) for _ in range(4)]
+    return FieldElem(*co), RefElem(*co)
+
+
+def assert_canonical(x: FieldElem):
+    # four numerators over one denominator, coprime, denominator positive
+    a, b, c, d, q = x._n
+    assert q > 0
+    assert math.gcd(a, b, c, d, q) == 1
+
+
+def assert_same(x: FieldElem, r: RefElem):
+    assert x.coeffs() == r.co
+    assert x.to_json() == r.to_json()
+    assert_canonical(x)
+
+
+class TestKernelAgainstReference:
+    @given(paired(), paired())
+    @settings(max_examples=150, deadline=None)
+    def test_ring_operations(self, xp, yp):
+        (x, rx), (y, ry) = xp, yp
+        assert_same(x * y, rx * ry)
+        assert_same(x + y, rx + ry)
+        assert_same(x - y, rx - ry)
+        assert_same(-x, -rx)
+        assert_same(x.conj_sqrt2(), rx.conj_sqrt2())
+        assert_same(x.conj_sqrt3(), rx.conj_sqrt3())
+
+    @given(paired(), st.one_of(st.integers(-50, 50), rationals))
+    @settings(max_examples=80, deadline=None)
+    def test_mixed_rational_operands(self, xp, q):
+        x, rx = xp
+        rq = RefElem(q)
+        assert_same(x * q, rx * rq)
+        assert_same(q * x, rq * rx)
+        assert_same(x + q, rx + rq)
+        assert_same(q + x, rq + rx)
+        assert_same(x - q, rx - rq)
+        assert_same(q - x, rq - rx)
+        assert (x == q) == (rx.co == rq.co)
+
+    @given(paired())
+    @settings(max_examples=150, deadline=None)
+    def test_inverse(self, xp):
+        x, rx = xp
+        if x.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+            return
+        assert_same(x.inverse(), rx.inverse())
+        assert sympy.expand(to_sympy(x) * to_sympy(x.inverse())) == 1
+
+    @given(paired())
+    @settings(max_examples=150, deadline=None)
+    def test_sign(self, xp):
+        x, rx = xp
+        assert x.sign() == rx.sign() == int(sympy.sign(to_sympy(x)))
+
+    @given(paired(), paired())
+    @settings(max_examples=40, deadline=None)
+    def test_sum_and_difference_against_sympy(self, xp, yp):
+        (x, _), (y, _) = xp, yp
+        assert sympy.expand(to_sympy(x + y) - to_sympy(x) - to_sympy(y)) == 0
+        assert sympy.expand(to_sympy(x - y) - to_sympy(x) + to_sympy(y)) == 0
+
+    @given(paired(), paired())
+    @settings(max_examples=100, deadline=None)
+    def test_equality_and_hash(self, xp, yp):
+        (x, rx), (y, ry) = xp, yp
+        assert (x == y) == (rx.co == ry.co)
+        assert x == FieldElem(*rx.co)
+        assert hash(x) == hash(FieldElem(*rx.co))
+        if not y.is_zero():
+            # the same value reached through a longer route
+            z = (x * y) * y.inverse()
+            assert z == x and hash(z) == hash(x)
+            assert z._n == x._n
+
+    @given(paired())
+    @settings(max_examples=40, deadline=None)
+    def test_public_coefficients_are_fractions(self, xp):
+        x, rx = xp
+        assert all(type(c) is Fraction for c in x.coeffs())
+        assert all(type(c) is Fraction for c in (x.a, x.b, x.c, x.d))
+        assert (x.a, x.b, x.c, x.d) == rx.co
+        assert FieldElem.from_json(rx.to_json()) == x
+
+    def test_canonical_form_of_scaled_inputs(self):
+        x = FieldElem(Fraction(2, 6), Fraction(4, 6), 0, Fraction(-8, 6))
+        assert x._n == (1, 2, 0, -4, 3)
+        assert FieldElem(0)._n == (0, 0, 0, 0, 1)
+        assert (x - x)._n == (0, 0, 0, 0, 1)
+        assert (FieldElem(Fraction(1, 3)) * 3)._n == (1, 0, 0, 0, 1)
+        assert FieldElem(-2, 0, 0, 0).inverse()._n == (-1, 0, 0, 0, 2)
+
+    def test_arithmetic_builds_no_fraction(self, monkeypatch):
+        xs = [FieldElem(Fraction(3, 7), -2, Fraction(1, 5), 1),
+              FieldElem(1, Fraction(-1, 2)), FieldElem(0, 0, 2, Fraction(-5, 3))]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("field arithmetic constructed a Fraction")
+
+        monkeypatch.setattr(Fraction, "__new__", refuse)
+        for x in xs:
+            for y in xs:
+                x * y, x + y, x - y, -x, x / y, x < y, x == y, x != y
+                2 * x, x + 1, 1 - x
+            x.inverse(), x.sign(), hash(x), abs(x), bool(x), float(x)
+            x.conj_sqrt2(), x.conj_sqrt3(), x.to_json()
