@@ -2,18 +2,27 @@
 
 Frozen counts below were derived by hand from first principles (chain
 counting in face lattices, Euler characteristics of spheres) before the
-implementation existed.
+implementation existed.  The property tests at the end compare the
+graph questions (1-skeleton, dual graph, flagness, normality) and the
+incidence questions (maximal facets, faces, links, stars) with networkx
+and with brute-force facet scans on random complexes.
 """
 
+import itertools
 import json
+import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyforge.complexcore import (
     CubicalComplex,
     FacePoset,
     SimplicialComplex,
     boundary_sphere,
+    simplex_complex,
     solid_cube,
 )
 
@@ -216,3 +225,135 @@ class TestFacePoset:
         # cover skipping a dimension is rejected
         with pytest.raises(ValueError):
             FacePoset(["a", "b"], [0, 2], {(0, 1)})
+
+
+# ---------------------------------------------------------------------------
+# oracle properties on random complexes
+
+
+def stellar_rounds(c, rounds, rng):
+    for _ in range(rounds):
+        c = c.stellar_subdivision(c.facets[rng.randrange(len(c.facets))])
+    return c
+
+
+@st.composite
+def subdivided(draw):
+    """Stellar subdivisions of a 2-sphere, a 3-sphere or a 3-ball, derived
+    or not: flag and non-flag, all pure and normal."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    base = draw(st.sampled_from(
+        [boundary_sphere(3), boundary_sphere(4), simplex_complex(3)]))
+    c = stellar_rounds(base, draw(st.integers(0, 3)), rng)
+    return c.derived_subdivision() if draw(st.booleans()) else c
+
+
+@st.composite
+def random_pure(draw):
+    """Random k-subsets of a few vertices: often disconnected, pinched or
+    non-flag."""
+    n = draw(st.integers(3, 8))
+    k = draw(st.integers(1, min(3, n - 1)))
+    pool = list(itertools.combinations(range(n), k + 1))
+    facets = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+    return SimplicialComplex(n, facets)
+
+
+@st.composite
+def random_mixed(draw):
+    """Random faces of mixed sizes, so the constructor drops some."""
+    n = draw(st.integers(1, 8))
+    face = st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 4))
+    return SimplicialComplex(n, draw(st.lists(face, min_size=1, max_size=12)))
+
+
+any_complex = st.one_of(subdivided(), random_pure(), random_mixed())
+pure_complex = st.one_of(subdivided(), random_pure())
+
+
+def all_faces(facets) -> set:
+    return {g for f in facets for k in range(1, len(f) + 1)
+            for g in itertools.combinations(f, k)}
+
+
+def ridge_graph(facets) -> nx.Graph:
+    """Facets indexed by position, adjacent when they share a ridge."""
+    g = nx.Graph()
+    g.add_nodes_from(range(len(facets)))
+    ridge_to = {}
+    for i, f in enumerate(facets):
+        for r in itertools.combinations(f, len(f) - 1):
+            ridge_to.setdefault(r, []).append(i)
+    for members in ridge_to.values():
+        g.add_edges_from(itertools.combinations(members, 2))
+    return g
+
+
+def edge_set(adj) -> set:
+    return {frozenset((u, v)) for u in adj for v in adj[u]}
+
+
+class TestOracleProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(any_complex)
+    def test_one_skeleton_matches_facet_pairs(self, c):
+        want = nx.Graph()
+        for f in c.facets:
+            want.add_nodes_from(f)
+            want.add_edges_from(itertools.combinations(f, 2))
+        got = c.one_skeleton()
+        assert sorted(got) == c.vertices() == sorted(want.nodes)
+        assert edge_set(got) == {frozenset(e) for e in want.edges}
+        assert all(u not in got[u] for u in got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pure_complex)
+    def test_dual_graph_matches_ridge_hashing(self, c):
+        got = c.dual_graph()
+        want = ridge_graph(c.facets)
+        assert len(got) == len(c.facets)
+        assert {i: set(got[i]) for i in range(len(c.facets))} == \
+            {i: set(want[i]) for i in want}
+
+    @settings(max_examples=60, deadline=None)
+    @given(any_complex)
+    def test_is_flag_matches_cliques(self, c):
+        faces = all_faces(c.facets)
+        g = nx.Graph()
+        for f in c.facets:
+            g.add_nodes_from(f)
+            g.add_edges_from(itertools.combinations(f, 2))
+        want = all(tuple(sorted(q)) in faces for q in nx.find_cliques(g))
+        assert c.is_flag() == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(pure_complex)
+    def test_is_normal_matches_connected_stars(self, c):
+        d = c.dim
+        lower = [()] + [f for f in all_faces(c.facets) if len(f) <= d]
+        want = all(
+            nx.is_connected(ridge_graph(
+                [f for f in c.facets if set(sigma) <= set(f)]))
+            for sigma in lower)
+        assert c.is_normal() == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(any_complex, st.data())
+    def test_incidence_matches_facet_scans(self, c, data):
+        faces = all_faces(c.facets)
+        for f in c.facets:
+            assert not any(set(f) < set(g) for g in c.facets)
+        assert {f for fs in c.faces().values() for f in fs} == faces
+        probe = data.draw(st.sets(st.integers(0, c.num_vertices - 1),
+                                  min_size=1, max_size=4))
+        probe = tuple(sorted(probe))
+        assert c.contains_face(probe) == (probe in faces)
+        if probe not in faces:
+            return
+        members = [f for f in c.facets if set(probe) <= set(f)]
+        assert c.star(probe).facets == tuple(members)
+        residues = [tuple(v for v in f if v not in probe) for f in members]
+        residues = [r for r in residues if r]
+        lk, old = c.link(probe)
+        assert old == sorted({v for r in residues for v in r})
+        assert {tuple(old[v] for v in f) for f in lk.facets} == set(residues)

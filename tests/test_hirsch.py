@@ -4,10 +4,13 @@ BFS distances from networkx serve as the oracle for necklace lengths and
 diameter cross-checks.
 """
 
+import itertools
 import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyforge.complexcore import SimplicialComplex, boundary_sphere
 from polyforge.hirschpath import (
@@ -155,3 +158,67 @@ class TestDiameter:
     def test_subdivided_sphere_within_bound(self):
         c = boundary_sphere(3).derived_subdivision()
         assert dual_diameter(c) <= hirsch_bound(c)
+
+
+# ---------------------------------------------------------------------------
+# oracle properties on random complexes
+
+
+@st.composite
+def flag_spheres(draw):
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    return random_flag_sphere(rng, draw(st.sampled_from([2, 3])),
+                              draw(st.integers(0, 3)))
+
+
+@st.composite
+def random_pure(draw):
+    """Random k-subsets of a few vertices, often with a disconnected
+    dual graph."""
+    n = draw(st.integers(3, 8))
+    k = draw(st.integers(1, min(3, n - 1)))
+    pool = list(itertools.combinations(range(n), k + 1))
+    facets = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+    return SimplicialComplex(n, facets)
+
+
+def facet_pair_graph(c) -> nx.Graph:
+    g = nx.Graph()
+    for f in c.facets:
+        g.add_nodes_from(f)
+        g.add_edges_from(itertools.combinations(f, 2))
+    return g
+
+
+class TestOracleProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(flag_spheres(), random_pure()))
+    def test_dual_diameter_matches_networkx(self, c):
+        g = nx.Graph()
+        g.add_nodes_from(range(len(c.facets)))
+        g.add_edges_from((i, j) for i, j in itertools.combinations(
+            range(len(c.facets)), 2)
+            if len(set(c.facets[i]) & set(c.facets[j])) == c.dim)
+        if nx.is_connected(g):
+            assert dual_diameter(c) == nx.diameter(g)
+        else:
+            with pytest.raises(ValueError, match="dual graph is disconnected"):
+                dual_diameter(c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(flag_spheres(), random_pure()), st.data())
+    def test_vertex_distance_matches_networkx(self, c, data):
+        g = facet_pair_graph(c)
+        verts = c.vertices()
+        x = data.draw(st.sampled_from(verts))
+        targets = data.draw(st.sets(st.sampled_from(verts), min_size=1,
+                                    max_size=4))
+        lengths = nx.single_source_shortest_path_length(g, x)
+        reach = {y: lengths[y] for y in targets if y in lengths}
+        if not reach:
+            with pytest.raises(ValueError, match="cannot reach"):
+                vertex_distance(c, x, targets)
+            return
+        d = min(reach.values())
+        assert vertex_distance(c, x, targets) == (
+            d, {y for y, dy in reach.items() if dy == d})

@@ -1,12 +1,17 @@
 """Discrete Morse matchings, collapses, and evasiveness.
 
 Euler characteristic is the oracle throughout: critical cell counts and
-outward ledgers must reproduce it exactly.
+outward ledgers must reproduce it exactly.  Matching acyclicity is
+compared with networkx on random matchings.
 """
 
+import itertools
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyforge.complexcore import (
     CubicalComplex,
@@ -82,6 +87,69 @@ class TestValidation:
         crit = critical_faces(c, m)
         total = sum((-1) ** d * len(fs) for d, fs in crit.items())
         assert total == euler(c) == 2
+
+
+def hasse_covers(c) -> list:
+    """(face, cover) pairs of a simplicial complex, in a fixed order."""
+    faces = sorted({g for f in c.facets for k in range(1, len(f) + 1)
+                    for g in itertools.combinations(f, k)})
+    return [(tuple(x for x in f if x != v), f)
+            for f in faces if len(f) > 1 for v in f]
+
+
+def gradient_cycle(simplex) -> list:
+    """Pairs closing a gradient path: vertex-edge pairs around a triangle,
+    or edge-triangle pairs around a tetrahedron."""
+    if len(simplex) >= 4:
+        a, b, c, d = simplex[:4]
+        return [((a, b), (a, b, c)), ((b, c), (b, c, d)),
+                ((c, d), (a, c, d)), ((a, d), (a, b, d))]
+    a, b, c = simplex[:3]
+    return [((a,), (a, b)), ((b,), (b, c)), ((c,), (a, c))]
+
+
+@st.composite
+def random_matchings(draw):
+    """A subdivided ball or sphere and a structurally valid matching on
+    it, sometimes seeded with a gradient cycle."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    base = draw(st.sampled_from(
+        [simplex_complex(3), boundary_sphere(3), boundary_sphere(4)]))
+    c = base
+    for _ in range(draw(st.integers(0, 2))):
+        c = c.stellar_subdivision(c.facets[rng.randrange(len(c.facets))])
+    if draw(st.booleans()):
+        c = c.derived_subdivision()
+    pairs = []
+    if draw(st.booleans()):
+        facet = c.facets[rng.randrange(len(c.facets))]
+        pairs = [(tuple(sorted(lo)), tuple(sorted(hi)))
+                 for lo, hi in gradient_cycle(facet)]
+    used = {k for pair in pairs for k in pair}
+    covers = hasse_covers(c)
+    rng.shuffle(covers)
+    keep = draw(st.floats(0.0, 1.0))
+    for low, high in covers:
+        if low not in used and high not in used and rng.random() < keep:
+            pairs.append((low, high))
+            used.update((low, high))
+    return c, MorseMatching(tuple(pairs))
+
+
+class TestValidationOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(random_matchings())
+    def test_acyclicity_matches_networkx(self, case):
+        c, m = case
+        matched = set(m.pairs)
+        g = nx.DiGraph()
+        for low, high in hasse_covers(c):
+            g.add_nodes_from((low, high))
+            if (low, high) in matched:
+                g.add_edge(low, high)
+            else:
+                g.add_edge(high, low)
+        assert validate_matching(c, m) is nx.is_directed_acyclic_graph(g)
 
 
 class TestCollapse:
