@@ -11,7 +11,6 @@ tests; floats appear only in reports.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -281,7 +280,10 @@ class GeoCCT:
 
     @classmethod
     def from_json(cls, data: dict) -> "GeoCCT":
-        ab = AbstractCCT(int(data["width"]))
+        width = int(data["width"])
+        if width < 1:
+            raise ValueError(f"width must be at least 1, got {width}")
+        ab = AbstractCCT(width)
         coords = tuple(
             tuple(FieldElem.from_json(x) for x in p) for p in data["vertices"])
         if len(coords) != len(ab.vertex_reps):
@@ -708,23 +710,18 @@ def certify_facet(t: GeoCCT, cube_index: int):
     return n
 
 
-def check_convex_position(t: GeoCCT, jobs: int = 1) -> dict:
+def check_convex_position(t: GeoCCT) -> dict:
     if t.width < 3:
         raise ValueError("convex position needs width at least 3")
-    indices = range(len(t.abstract.cubes.cubes))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            normals = list(pool.map(lambda i: certify_facet(t, i), indices))
-        return dict(zip(indices, normals))
-    return {i: certify_facet(t, i) for i in indices}
+    return {i: certify_facet(t, i) for i in range(len(t.abstract.cubes.cubes))}
 
 
-def cctp(n: int, jobs: int = 1) -> dict:
+def cctp(n: int) -> dict:
     """Vertex data, certificates, and the counting bound for one polytope."""
     if n < 1:
         raise ValueError("width must be at least 1")
     geo = generate(n)
-    cert = check_convex_position(geo, jobs=jobs) if n >= 3 else {}
+    cert = check_convex_position(geo) if n >= 3 else {}
     return {
         "width": n,
         "vertices": list(geo.coords),

@@ -71,12 +71,19 @@ def _load_json(path: str) -> dict:
         raise _UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_complex(path: str) -> SimplicialComplex:
+def _load_document(path: str, parse, what: str,
+                   errors=(KeyError, TypeError, ValueError)):
+    """Parse a JSON file; an exception in `errors` from `parse` is a
+    usage error, because it means the file is malformed."""
     data = _load_json(path)
     try:
-        return SimplicialComplex.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _UsageError(f"{path} is not a complex document: {exc}") from exc
+        return parse(data)
+    except errors as exc:
+        raise _UsageError(f"{path} is not {what}: {exc}") from exc
+
+
+def _load_complex(path: str) -> SimplicialComplex:
+    return _load_document(path, SimplicialComplex.from_json, "a complex document")
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -92,7 +99,10 @@ def _emit(doc: dict, out: str | None) -> None:
 def _budget(args) -> int:
     if args.budget is not None:
         return args.budget
-    return int(os.environ.get("POLYFORGE_BUDGET", str(DEFAULT_BUDGET)))
+    try:
+        return _int_at_least(0)(os.environ.get("POLYFORGE_BUDGET", str(DEFAULT_BUDGET)))
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(f"POLYFORGE_BUDGET: {exc}") from None
 
 
 def _fe_text(x: FieldElem) -> str:
@@ -236,11 +246,8 @@ def _cmd_morse_collapse(args) -> int:
 
 def _cmd_morse_validate(args) -> int:
     c = _load_complex(args.complex)
-    data = _load_json(args.matching)
-    try:
-        matching = morse_mod.MorseMatching.from_json(data)
-    except (KeyError, TypeError) as exc:
-        raise _UsageError(f"{args.matching} is not a matching document: {exc}") from exc
+    matching = _load_document(args.matching, morse_mod.MorseMatching.from_json,
+                              "a matching document", (KeyError, TypeError))
     ok = morse_mod.validate_matching(c, matching)
     print(f"matching with {len(matching.pairs)} pairs: "
           f"{'valid' if ok else 'invalid'}")
@@ -251,11 +258,8 @@ def _cmd_morse_validate(args) -> int:
 # arrangements
 
 def _cmd_arr_betti(args) -> int:
-    data = _load_json(args.file)
-    try:
-        arr = arr_mod.arrangement_from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _UsageError(f"{args.file} is not an arrangement document: {exc}") from exc
+    arr = _load_document(args.file, arr_mod.arrangement_from_json,
+                         "an arrangement document")
     value = arr_mod.gm_betti(arr, args.i)
     print(f"b_{args.i} = {value}")
     if args.out:
@@ -267,7 +271,7 @@ def _cmd_arr_betti(args) -> int:
 # ---------------------------------------------------------------------------
 # cct
 
-def _cct_checks(geo, jobs: int):
+def _cct_checks(geo):
     # the other predicates presuppose the screw symmetry, so it is checked
     # once, first, and a tube without it fails outright
     if not cct_mod.check_symmetric(geo):
@@ -284,7 +288,7 @@ def _cct_checks(geo, jobs: int):
         checks.append(("orientation", cct_mod._oriented_core(geo),
                        "all cells tilt toward the core circle"))
         try:
-            normals = cct_mod.check_convex_position(geo, jobs=jobs)
+            normals = cct_mod.check_convex_position(geo)
             checks.append(("convex-position", True,
                            f"{len(normals)} facets exactly exposed"))
         except ValueError as exc:
@@ -297,7 +301,7 @@ def _cct_checks(geo, jobs: int):
 
 def _cmd_cct_generate(args) -> int:
     geo = cct_mod.generate(args.n)
-    checks, normals = _cct_checks(geo, args.jobs)
+    checks, normals = _cct_checks(geo)
     expected = 12 * (args.n + 1)
     checks.append(("vertex-count", len(geo.coords) == expected,
                    f"f0 = {len(geo.coords)}, expected {expected}"))
@@ -332,7 +336,7 @@ def _cmd_cct_verify(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise _UsageError(f"{args.file} is malformed: {exc}") from exc
     ok = True
-    for name, passed, witness in _cct_checks(geo, args.jobs)[0]:
+    for name, passed, witness in _cct_checks(geo)[0]:
         print(f"{name}: {'pass' if passed else 'FAIL'}")
         ok = ok and passed
     return 0 if ok else 1
@@ -373,8 +377,10 @@ def _cmd_proj_staudt(args) -> int:
 
 
 def _cmd_proj_lawrence(args) -> int:
-    data = _load_json(args.config)
-    cfg = proj_mod.PPConfig.from_json(data)
+    # a ValueError from PPConfig is a failed vertex or free-point check
+    cfg = _load_document(args.config, proj_mod.PPConfig.from_json,
+                         "a point configuration document",
+                         (AttributeError, KeyError, TypeError))
     lifted = proj_mod.lawrence_extension(cfg)
     normal, offset = proj_mod.lawrence_face_certificate(lifted)
     f0 = len(lifted.polytope_vertices)
@@ -478,11 +484,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="FILE",
                         help="write the JSON artifact here")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for per-facet checks")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for randomized search restarts")
-    common.add_argument("--budget", type=int, default=None,
+    common.add_argument("--budget", type=_int_at_least(0), default=None,
                         help="search node budget (default POLYFORGE_BUDGET "
                              f"or {DEFAULT_BUDGET})")
 
@@ -544,7 +548,6 @@ def _build_parser() -> argparse.ArgumentParser:
     kcfg.set_defaults(handler=_cmd_proj_kconfig)
     pcc = proj.add_parser("pcctp", parents=[common])
     pcc.add_argument("--n", type=_int_at_least(1), required=True)
-    pcc.add_argument("--counts", action="store_true")
     pcc.set_defaults(handler=_cmd_proj_pcctp)
 
     return parser

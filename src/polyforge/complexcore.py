@@ -4,14 +4,15 @@ Vertices are integers 0..n-1.  A simplicial face is a sorted tuple of
 vertex ids; a cube of dimension k is a tuple of 2^k corner ids indexed so
 that bit j of the corner position gives the coordinate along axis j.
 Cubes shared between neighbours are identified by their corner sets.
+Graphs are adjacency maps (dict or list of neighbour sets); `bfs` answers
+their distance and connectivity questions.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
-
-import networkx as nx
 
 
 def _canon_face(face) -> tuple:
@@ -19,6 +20,29 @@ def _canon_face(face) -> tuple:
     if len(set(t)) != len(t):
         raise ValueError(f"repeated vertex in face {face}")
     return t
+
+
+def bfs(adj, sources) -> dict:
+    """Hop distance from the nearest source to every node reachable in
+    the adjacency map `adj`; every source must be a node of `adj`."""
+    dist = {s: 0 for s in sources}
+    queue = deque(dist)
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def _incidence(faces) -> dict:
+    """Vertex -> positions of the faces containing it."""
+    out: dict[int, set] = {}
+    for i, f in enumerate(faces):
+        for v in f:
+            out.setdefault(v, set()).add(i)
+    return out
 
 
 class SimplicialComplex:
@@ -35,13 +59,15 @@ class SimplicialComplex:
                 raise ValueError(f"vertex id out of range in {f}")
             canon.append(t)
         canon = sorted(set(canon), key=lambda t: (len(t), t))
-        kept = []
-        sets = [set(t) for t in canon]
-        for i, t in enumerate(canon):
-            if not any(sets[i] < sets[j] for j in range(len(canon)) if j != i):
-                kept.append(t)
-        self.facets = tuple(sorted(kept))
+        # maximal: of the largest size, or contained in no other face
+        top = len(canon[-1]) if canon else 0
+        incidence = _incidence(canon)
+        self.facets = tuple(sorted(
+            t for t in canon
+            if len(t) == top
+            or len(set.intersection(*(incidence[v] for v in t))) == 1))
         self._faces = None
+        self._index = None
 
     @property
     def dim(self) -> int:
@@ -66,16 +92,33 @@ class SimplicialComplex:
         fv = self.faces()
         return tuple(len(fv[d]) for d in range(self.dim + 1))
 
-    def contains_face(self, face) -> bool:
+    def _facets_containing(self, face) -> set:
+        """Positions in self.facets of the facets containing the face;
+        every facet contains the empty face."""
         t = _canon_face(face)
-        s = set(t)
-        return any(s <= set(f) for f in self.facets)
+        if not t:
+            return set(range(len(self.facets)))
+        incidence = self._indexed()[0]
+        return set.intersection(*(incidence.get(v, set()) for v in t))
+
+    def _indexed(self) -> tuple:
+        """(vertex -> positions of the facets containing it, 1-skeleton),
+        built on first use."""
+        if self._index is None:
+            skeleton: dict[int, set] = {}
+            for f in self.facets:
+                for v in f:
+                    skeleton.setdefault(v, set()).update(f)
+            for v, nbrs in skeleton.items():
+                nbrs.discard(v)
+            self._index = (_incidence(self.facets), skeleton)
+        return self._index
+
+    def contains_face(self, face) -> bool:
+        return bool(self._facets_containing(face))
 
     def vertices(self) -> list:
-        seen = set()
-        for f in self.facets:
-            seen.update(f)
-        return sorted(seen)
+        return sorted(self._indexed()[1])
 
     def link(self, face):
         """Link of a face, re-indexed to 0..m-1.
@@ -83,12 +126,12 @@ class SimplicialComplex:
         Returns (complex, old_ids) where old_ids[i] is the original label
         of new vertex i.
         """
-        t = _canon_face(face)
-        if not self.contains_face(t):
+        ids = self._facets_containing(face)
+        if not ids:
             raise ValueError(f"{face} is not a face of the complex")
-        s = set(t)
-        residues = [tuple(v for v in f if v not in s)
-                    for f in self.facets if s <= set(f)]
+        s = set(face)
+        residues = [tuple(v for v in self.facets[i] if v not in s)
+                    for i in ids]
         residues = [r for r in residues if r]
         old_ids = sorted({v for r in residues for v in r})
         index = {v: i for i, v in enumerate(old_ids)}
@@ -98,12 +141,11 @@ class SimplicialComplex:
 
     def star(self, face) -> "SimplicialComplex":
         """Closed star: all facets containing the face, same labels."""
-        t = _canon_face(face)
-        if not self.contains_face(t):
+        ids = self._facets_containing(face)
+        if not ids:
             raise ValueError(f"{face} is not a face of the complex")
-        s = set(t)
         return SimplicialComplex(self.num_vertices,
-                                 [f for f in self.facets if s <= set(f)])
+                                 [self.facets[i] for i in ids])
 
     def delete_vertex(self, v: int) -> "SimplicialComplex":
         """All faces not containing v."""
@@ -117,33 +159,39 @@ class SimplicialComplex:
                 out.append(f)
         return SimplicialComplex(self.num_vertices, out)
 
-    def dual_graph(self) -> nx.Graph:
-        """Facet adjacency along shared ridges; facets are indexed
-        by position in self.facets."""
+    def dual_graph(self) -> list:
+        """Facet adjacency along shared ridges: entry i holds the
+        positions of the facets sharing a ridge with self.facets[i]."""
         if not self.is_pure():
             raise ValueError("dual graph requires a pure complex")
-        g = nx.Graph()
-        g.add_nodes_from(range(len(self.facets)))
-        d = self.dim
-        for i, j in itertools.combinations(range(len(self.facets)), 2):
-            if len(set(self.facets[i]) & set(self.facets[j])) == d:
-                g.add_edge(i, j)
-        return g
+        adj = [set() for _ in self.facets]
+        by_ridge: dict[tuple, list] = {}
+        for i, f in enumerate(self.facets):
+            for k in range(len(f)):
+                by_ridge.setdefault(f[:k] + f[k + 1:], []).append(i)
+        for members in by_ridge.values():
+            for a, b in itertools.combinations(members, 2):
+                adj[a].add(b)
+                adj[b].add(a)
+        return adj
 
-    def one_skeleton(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(self.vertices())
-        for f in self.facets:
-            for a, b in itertools.combinations(f, 2):
-                g.add_edge(a, b)
-        return g
+    def one_skeleton(self) -> dict:
+        """Vertex -> set of neighbours, one key per vertex.  The map is
+        cached on the complex, so callers must not mutate it."""
+        return self._indexed()[1]
 
     def is_flag(self) -> bool:
-        """True when every clique of the 1-skeleton spans a face."""
+        """True when every clique of the 1-skeleton spans a face, that is,
+        when for every face and every vertex adjacent to all of it, the
+        two together span a face."""
         g = self.one_skeleton()
-        for clique in nx.find_cliques(g):
-            if len(clique) >= 3 and not self.contains_face(tuple(clique)):
-                return False
+        faces = self.faces()
+        for k, layer in faces.items():
+            above = faces.get(k + 1, ())
+            for face in layer:
+                for v in set.intersection(*(g[u] for u in face)):
+                    if tuple(sorted(face + (v,))) not in above:
+                        return False
         return True
 
     def is_normal(self) -> bool:
@@ -153,20 +201,14 @@ class SimplicialComplex:
             raise ValueError("normality requires a pure complex")
         if not self.facets:
             return True
-        if not nx.is_connected(self.dual_graph()):
-            return False
-        d = self.dim
-        for fdim in range(0, d):
-            for face in self.faces()[fdim]:
-                s = set(face)
-                members = [set(f) for f in self.facets if s <= set(f)]
-                g = nx.Graph()
-                g.add_nodes_from(range(len(members)))
-                for i, j in itertools.combinations(range(len(members)), 2):
-                    if len(members[i] & members[j]) == d:
-                        g.add_edge(i, j)
-                if not nx.is_connected(g):
-                    return False
+        adj = self.dual_graph()
+        faces = self.faces()
+        # the empty face's star is the whole complex
+        for face in itertools.chain([()], *(faces[k] for k in range(self.dim))):
+            members = self._facets_containing(face)
+            star = {i: adj[i] & members for i in members}
+            if len(bfs(star, [min(members)])) != len(members):
+                return False
         return True
 
     def derived_subdivision(self) -> "SimplicialComplex":
@@ -193,13 +235,13 @@ class SimplicialComplex:
         """Star the complex at a face: cone a new vertex over the
         boundary of its star."""
         t = _canon_face(face)
-        if not self.contains_face(t):
+        ids = self._facets_containing(t)
+        if not ids:
             raise ValueError(f"{face} is not a face of the complex")
-        s = set(t)
         new = self.num_vertices
         out = []
-        for f in self.facets:
-            if s <= set(f):
+        for i, f in enumerate(self.facets):
+            if i in ids:
                 for w in t:
                     out.append(tuple(x for x in f if x != w) + (new,))
             else:
@@ -437,14 +479,6 @@ class FacePoset:
                     covers.add((index[frozenset(sub)], i_self))
         elements = [tuple(sorted(corners)) for d, corners in face_list]
         return cls(elements, [d for d, _ in face_list], covers)
-
-    def hasse_digraph(self) -> nx.DiGraph:
-        """Edges point from a face down to each face it covers."""
-        g = nx.DiGraph()
-        g.add_nodes_from(range(self.size()))
-        for (i, j) in self.covers:
-            g.add_edge(j, i)
-        return g
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d for d in self.dims)

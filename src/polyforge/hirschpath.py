@@ -13,12 +13,9 @@ smallest vertex id, so paths are deterministic.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-import networkx as nx
-
-from .complexcore import SimplicialComplex
+from .complexcore import SimplicialComplex, bfs
 
 
 @dataclass(frozen=True)
@@ -45,18 +42,6 @@ class FacetPath:
         }
 
 
-def _bfs_from_set(g: nx.Graph, sources) -> dict:
-    dist = {s: 0 for s in sources if s in g}
-    dq = deque(dist)
-    while dq:
-        u = dq.popleft()
-        for v in g[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                dq.append(v)
-    return dist
-
-
 def vertex_distance(c: SimplicialComplex, x: int, targets):
     """Distance from vertex x to a vertex set in the 1-skeleton, plus
     the subset of targets realizing it."""
@@ -66,19 +51,12 @@ def vertex_distance(c: SimplicialComplex, x: int, targets):
     g = c.one_skeleton()
     if x not in g:
         raise ValueError(f"vertex {x} not in complex")
-    dist = _bfs_from_set(g, targets)
-    if x not in dist:
+    dist = bfs(g, [x])
+    reached = [y for y in targets if y in dist]
+    if not reached:
         raise ValueError(f"vertex {x} cannot reach the target set")
-    d = dist[x]
-    single = nx.single_source_shortest_path_length(g, x)
-    nearest = {y for y in targets if single.get(y) == d}
-    return d, nearest
-
-
-def _nearest_subset(g: nx.Graph, x: int, targets: set) -> set:
-    single = nx.single_source_shortest_path_length(g, x)
-    best = min(single[y] for y in targets if y in single)
-    return {y for y in targets if single.get(y) == best}
+    d = min(dist[y] for y in reached)
+    return d, {y for y in reached if dist[y] == d}
 
 
 def _part1(c: SimplicialComplex, X: tuple, targets: frozenset):
@@ -96,19 +74,19 @@ def _part1(c: SimplicialComplex, X: tuple, targets: frozenset):
         return [X, (live[0],)], [X[0], live[0]], [0, 1]
 
     g = c.one_skeleton()
-    dist = _bfs_from_set(g, targets)
+    dist = bfs(g, g.keys() & targets)
     missing = [v for v in X if v not in dist]
     if missing:
         raise ValueError(f"vertices {missing} cannot reach the target set")
     x = min(X, key=lambda v: (dist[v], v))
-    current_targets = _nearest_subset(g, x, targets)
+    current_targets = vertex_distance(c, x, targets)[1]
 
     facets = [X]
     pearls = [x]
     chis = [0]
     Xi = X
     while not (set(Xi) & targets):
-        dist_i = _bfs_from_set(g, current_targets)
+        dist_i = bfs(g, current_targets)
         dxi = dist_i[x]
         tilde = sorted(y for y in g[x]
                        if dist_i.get(y, -2) + 1 == dxi)
@@ -125,7 +103,7 @@ def _part1(c: SimplicialComplex, X: tuple, targets: frozenset):
         facets.extend(lifted[1:])
         Xi = lifted[-1]
         x = min(set(Xi) & set(tilde))
-        current_targets = _nearest_subset(g, x, current_targets)
+        current_targets = vertex_distance(c, x, current_targets)[1]
         pearls.append(x)
         chis.append(len(facets) - 1)
     return facets, pearls, chis
@@ -209,12 +187,17 @@ def is_non_revisiting(path: FacetPath) -> bool:
 
 
 def dual_diameter(c: SimplicialComplex) -> int:
+    """Largest facet-to-facet distance in the dual graph."""
     g = c.dual_graph()
-    if g.number_of_nodes() == 0:
+    if not g:
         raise ValueError("empty complex has no diameter")
-    if not nx.is_connected(g):
-        raise ValueError("dual graph is disconnected")
-    return nx.diameter(g)
+    diameter = 0
+    for source in range(len(g)):
+        dist = bfs(g, [source])
+        if len(dist) != len(g):
+            raise ValueError("dual graph is disconnected")
+        diameter = max(diameter, max(dist.values()))
+    return diameter
 
 
 def hirsch_bound(c: SimplicialComplex) -> int:

@@ -14,8 +14,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .complexcore import CubicalComplex, FacePoset, SimplicialComplex
 
 
@@ -61,7 +59,6 @@ class _Diagram:
     """Index view of a face poset with strict upward closure tables."""
 
     def __init__(self, poset: FacePoset):
-        self.poset = poset
         self.key_of = list(poset.elements)
         self.id_of = {k: i for i, k in enumerate(poset.elements)}
         if len(self.id_of) != len(self.key_of):
@@ -88,7 +85,7 @@ def validate_matching(c, m: MorseMatching) -> bool:
     reversed diagram has a cycle, True otherwise."""
     diag = _Diagram(_poset_of(c))
     used = set()
-    reversed_edges = set()
+    matched_up = {}
     for low, high in m.pairs:
         if low not in diag.id_of or high not in diag.id_of:
             raise ValueError(f"pair ({low}, {high}) refers to unknown faces")
@@ -99,15 +96,23 @@ def validate_matching(c, m: MorseMatching) -> bool:
             raise ValueError("a face appears in two pairs")
         used.add(i)
         used.add(j)
-        reversed_edges.add((j, i))
-    g = nx.DiGraph()
-    g.add_nodes_from(range(len(diag.key_of)))
-    for (i, j) in diag.poset.covers:
-        if (j, i) in reversed_edges:
-            g.add_edge(i, j)
-        else:
-            g.add_edge(j, i)
-    return nx.is_directed_acyclic_graph(g)
+        matched_up[i] = j
+    # Kahn's algorithm: Hasse arrows point down, matched ones point up
+    succ = [[i for i in diag.down[j] if matched_up.get(i) != j]
+            for j in range(len(diag.key_of))]
+    for i, j in matched_up.items():
+        succ[i].append(j)
+    indegree = [0] * len(succ)
+    for out in succ:
+        for w in out:
+            indegree[w] += 1
+    ready = [u for u, k in enumerate(indegree) if k == 0]
+    for u in ready:  # the list grows while it is walked
+        for w in succ[u]:
+            indegree[w] -= 1
+            if indegree[w] == 0:
+                ready.append(w)
+    return len(ready) == len(succ)
 
 
 def critical_faces(c, m: MorseMatching) -> dict:
@@ -335,7 +340,7 @@ def _canonical_key(c: SimplicialComplex):
     isomorphic relabelings and memo hits are safe."""
     verts = c.vertices()
     g = c.one_skeleton()
-    sig = {v: (len(list(g[v])),) for v in verts}
+    sig = {v: (len(g[v]),) for v in verts}
     for _ in range(2):
         sig = {v: (sig[v], tuple(sorted(sig[u] for u in g[v])))
                for v in verts}

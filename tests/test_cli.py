@@ -5,11 +5,15 @@ stdout are checked directly.
 """
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import polyforge
 from polyforge import cct as cct_mod
 from polyforge.cli import main
 from polyforge.cct import generate
@@ -57,6 +61,7 @@ class TestExitDiscipline:
         ["cct", "kappa", "--upto", "-1"],
         ["proj", "pcctp", "--n", "-2"],
         ["arr", "betti", "--file", "unread.json", "--i", "-1"],
+        ["morse", "collapse", "--complex", "unread.json", "--budget", "-1"],
     ])
     def test_out_of_range_argument_is_usage_error(self, capsys, monkeypatch, argv):
         # rejected while parsing, before any construction runs
@@ -66,6 +71,14 @@ class TestExitDiscipline:
         captured = capsys.readouterr()
         assert "must be at least" in captured.err
         assert captured.out == ""
+
+    def test_cli_import_leaves_networkx_unloaded(self):
+        src = str(Path(polyforge.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-c",
+             "import polyforge.cli, sys; assert 'networkx' not in sys.modules"],
+            env={**os.environ, "PYTHONPATH": path}, check=True)
 
 
 class TestHirschCommands:
@@ -139,6 +152,15 @@ class TestMorseCommands:
         rc = main(["morse", "collapse", "--complex", c_file])
         assert rc == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("value", ["lots", "-5", ""])
+    def test_bad_budget_env_variable_is_usage_error(self, tetra_file, capsys,
+                                                    monkeypatch, value):
+        monkeypatch.setenv("POLYFORGE_BUDGET", value)
+        assert main(["morse", "collapse", "--complex", tetra_file]) == 2
+        captured = capsys.readouterr()
+        assert "POLYFORGE_BUDGET" in captured.err
+        assert captured.out == ""
 
     def test_collapse_to_target(self, tmp_path, capsys):
         c = simplex_complex(2)
@@ -222,8 +244,7 @@ class TestCctCommands:
 
     def test_generate_verify_round_trip(self, tmp_path, capsys):
         out_file = tmp_path / "cct3.json"
-        rc = main(["cct", "generate", "--n", "3", "--out", str(out_file),
-                   "--jobs", "2"])
+        rc = main(["cct", "generate", "--n", "3", "--out", str(out_file)])
         assert rc == 0
         capsys.readouterr()
         bundle = json.loads(out_file.read_text(encoding="utf-8"))
@@ -233,6 +254,17 @@ class TestCctCommands:
         assert all(c["pass"] for c in bundle["checks"])
         assert main(["cct", "verify", "--file", str(out_file)]) == 0
         capsys.readouterr()
+
+    def test_verify_rejects_width_zero(self, tmp_path, capsys):
+        doc = generate(1).to_json()
+        doc["width"] = 0
+        doc["vertices"] = doc["vertices"][:12]
+        doc["kappas"] = doc["kappas"][:1]
+        bad = write_json(tmp_path / "cct0.json", doc)
+        assert main(["cct", "verify", "--file", bad]) == 2
+        captured = capsys.readouterr()
+        assert "width must be at least 1" in captured.err
+        assert captured.out == ""
 
     def test_verify_detects_tampering(self, tmp_path, capsys):
         geo = generate(3)
@@ -360,6 +392,14 @@ class TestProjCommands:
         assert main(["proj", "lawrence", "--config", c_file]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("doc", [{"kind": "ppconfig", "ambient_dim": 2}, []])
+    def test_lawrence_malformed_config_is_usage_error(self, tmp_path, capsys, doc):
+        c_file = write_json(tmp_path / "pp.json", doc)
+        assert main(["proj", "lawrence", "--config", c_file]) == 2
+        captured = capsys.readouterr()
+        assert "not a point configuration document" in captured.err
+        assert captured.out == ""
+
     def test_k_config_verify(self, tmp_path, capsys):
         out_file = tmp_path / "k.json"
         rc = main(["proj", "k-config", "--verify", "--out", str(out_file)])
@@ -373,7 +413,7 @@ class TestProjCommands:
         assert "replay" in names
 
     def test_pcctp_counts(self, capsys):
-        rc = main(["proj", "pcctp", "--n", "5", "--counts"])
+        rc = main(["proj", "pcctp", "--n", "5"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "69" in out

@@ -141,8 +141,8 @@ class TestSubdivisions:
 class TestDualGraphAndFlags:
     def test_dual_graph_of_sphere(self):
         g = boundary_sphere(3).dual_graph()
-        assert g.number_of_nodes() == 4
-        assert g.number_of_edges() == 6
+        assert len(g) == 4
+        assert sum(len(nbrs) for nbrs in g) // 2 == 6
 
     def test_dual_graph_needs_pure(self):
         c = SimplicialComplex(4, [(0, 1, 2), (2, 3)])

@@ -68,7 +68,7 @@ class TestSegment:
     def test_necklace_realizes_distance(self):
         rng = random.Random(7)
         c = random_flag_sphere(rng, 3, 2)
-        g = c.one_skeleton()
+        g = nx.Graph(c.one_skeleton())
         facets = c.facets
         for _ in range(10):
             X = facets[rng.randrange(len(facets))]
