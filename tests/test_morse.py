@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyforge.complexcore import (
+    FacePoset,
     CubicalComplex,
     SimplicialComplex,
     boundary_sphere,
@@ -280,3 +281,372 @@ class TestNonevasive:
     def test_subdivided_simplex_nonevasive(self):
         c = simplex_complex(2).derived_subdivision()
         assert is_nonevasive(c)
+
+
+# ---------------------------------------------------------------------------
+# Reference search: the strict upward-closure table and a full rescan of
+# every live face at every node, with a memo of every visited state.  The
+# library's counter-based search must agree with it node for node.
+
+class RefDiagram:
+    def __init__(self, poset):
+        self.key_of = list(poset.elements)
+        self.id_of = {k: i for i, k in enumerate(poset.elements)}
+        self.dims = list(poset.dims)
+        n = len(self.key_of)
+        self.up = [set() for _ in range(n)]
+        for i, j in poset.covers:
+            self.up[i].add(j)
+        self.above = [None] * n
+        for i in sorted(range(n), key=lambda t: -self.dims[t]):
+            acc = set()
+            for j in self.up[i]:
+                acc.add(j)
+                acc |= self.above[j]
+            self.above[i] = acc
+
+
+def ref_poset(c):
+    if isinstance(c, SimplicialComplex):
+        return FacePoset.from_simplicial(c)
+    return FacePoset.from_cubical(c)
+
+
+def ref_keys(d):
+    if isinstance(d, SimplicialComplex):
+        return {f for fs in d.faces().values() for f in fs}
+    return {tuple(f) for f in d}
+
+
+class RefExhausted(Exception):
+    pass
+
+
+def ref_backtrack(diag, target_ids, pair_filter, budget, rng, end):
+    """(pairs or None, nodes visited); RefExhausted past the budget."""
+    seen = set()
+    nodes = 0
+
+    def free_pairs(state):
+        out = []
+        for i in sorted(state, key=lambda t: (diag.dims[t], diag.key_of[t])):
+            if target_ids is not None and i in target_ids:
+                continue
+            above_live = state & diag.above[i]
+            if len(above_live) == 1:
+                j = next(iter(above_live))
+                if target_ids is not None and j in target_ids:
+                    continue
+                if pair_filter and not pair_filter(i, j):
+                    continue
+                out.append((i, j))
+        return out
+
+    def enter(state):
+        nonlocal nodes
+        if nodes == budget:
+            raise RefExhausted
+        nodes += 1
+        if end(state):
+            return True
+        key = frozenset(state)
+        if key in seen:
+            stack.append((state, (), [0]))
+            return False
+        seen.add(key)
+        cands = free_pairs(state)
+        if rng is not None:
+            rng.shuffle(cands)
+        stack.append((state, cands, [0]))
+        return False
+
+    stack = []
+    pairs = []
+    if enter(frozenset(range(len(diag.key_of)))):
+        return pairs, nodes
+    while stack:
+        state, cands, cursor = stack[-1]
+        if cursor[0] >= len(cands):
+            stack.pop()
+            if pairs:
+                pairs.pop()
+            continue
+        i, j = cands[cursor[0]]
+        cursor[0] += 1
+        pairs.append((i, j))
+        if enter(state - {i, j}):
+            return pairs, nodes
+    return None, nodes
+
+
+def ref_restarts(diag, target_ids, pair_filter, end, budget, seed, attempts):
+    """("found", id pairs) or ("exhausted", nodes, attempts made)."""
+    slice_budget = max(1, budget // attempts)
+    spent = nodes = 0
+    for attempt in range(attempts):
+        rng = None if attempt == 0 else random.Random(
+            (seed if seed is not None else 0) + attempt)
+        try:
+            result, used = ref_backtrack(
+                diag, target_ids, pair_filter, slice_budget, rng, end)
+        except RefExhausted:
+            nodes += slice_budget
+            spent += slice_budget
+            if spent >= budget:
+                return ("exhausted", nodes, attempt + 1)
+            continue
+        nodes += used
+        if result is not None:
+            return ("found", result)
+        spent += slice_budget
+    return ("exhausted", nodes, attempts)
+
+
+def ref_collapse_search(c, target=None, budget=10 ** 6, seed=0, restarts=6):
+    diag = RefDiagram(ref_poset(c))
+    if target is None:
+        target_ids = None
+        end = lambda state: len(state) == 1
+    else:
+        target_ids = {diag.id_of[k] for k in ref_keys(target)}
+        end = lambda state: state == target_ids
+    out = ref_restarts(diag, target_ids, None, end, budget, seed, restarts + 1)
+    if out[0] == "found":
+        return ("found", MorseMatching(tuple(
+            (diag.key_of[i], diag.key_of[j]) for i, j in out[1])))
+    return out
+
+
+def ref_out_j_collapse(c, d, j, budget=10 ** 6, seed=0):
+    diag = RefDiagram(ref_poset(c))
+    d_ids = {diag.id_of[k] for k in ref_keys(d)}
+
+    def pair_ok(i, jj):
+        if i in d_ids and jj not in d_ids:
+            return diag.dims[i] == j
+        return True
+
+    end = lambda state: len(state) == 1 and next(iter(state)) in d_ids
+    out = ref_restarts(diag, None, pair_ok, end, budget, seed, 4)
+    if out[0] == "exhausted":
+        return out
+    pairs = tuple((diag.key_of[i], diag.key_of[jj]) for i, jj in out[1])
+    ledger = [diag.key_of[i] for i, jj in out[1]
+              if i in d_ids and jj not in d_ids]
+    return ("found", (MorseMatching(pairs), ledger))
+
+
+def ref_deformation_trace(c, d, m):
+    if validate_matching(c, m) is False:
+        raise ValueError("matching has a gradient cycle")
+    diag = RefDiagram(ref_poset(c))
+    d_keys = ref_keys(d)
+    d_ids = {diag.id_of[k] for k in d_keys if k in diag.id_of}
+    if len(d_ids) != len(d_keys):
+        raise ValueError("subcomplex faces not in complex")
+    partner = {}
+    for low, high in m.pairs:
+        i, j = diag.id_of[low], diag.id_of[high]
+        if (i in d_ids) != (j in d_ids):
+            raise ValueError(
+                f"pair ({low}, {high}) crosses the subcomplex boundary")
+        partner[i] = j
+        partner[j] = i
+    live = set(range(len(diag.key_of)))
+    events = []
+    while live != d_ids:
+        collapse_cand = []
+        attach_cand = []
+        for i in live:
+            if i in d_ids:
+                continue
+            above_live = live & diag.above[i]
+            if not above_live and i not in partner:
+                attach_cand.append(i)
+            elif len(above_live) == 1 and partner.get(i) in above_live:
+                collapse_cand.append(i)
+        if collapse_cand:
+            i = min(collapse_cand, key=lambda t: (diag.dims[t], diag.key_of[t]))
+            j = partner[i]
+            live -= {i, j}
+            events.append(("collapse", diag.key_of[i], diag.key_of[j]))
+        elif attach_cand:
+            i = min(attach_cand, key=lambda t: (diag.dims[t], diag.key_of[t]))
+            live.discard(i)
+            events.append(("attach", diag.dims[i], diag.key_of[i]))
+        else:
+            raise RuntimeError("trace is stuck; matching does not collapse onto d")
+    return events
+
+
+def outcome(call):
+    """("found", value) or ("exhausted",) for a library search."""
+    try:
+        return ("found", call())
+    except SearchExhausted:
+        return ("exhausted",)
+
+
+def raised(call):
+    """The value of call(), or the type and message of what it raised."""
+    try:
+        return call()
+    except (ValueError, RuntimeError) as exc:
+        return (type(exc), str(exc))
+
+
+@st.composite
+def collapse_cases(draw):
+    """A complex, an optional target inside it, a seed and a budget.
+
+    Balls are stellar subdivisions of the 3-simplex, derived or not,
+    the solid cube and its derived subdivision; spheres are simplex
+    boundaries.  Targets range over a vertex, an edge, a closed facet
+    and the boundary of a facet, which no ball collapses onto, so that
+    the search backtracks until it runs out of budget.
+    """
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["ball", "derived", "cube", "sphere"]))
+    if kind == "ball":
+        c = random_subdivided_ball(rng, rounds=draw(st.integers(0, 3)))
+    elif kind == "derived":
+        c = random_subdivided_ball(rng, rounds=draw(st.integers(0, 1)))
+        c = c.derived_subdivision()
+    elif kind == "cube":
+        c = draw(st.sampled_from([solid_cube(2), solid_cube(3),
+                                  solid_cube(2).derived_subdivision()]))
+    else:
+        c = boundary_sphere(draw(st.integers(2, 3)))
+    target = None
+    shape = draw(st.sampled_from(["none", "vertex", "edge", "facet", "boundary"]))
+    if shape != "none" and isinstance(c, SimplicialComplex):
+        facet = c.facets[rng.randrange(len(c.facets))]
+        if shape == "vertex":
+            target = SimplicialComplex(c.num_vertices, [facet[:1]])
+        elif shape == "edge":
+            target = SimplicialComplex(c.num_vertices, [facet[:2]])
+        elif shape == "facet":
+            target = SimplicialComplex(c.num_vertices, [facet])
+        else:
+            target = SimplicialComplex(c.num_vertices, list(
+                itertools.combinations(facet, len(facet) - 1)))
+    elif shape != "none":
+        target = [(0,)]
+    # a full budget only where the search cannot wander for long
+    if draw(st.booleans()):
+        budget = draw(st.integers(1, 400))
+    elif target is None or kind in ("cube", "sphere") or (
+            shape == "vertex" and kind == "ball"):
+        budget = 10 ** 6
+    else:
+        budget = 3000
+    return c, target, draw(st.integers(0, 300)), budget
+
+
+@st.composite
+def trace_cases(draw):
+    """A ball or sphere, a closed face d of it, and part of a collapse
+    matching: acyclic, so that the trace attaches the faces it leaves
+    unmatched, and sometimes crossing d's boundary."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        c = random_subdivided_ball(rng, rounds=draw(st.integers(0, 2)))
+        if draw(st.booleans()):
+            c = c.derived_subdivision()
+        body = c
+    else:
+        c = boundary_sphere(3)
+        for _ in range(draw(st.integers(0, 2))):
+            c = c.stellar_subdivision(c.facets[rng.randrange(len(c.facets))])
+        body = SimplicialComplex(c.num_vertices, c.facets[1:])
+    found = outcome(lambda: collapse_search(body, seed=rng.randrange(100)))
+    pairs = found[1].pairs if found[0] == "found" else ()
+    keep = draw(st.floats(0.0, 1.0))
+    pairs = [p for p in pairs if rng.random() < keep]
+    facet = c.facets[rng.randrange(len(c.facets))]
+    d = SimplicialComplex(c.num_vertices,
+                          [facet[:draw(st.integers(1, len(facet)))]])
+    if draw(st.booleans()):
+        d_keys = ref_keys(d)
+        pairs = [(lo, hi) for lo, hi in pairs
+                 if (lo in d_keys) == (hi in d_keys)]
+    return c, d, MorseMatching(tuple(pairs))
+
+
+class TestSearchOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(collapse_cases())
+    def test_collapse_search_matches_reference(self, case):
+        c, target, seed, budget = case
+        got = outcome(lambda: collapse_search(c, target=target,
+                                              budget=budget, seed=seed))
+        want = ref_collapse_search(c, target=target, budget=budget, seed=seed)
+        assert got == want[:len(got)]
+        assert got[0] == want[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 3), st.integers(0, 300),
+           st.sampled_from(["boundary", "facet"]), st.one_of(
+               st.integers(1, 600), st.just(5000), st.just(10 ** 6)))
+    def test_out_j_collapse_matches_reference(self, world, j, seed, shape, budget):
+        rng = random.Random(world)
+        c = random_subdivided_ball(rng, rounds=rng.randrange(1, 3))
+        facet = c.facets[rng.randrange(len(c.facets))]
+        if shape == "facet":
+            d = SimplicialComplex(c.num_vertices, [facet])
+        else:
+            d = SimplicialComplex(c.num_vertices,
+                                  list(itertools.combinations(facet, 3)))
+        if j != 2:
+            budget = min(budget, 5000)  # the wrong dimension may never finish
+        got = outcome(lambda: out_j_collapse(c, d, j, budget=budget, seed=seed))
+        want = ref_out_j_collapse(c, d, j, budget=budget, seed=seed)
+        assert got == want[:len(got)]
+        assert got[0] == want[0]
+
+    @pytest.mark.parametrize("world", range(4))
+    def test_derived_balls_match_reference(self, world):
+        rng = random.Random(world)
+        c = random_subdivided_ball(rng, rounds=1 + world % 2).derived_subdivision()
+        vertex = SimplicialComplex(c.num_vertices, [c.facets[-1][:1]])
+        for target in (None, vertex):
+            got = outcome(lambda: collapse_search(c, target=target))
+            assert got == ref_collapse_search(c, target=target)
+            assert got[0] == "found"
+        b = random_subdivided_ball(rng, rounds=2)
+        facet = b.facets[0]
+        d = SimplicialComplex(b.num_vertices, list(itertools.combinations(facet, 3)))
+        for seed in (0, 101):
+            got = outcome(lambda: out_j_collapse(b, d, 2, seed=seed))
+            assert got == ref_out_j_collapse(b, d, 2, seed=seed)
+
+    def test_out_j_exhaustion_matches_reference(self):
+        c = simplex_complex(2)
+        d = boundary_sphere(2)
+        for budget in (4, 7, 50, 5000):
+            got = outcome(lambda: out_j_collapse(c, d, 2, budget=budget))
+            want = ref_out_j_collapse(c, d, 2, budget=budget)
+            assert got[0] == want[0] == "exhausted"
+            assert got == want[:len(got)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(collapse_cases())
+    def test_trace_of_found_collapse_matches_reference(self, case):
+        c, target, seed, budget = case
+        if not isinstance(c, SimplicialComplex):
+            return
+        if target is None:
+            target = SimplicialComplex(c.num_vertices, [c.facets[0][:1]])
+        found = outcome(lambda: collapse_search(c, target=target, seed=seed))
+        if found[0] != "found":
+            return
+        m = found[1]
+        assert (raised(lambda: deformation_trace(c, target, m))
+                == raised(lambda: ref_deformation_trace(c, target, m)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(trace_cases())
+    def test_trace_of_partial_matching_matches_reference(self, case):
+        c, d, m = case
+        assert (raised(lambda: deformation_trace(c, d, m))
+                == raised(lambda: ref_deformation_trace(c, d, m)))
