@@ -61,21 +61,31 @@ class CertificateBundle:
         return doc
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, what: str = "a JSON object") -> dict:
+    """Read a JSON file whose top level is an object; anything else is a
+    usage error, reported as the file not being `what`."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _UsageError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise _UsageError(f"{path} is not {what}: its top level is "
+                          f"{type(data).__name__}, not an object")
+    return data
 
 
 def _load_document(path: str, parse, what: str,
-                   errors=(KeyError, TypeError, ValueError)):
-    """Parse a JSON file; an exception in `errors` from `parse` is a
-    usage error, because it means the file is malformed."""
-    data = _load_json(path)
+                   errors=(KeyError, TypeError, ValueError), kind=None):
+    """Parse a JSON file; a `kind` other than the one given, or an
+    exception in `errors` from `parse`, is a usage error, because it
+    means the file is malformed."""
+    data = _load_json(path, what)
+    if kind is not None and data.get("kind") != kind:
+        raise _UsageError(f"{path} is not {what}: its kind is "
+                          f"{data.get('kind')!r}, not {kind!r}")
     try:
         return parse(data)
     except errors as exc:
@@ -323,7 +333,7 @@ def _cmd_cct_generate(args) -> int:
 
 
 def _cmd_cct_verify(args) -> int:
-    data = _load_json(args.file)
+    data = _load_json(args.file, "a tube document")
     kind = data.get("kind")
     if kind == "cct-bundle":
         inner = data.get("cct", {})
@@ -380,7 +390,7 @@ def _cmd_proj_lawrence(args) -> int:
     # a ValueError from PPConfig is a failed vertex or free-point check
     cfg = _load_document(args.config, proj_mod.PPConfig.from_json,
                          "a point configuration document",
-                         (AttributeError, KeyError, TypeError))
+                         (AttributeError, KeyError, TypeError), kind="ppconfig")
     lifted = proj_mod.lawrence_extension(cfg)
     normal, offset = proj_mod.lawrence_face_certificate(lifted)
     f0 = len(lifted.polytope_vertices)

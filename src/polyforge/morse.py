@@ -13,12 +13,28 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from heapq import heappop, heappush
 
 from .complexcore import CubicalComplex, FacePoset, SimplicialComplex
 
 
 class SearchExhausted(Exception):
-    """Raised when a collapse search runs out of moves or budget."""
+    """Raised when a collapse search runs out of moves or budget.
+
+    `nodes` is the number of search nodes spent over all attempts and
+    `attempts` the number of attempts made; the message names both.
+    """
+
+    def __init__(self, reason: str, nodes: int, attempts: int):
+        super().__init__(f"{reason} after {nodes} nodes in {attempts} "
+                         f"attempt{'' if attempts == 1 else 's'}")
+        self.nodes = nodes
+        self.attempts = attempts
+
+
+class _BudgetSpent(Exception):
+    """One attempt of a collapse search used up its slice of the budget."""
 
 
 @dataclass(frozen=True)
@@ -56,7 +72,9 @@ def _subcomplex_keys(d) -> set:
 
 
 class _Diagram:
-    """Index view of a face poset with strict upward closure tables."""
+    """Index view of a face poset: cover sets both ways and, built on
+    first use by the collapse code, the (dimension, key) order and the
+    strict down-closure of every face."""
 
     def __init__(self, poset: FacePoset):
         self.key_of = list(poset.elements)
@@ -70,14 +88,48 @@ class _Diagram:
         for (i, j) in poset.covers:
             self.up[i].add(j)
             self.down[j].add(i)
-        # strict upward closure
-        self.above = [None] * n
-        for i in sorted(range(n), key=lambda t: -self.dims[t]):
-            acc = set()
-            for j in self.up[i]:
-                acc.add(j)
-                acc |= self.above[j]
-            self.above[i] = acc
+
+    @cached_property
+    def order(self) -> list:
+        """Face ids sorted by (dimension, key)."""
+        return sorted(range(len(self.key_of)),
+                      key=lambda t: (self.dims[t], self.key_of[t]))
+
+    @cached_property
+    def rank(self) -> list:
+        """rank[i] is the position of face i in `order`."""
+        rank = [0] * len(self.order)
+        for r, i in enumerate(self.order):
+            rank[i] = r
+        return rank
+
+    @cached_property
+    def below(self) -> list:
+        """The faces strictly below each face, as a tuple of ids."""
+        below = [()] * len(self.key_of)
+        for i in self.order:  # lower dimensions first
+            acc = set(self.down[i])
+            for k in self.down[i]:
+                acc.update(below[k])
+            below[i] = tuple(acc)
+        return below
+
+    @cached_property
+    def tokens(self) -> list:
+        """A fixed random 64-bit word per face, for hashing sets of faces
+        by XOR."""
+        rnd = random.Random(len(self.key_of))
+        return [rnd.getrandbits(64) for _ in self.key_of]
+
+    @cached_property
+    def above_counts(self) -> list:
+        """The number of faces strictly above each face; copy before
+        changing it."""
+        counts = [0] * len(self.key_of)
+        for faces in self.below:
+            for k in faces:
+                counts[k] += 1
+        return counts
 
 
 def validate_matching(c, m: MorseMatching) -> bool:
@@ -126,66 +178,179 @@ def critical_faces(c, m: MorseMatching) -> dict:
     return {d: sorted(v) for d, v in sorted(out.items())}
 
 
-def _collapse_backtrack(diag, live, target_ids, pair_filter, budget, rng,
+def _collapse_backtrack(diag, target_ids, pair_filter, budget, rng,
                         end_predicate):
-    """DFS over elementary collapses, run on an explicit stack because a
-    collapse sequence is as deep as the complex has faces.  Mutates
-    nothing; returns the pair list or None.  Raises SearchExhausted when
-    the node budget dies."""
-    seen = set()
-    counter = budget
+    """DFS over elementary collapses of the whole diagram, run on an
+    explicit stack because a collapse sequence is as deep as the complex
+    has faces.  Returns (pair list or None, nodes visited); raises
+    _BudgetSpent when the node budget dies.
 
-    def free_pairs(state):
+    count[i] is the number of live faces strictly above face i, so i is
+    free when count[i] == 1, and its partner is then its one live cover.
+    A collapse decrements the counters of the strict down-closures of
+    the two faces it removes and a backtrack increments them again.
+    `free` holds the free faces outside the target and `heap` their
+    ranks in (dimension, key) order, with stale entries dropped when
+    they surface.  The candidates of a node are the free pairs that pass
+    the target and the filter, in (dimension, key) order, shuffled by
+    rng when it is given.  Without rng a node takes its first candidate
+    off the heap and lists the others only once the search backtracks
+    to it.  A state whose frame is exhausted is remembered as dead,
+    keyed by a hash of the removed faces; the states on the stack shrink
+    strictly, so a state can only come back after its subtree failed.
+    """
+    below, up, order, rank = diag.below, diag.up, diag.order, diag.rank
+    blocked = target_ids if target_ids is not None else frozenset()
+    count = list(diag.above_counts)
+    live = set(range(len(count)))
+    free = {i for i in live if count[i] == 1 and i not in blocked}
+    heap = sorted(rank[i] for i in free)
+    queued = set(free)
+    tokens = diag.tokens
+    state_hash = 0
+    dead = {}
+    counter = budget
+    stack = []
+    pairs = []
+
+    def partner(i):
+        for j in up[i]:
+            if j in live:
+                return j
+
+    def allowed(i, j):
+        return j not in blocked and (pair_filter is None or pair_filter(i, j))
+
+    def candidates():
         out = []
-        for i in sorted(state, key=lambda t: (diag.dims[t], diag.key_of[t])):
-            if target_ids is not None and i in target_ids:
-                continue
-            above_live = state & diag.above[i]
-            if len(above_live) == 1:
-                j = next(iter(above_live))
-                if target_ids is not None and j in target_ids:
-                    continue
-                if pair_filter and not pair_filter(i, j):
-                    continue
+        for r in sorted(rank[i] for i in free):
+            i = order[r]
+            j = partner(i)
+            if allowed(i, j):
                 out.append((i, j))
         return out
 
-    def enter(state):
-        # visit a node: True means done, otherwise a frame is pushed
+    def first_candidate():
+        aside = []
+        found = None
+        while heap:
+            i = order[heap[0]]
+            if i not in free:
+                heappop(heap)
+                queued.discard(i)
+                continue
+            j = partner(i)
+            if allowed(i, j):
+                found = (i, j)
+                break
+            aside.append(heappop(heap))
+        for r in aside:
+            heappush(heap, r)
+        return found
+
+    def became_free(k):
+        free.add(k)
+        if k not in queued:
+            queued.add(k)
+            heappush(heap, rank[k])
+
+    def shift(i, j, step):
+        # the live faces strictly above a face below i or j change by step
+        nonlocal state_hash
+        state_hash ^= tokens[i] ^ tokens[j]
+        for face in (i, j):
+            for k in below[face]:
+                c = count[k] + step
+                count[k] = c
+                if c != 1:
+                    free.discard(k)
+                elif k not in blocked:
+                    became_free(k)
+
+    def collapse(i, j):
+        live.discard(i)
+        live.discard(j)
+        pairs.append((i, j))
+        shift(i, j, -1)
+
+    def restore():
+        i, j = pairs.pop()
+        live.add(i)
+        live.add(j)
+        shift(i, j, 1)
+
+    def removed():
+        return frozenset(f for pair in pairs for f in pair)
+
+    def enter():
+        # visit a node: True means done; otherwise a frame is pushed, or
+        # the state is known dead and the last collapse is undone
         nonlocal counter
         counter -= 1
         if counter < 0:
-            raise SearchExhausted("collapse budget exhausted")
-        if end_predicate(state):
+            raise _BudgetSpent
+        if end_predicate(live):
             return True
-        key = frozenset(state)
-        if key in seen:
-            stack.append((state, (), [0]))
+        if state_hash in dead and removed() in dead[state_hash]:
+            restore()
             return False
-        seen.add(key)
-        cands = free_pairs(state)
-        if rng is not None:
+        if rng is None:
+            cand = first_candidate()
+            stack.append([[cand] if cand else [], 0, cand is None])
+        else:
+            cands = candidates()
             rng.shuffle(cands)
-        stack.append((state, cands, [0]))
+            stack.append([cands, 0, True])
         return False
 
-    stack = []
-    pairs = []
-    if enter(live):
-        return pairs
+    if enter():
+        return pairs, budget - counter
     while stack:
-        state, cands, cursor = stack[-1]
-        if cursor[0] >= len(cands):
+        frame = stack[-1]
+        cands, cursor, complete = frame
+        if cursor == len(cands) and not complete:
+            # back at this node: list every candidate; the first was tried
+            cands = frame[0] = candidates()
+            frame[2] = True
+        if cursor == len(cands):
             stack.pop()
             if pairs:
-                pairs.pop()
+                dead.setdefault(state_hash, set()).add(removed())
+                restore()
             continue
-        i, j = cands[cursor[0]]
-        cursor[0] += 1
-        pairs.append((i, j))
-        if enter(state - {i, j}):
-            return pairs
-    return None
+        frame[1] = cursor + 1
+        collapse(*cands[cursor])
+        if enter():
+            return pairs, budget - counter
+    return None, budget - counter
+
+
+def _restarting_search(diag, target_ids, pair_filter, end_predicate, budget,
+                       seed, attempts, what):
+    """Split the budget into `attempts` slices: the first attempt is
+    greedy, the later ones shuffle the candidates with seeds seed + 1,
+    seed + 2, ...  Returns the pair ids of the first collapse found."""
+    slice_budget = max(1, budget // attempts)
+    spent = 0
+    nodes = 0
+    for attempt in range(attempts):
+        rng = None if attempt == 0 else random.Random(
+            (seed if seed is not None else 0) + attempt)
+        try:
+            result, visited = _collapse_backtrack(
+                diag, target_ids, pair_filter, slice_budget, rng, end_predicate)
+        except _BudgetSpent:
+            nodes += slice_budget
+            spent += slice_budget
+            if spent >= budget:
+                raise SearchExhausted("collapse budget exhausted",
+                                      nodes, attempt + 1) from None
+            continue
+        nodes += visited
+        if result is not None:
+            return result
+        spent += slice_budget
+    raise SearchExhausted(f"no {what} found within budget", nodes, attempts)
 
 
 def collapse_search(c, target=None, budget: int = 10 ** 6,
@@ -199,7 +364,6 @@ def collapse_search(c, target=None, budget: int = 10 ** 6,
     found.
     """
     diag = _Diagram(_poset_of(c))
-    live = frozenset(range(len(diag.key_of)))
     if target is None:
         target_ids = None
         end = lambda state: len(state) == 1
@@ -211,25 +375,10 @@ def collapse_search(c, target=None, budget: int = 10 ** 6,
         target_ids = {diag.id_of[k] for k in keys}
         end = lambda state: state == target_ids
 
-    slice_budget = max(1, budget // (restarts + 1))
-    spent = 0
-    for attempt in range(restarts + 1):
-        rng = None if attempt == 0 else random.Random(
-            (seed if seed is not None else 0) + attempt)
-        try:
-            result = _collapse_backtrack(
-                diag, live, target_ids, None,
-                slice_budget, rng, end)
-        except SearchExhausted:
-            spent += slice_budget
-            if spent >= budget:
-                raise
-            continue
-        if result is not None:
-            return MorseMatching(tuple(
-                (diag.key_of[i], diag.key_of[j]) for i, j in result))
-        spent += slice_budget
-    raise SearchExhausted("no collapse found within budget")
+    result = _restarting_search(diag, target_ids, None, end, budget, seed,
+                                restarts + 1, "collapse")
+    return MorseMatching(tuple(
+        (diag.key_of[i], diag.key_of[j]) for i, j in result))
 
 
 def out_j_collapse(c, d, j: int, budget: int = 10 ** 6,
@@ -253,29 +402,9 @@ def out_j_collapse(c, d, j: int, budget: int = 10 ** 6,
             return diag.dims[i] == j
         return True
 
-    live = frozenset(range(len(diag.key_of)))
     end = lambda state: len(state) == 1 and next(iter(state)) in d_ids
-
-    slice_budget = max(1, budget // 4)
-    spent = 0
-    result = None
-    for attempt in range(4):
-        rng = None if attempt == 0 else random.Random(
-            (seed if seed is not None else 0) + attempt)
-        try:
-            result = _collapse_backtrack(
-                diag, live, None, pair_ok, slice_budget, rng, end)
-        except SearchExhausted:
-            spent += slice_budget
-            if spent >= budget:
-                raise
-            continue
-        if result is not None:
-            break
-        spent += slice_budget
-    if result is None:
-        raise SearchExhausted("no constrained collapse found within budget")
-
+    result = _restarting_search(diag, None, pair_ok, end, budget, seed, 4,
+                                "constrained collapse")
     pairs = tuple((diag.key_of[i], diag.key_of[jj]) for i, jj in result)
     ledger = [diag.key_of[i] for (i, jj) in result
               if i in d_ids and jj not in d_ids]
@@ -307,27 +436,43 @@ def deformation_trace(c, d, m: MorseMatching) -> list:
         partner[i] = j
         partner[j] = i
 
-    live = set(range(len(diag.key_of)))
+    # heaps of the ranks of the live faces outside d that can go next: a
+    # low face whose one live coface is its partner, or an unmatched face
+    # with no live coface
+    count = list(diag.above_counts)
+    collapsible, attachable = [], []
+
+    def note(k):
+        if k in d_ids:
+            return
+        if k not in partner:
+            if count[k] == 0:
+                heappush(attachable, diag.rank[k])
+        elif count[k] == 1 and diag.dims[partner[k]] > diag.dims[k]:
+            heappush(collapsible, diag.rank[k])
+
+    def remove(face):
+        for k in diag.below[face]:
+            count[k] -= 1
+            if count[k] < 2:
+                note(k)
+
+    for k in range(len(count)):
+        note(k)
+    remaining = len(count) - len(d_ids)
     events = []
-    while live != d_ids:
-        collapse_cand = []
-        attach_cand = []
-        for i in live:
-            if i in d_ids:
-                continue
-            above_live = live & diag.above[i]
-            if not above_live and i not in partner:
-                attach_cand.append(i)
-            elif len(above_live) == 1 and partner.get(i) in above_live:
-                collapse_cand.append(i)
-        if collapse_cand:
-            i = min(collapse_cand, key=lambda t: (diag.dims[t], diag.key_of[t]))
+    while remaining:
+        if collapsible:
+            i = diag.order[heappop(collapsible)]
             j = partner[i]
-            live -= {i, j}
+            remove(j)
+            remove(i)
+            remaining -= 2
             events.append(("collapse", diag.key_of[i], diag.key_of[j]))
-        elif attach_cand:
-            i = min(attach_cand, key=lambda t: (diag.dims[t], diag.key_of[t]))
-            live.discard(i)
+        elif attachable:
+            i = diag.order[heappop(attachable)]
+            remove(i)
+            remaining -= 1
             events.append(("attach", diag.dims[i], diag.key_of[i]))
         else:
             raise RuntimeError("trace is stuck; matching does not collapse onto d")

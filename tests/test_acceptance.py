@@ -282,6 +282,7 @@ def test_criterion_06_path_suite():
 
 
 def test_criterion_07_collapse_suite():
+    start = time.monotonic()
     rng = random.Random(77)
     balls = []
     for i in range(6):
@@ -317,6 +318,7 @@ def test_criterion_07_collapse_suite():
             m, ledger = out_j_collapse(c, d, j, seed=seed)
             assert validate_matching(c, m)
             assert len(ledger) == want
+    assert time.monotonic() - start < 10.0
     verdict(7, "collapses and crossing ledgers")
 
 

@@ -55,6 +55,20 @@ class TestExitDiscipline:
         assert main(["hirsch", "diameter", "--complex", str(bad)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("value", [[], ["kind"], "cct", 3, None])
+    @pytest.mark.parametrize("argv", [
+        ["cct", "verify", "--file"],
+        ["hirsch", "diameter", "--complex"],
+        ["arr", "betti", "--i", "0", "--file"],
+        ["proj", "lawrence", "--config"],
+    ])
+    def test_non_object_json_is_usage_error(self, tmp_path, capsys, argv, value):
+        doc = write_json(tmp_path / "doc.json", value)
+        assert main(argv + [doc]) == 2
+        captured = capsys.readouterr()
+        assert "not an object" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("argv", [
         ["cct", "generate", "--n", "-3"],
         ["cct", "generate", "--n", "0"],
@@ -144,6 +158,32 @@ class TestMorseCommands:
                    "--budget", "50"])
         assert rc == 1
         capsys.readouterr()
+
+    def test_budget_exhaustion_reports_nodes_spent(self, tmp_path, capsys):
+        circle = boundary_sphere(2)
+        c_file = write_json(tmp_path / "circle.json", circle.to_json())
+        assert main(["morse", "collapse", "--complex", c_file,
+                     "--budget", "50"]) == 1
+        # no face of a circle is free: each of the 7 attempts is one node
+        assert capsys.readouterr().out == (
+            "FAIL: no collapse found within budget after 7 nodes in 7 attempts\n")
+
+    def test_budget_slices_spent_reports_nodes(self, tmp_path, capsys):
+        c_file = write_json(tmp_path / "c.json", simplex_complex(2).to_json())
+        # slices of one node each; a triangle needs four
+        assert main(["morse", "collapse", "--complex", c_file,
+                     "--budget", "3"]) == 1
+        assert capsys.readouterr().out == (
+            "FAIL: collapse budget exhausted after 3 nodes in 3 attempts\n")
+
+    def test_out_j_exhaustion_reports_nodes_spent(self, tmp_path, capsys):
+        c_file = write_json(tmp_path / "c.json", simplex_complex(2).to_json())
+        t_file = write_json(tmp_path / "t.json", boundary_sphere(2).to_json())
+        # the only crossing pairs leave through edges, not triangles
+        assert main(["morse", "collapse", "--complex", c_file, "--target", t_file,
+                     "--out-j", "2", "--budget", "5000"]) == 1
+        assert capsys.readouterr().out == ("FAIL: no constrained collapse found "
+                                           "within budget after 4 nodes in 4 attempts\n")
 
     def test_budget_env_variable(self, tmp_path, capsys, monkeypatch):
         circle = boundary_sphere(2)
@@ -395,6 +435,26 @@ class TestProjCommands:
     @pytest.mark.parametrize("doc", [{"kind": "ppconfig", "ambient_dim": 2}, []])
     def test_lawrence_malformed_config_is_usage_error(self, tmp_path, capsys, doc):
         c_file = write_json(tmp_path / "pp.json", doc)
+        assert main(["proj", "lawrence", "--config", c_file]) == 2
+        captured = capsys.readouterr()
+        assert "not a point configuration document" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("kind", ["lawrence", None, "slp"])
+    def test_lawrence_wrong_kind_is_usage_error(self, tmp_path, capsys, kind):
+        cfg = {
+            "format": "polyforge/1",
+            "ambient_dim": 2,
+            "polytope_vertices": [
+                [FieldElem(x).to_json(), FieldElem(y).to_json()]
+                for x, y in ((0, 0), (1, 0), (0, 1))
+            ],
+            "free_points": [],
+            "metadata": None,
+        }
+        if kind is not None:
+            cfg["kind"] = kind
+        c_file = write_json(tmp_path / "pp.json", cfg)
         assert main(["proj", "lawrence", "--config", c_file]) == 2
         captured = capsys.readouterr()
         assert "not a point configuration document" in captured.err
