@@ -18,6 +18,7 @@ from .complexcore import CubicalComplex, _cube_faces
 from .exactfield import (
     ZERO,
     FieldElem,
+    as_field,
     mat_det,
     mat_mul,
     mat_nullspace,
@@ -119,7 +120,7 @@ class CliffordParams:
 
 
 def clifford_params(p) -> CliffordParams:
-    y = [x if isinstance(x, FieldElem) else FieldElem(x) for x in p[:4]]
+    y = [as_field(x) for x in p[:4]]
     denom = y[0] * y[0] + y[1] * y[1] + y[2] * y[2] + y[3] * y[3]
     if not denom:
         raise ValueError("projection undefined on the polar axis")

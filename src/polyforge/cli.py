@@ -377,11 +377,7 @@ def _cmd_proj_staudt(args) -> int:
         is_root = proj_mod.proj_equal(out_point, (ZERO, ZERO, ONE))
         print(f"evaluated at {args.at}: {_point_text(out_point)}")
         print(f"root: {'yes' if is_root else 'no'}")
-    if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(prog.to_json(), indent=2) + "\n")
-        print(f"wrote {args.emit}")
-    elif args.out:
+    if args.out:
         _emit(prog.to_json(), args.out)
     return 0
 
@@ -491,14 +487,10 @@ def _int_at_least(low: int):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # --out on the commands that write a document
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="FILE",
                         help="write the JSON artifact here")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized search restarts")
-    common.add_argument("--budget", type=_int_at_least(0), default=None,
-                        help="search node budget (default POLYFORGE_BUDGET "
-                             f"or {DEFAULT_BUDGET})")
 
     parser = argparse.ArgumentParser(
         prog="polyforge",
@@ -521,8 +513,13 @@ def _build_parser() -> argparse.ArgumentParser:
     col.add_argument("--complex", required=True)
     col.add_argument("--target")
     col.add_argument("--out-j", dest="out_j", type=int, default=None)
+    col.add_argument("--seed", type=int, default=0,
+                     help="seed for randomized search restarts")
+    col.add_argument("--budget", type=_int_at_least(0), default=None,
+                     help="search node budget (default POLYFORGE_BUDGET "
+                          f"or {DEFAULT_BUDGET})")
     col.set_defaults(handler=_cmd_morse_collapse)
-    val = morse.add_parser("validate", parents=[common])
+    val = morse.add_parser("validate")
     val.add_argument("--complex", required=True)
     val.add_argument("--matching", required=True)
     val.set_defaults(handler=_cmd_morse_validate)
@@ -537,18 +534,19 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = cct.add_parser("generate", parents=[common])
     gen.add_argument("--n", type=_int_at_least(1), required=True)
     gen.set_defaults(handler=_cmd_cct_generate)
-    ver = cct.add_parser("verify", parents=[common])
+    ver = cct.add_parser("verify")
     ver.add_argument("--file", required=True)
     ver.set_defaults(handler=_cmd_cct_verify)
-    kap = cct.add_parser("kappa", parents=[common])
+    kap = cct.add_parser("kappa")
     kap.add_argument("--upto", type=_int_at_least(0), required=True)
     kap.set_defaults(handler=_cmd_cct_kappa)
 
     proj = groups.add_parser("proj").add_subparsers(dest="command")
-    sta = proj.add_parser("staudt", parents=[common])
+    sta = proj.add_parser("staudt")
     sta.add_argument("--poly", required=True)
     sta.add_argument("--at")
-    sta.add_argument("--emit", metavar="FILE")
+    sta.add_argument("--out", "--emit", dest="out", metavar="FILE",
+                     help="write the program here")
     sta.set_defaults(handler=_cmd_proj_staudt)
     law = proj.add_parser("lawrence", parents=[common])
     law.add_argument("--config", required=True)

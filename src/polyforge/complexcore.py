@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 def _canon_face(face) -> tuple:
@@ -424,28 +424,40 @@ def solid_cube(k: int) -> CubicalComplex:
 class FacePoset:
     """A graded poset of cells, recorded by covering relations.
 
-    elements[i] is an arbitrary hashable key, dims[i] its dimension, and
-    covers holds pairs (i, j) meaning element i is covered by element j.
+    elements[i] is a hashable key, dims[i] its dimension, and covers
+    holds pairs (i, j) meaning element i is covered by element j.  The
+    constructor checks the covers and indexes them: index maps a key to
+    its id, and up[i] and down[i] list the ids covering and covered by
+    element i.  The two constructors from complexes list the elements in
+    (dimension, key) order.
     """
 
     elements: list
     dims: list
     covers: set
+    index: dict = field(init=False, repr=False, compare=False)
+    up: list = field(init=False, repr=False, compare=False)
+    down: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.elements) != len(self.dims):
             raise ValueError("elements and dims must align")
         n = len(self.elements)
-        present = set()
+        self.index = {k: i for i, k in enumerate(self.elements)}
+        if len(self.index) != n:
+            raise ValueError("face keys are not unique")
+        self.up = [[] for _ in range(n)]
+        self.down = [[] for _ in range(n)]
         for (i, j) in self.covers:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError("cover index out of range")
             if self.dims[j] != self.dims[i] + 1:
                 raise ValueError(
                     f"cover {self.elements[i]} < {self.elements[j]} skips a dimension")
-            present.add(j)
+            self.up[i].append(j)
+            self.down[j].append(i)
         for i, d in enumerate(self.dims):
-            if d > 0 and i not in present:
+            if d > 0 and not self.down[i]:
                 raise ValueError(
                     f"element {self.elements[i]} of dimension {d} covers nothing")
 
@@ -479,6 +491,3 @@ class FacePoset:
                     covers.add((index[frozenset(sub)], i_self))
         elements = [tuple(sorted(corners)) for d, corners in face_list]
         return cls(elements, [d for d, _ in face_list], covers)
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d for d in self.dims)

@@ -312,24 +312,17 @@ def _coerce(x):
     return NotImplemented
 
 
+def as_field(x) -> FieldElem:
+    """x itself when it is a FieldElem, else FieldElem(x)."""
+    return x if isinstance(x, FieldElem) else FieldElem(x)
+
+
 ZERO = FieldElem(0)
 ONE = FieldElem(1)
 
 # A vector is a tuple of FieldElem; a matrix is a list of row lists.
 Vec = tuple
 Mat = list
-
-
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(s: FieldElem, u: Vec) -> Vec:
-    return tuple(s * a for a in u)
 
 
 def vec_dot(u: Vec, v: Vec) -> FieldElem:
@@ -354,10 +347,6 @@ def mat_mul(m1: Mat, m2: Mat) -> Mat:
 
 def mat_vec(m: Mat, v: Vec) -> Vec:
     return tuple(vec_dot(tuple(row), v) for row in m)
-
-
-def mat_transpose(m: Mat) -> Mat:
-    return [list(col) for col in zip(*m)]
 
 
 def mat_pow(m: Mat, k: int) -> Mat:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from heapq import heappop, heappush
 
 from .complexcore import CubicalComplex, FacePoset, SimplicialComplex
@@ -52,8 +51,6 @@ class MorseMatching:
 
 
 def _poset_of(c) -> FacePoset:
-    if isinstance(c, FacePoset):
-        return c
     if isinstance(c, SimplicialComplex):
         return FacePoset.from_simplicial(c)
     if isinstance(c, CubicalComplex):
@@ -61,97 +58,73 @@ def _poset_of(c) -> FacePoset:
     raise TypeError(f"unsupported complex type {type(c)!r}")
 
 
-def _subcomplex_keys(d) -> set:
-    if isinstance(d, SimplicialComplex):
-        return {f for fs in d.faces().values() for f in fs}
-    if isinstance(d, CubicalComplex):
-        return {tuple(sorted(corners)) for _, corners in d.faces().values()}
-    if isinstance(d, FacePoset):
-        return set(d.elements)
-    return {tuple(f) for f in d}
+def _face_dims(c) -> dict:
+    """Face key -> dimension, with the keys of `_poset_of(c)`."""
+    if isinstance(c, SimplicialComplex):
+        return {f: d for d, fs in c.faces().items() for f in fs}
+    if isinstance(c, CubicalComplex):
+        return {tuple(sorted(corners)): d for d, corners in c.faces().values()}
+    raise TypeError(f"unsupported complex type {type(c)!r}")
 
 
-class _Diagram:
-    """Index view of a face poset: cover sets both ways and, built on
-    first use by the collapse code, the (dimension, key) order and the
-    strict down-closure of every face."""
-
-    def __init__(self, poset: FacePoset):
-        self.key_of = list(poset.elements)
-        self.id_of = {k: i for i, k in enumerate(poset.elements)}
-        if len(self.id_of) != len(self.key_of):
-            raise ValueError("face keys are not unique")
-        self.dims = list(poset.dims)
-        n = len(self.key_of)
-        self.up = [set() for _ in range(n)]      # covers above
-        self.down = [set() for _ in range(n)]    # covers below
-        for (i, j) in poset.covers:
-            self.up[i].add(j)
-            self.down[j].add(i)
-
-    @cached_property
-    def order(self) -> list:
-        """Face ids sorted by (dimension, key)."""
-        return sorted(range(len(self.key_of)),
-                      key=lambda t: (self.dims[t], self.key_of[t]))
-
-    @cached_property
-    def rank(self) -> list:
-        """rank[i] is the position of face i in `order`."""
-        rank = [0] * len(self.order)
-        for r, i in enumerate(self.order):
-            rank[i] = r
-        return rank
-
-    @cached_property
-    def below(self) -> list:
-        """The faces strictly below each face, as a tuple of ids."""
-        below = [()] * len(self.key_of)
-        for i in self.order:  # lower dimensions first
-            acc = set(self.down[i])
-            for k in self.down[i]:
-                acc.update(below[k])
-            below[i] = tuple(acc)
-        return below
-
-    @cached_property
-    def tokens(self) -> list:
-        """A fixed random 64-bit word per face, for hashing sets of faces
-        by XOR."""
-        rnd = random.Random(len(self.key_of))
-        return [rnd.getrandbits(64) for _ in self.key_of]
-
-    @cached_property
-    def above_counts(self) -> list:
-        """The number of faces strictly above each face; copy before
-        changing it."""
-        counts = [0] * len(self.key_of)
-        for faces in self.below:
-            for k in faces:
-                counts[k] += 1
-        return counts
+def _ids_in(poset: FacePoset, d, what: str) -> set:
+    """The ids in poset of the faces of d, a complex or a list of face
+    keys; faces missing from poset are a ValueError."""
+    if isinstance(d, (SimplicialComplex, CubicalComplex)):
+        keys = _face_dims(d).keys()
+    else:
+        keys = {tuple(f) for f in d}
+    missing = keys - poset.index.keys()
+    if missing:
+        raise ValueError(f"{what} faces not in complex: {sorted(missing)[:3]}")
+    return {poset.index[k] for k in keys}
 
 
-def validate_matching(c, m: MorseMatching) -> bool:
-    """Raise ValueError on structurally bad pairs; return False when the
-    reversed diagram has a cycle, True otherwise."""
-    diag = _Diagram(_poset_of(c))
+def _closures(poset: FacePoset) -> tuple:
+    """(below, counts, tokens): below[i] holds the ids strictly below
+    face i, counts[i] the number of faces strictly above it (copy it
+    before changing it), and tokens[i] a fixed random 64-bit word for
+    hashing sets of faces by XOR.  Ids are in (dimension, key) order,
+    so lower faces come first."""
+    n = len(poset.elements)
+    below = [()] * n
+    counts = [0] * n
+    for i, covered in enumerate(poset.down):
+        acc = set(covered)
+        for k in covered:
+            acc.update(below[k])
+        below[i] = tuple(acc)
+        for k in acc:
+            counts[k] += 1
+    rnd = random.Random(n)
+    return below, counts, [rnd.getrandbits(64) for _ in range(n)]
+
+
+def _check_pairs(poset: FacePoset, m: MorseMatching) -> dict:
+    """Low id -> high id of every pair, in the order of m; ValueError on
+    a pair of unknown faces, a pair that is not a cover, or a face in
+    two pairs."""
     used = set()
     matched_up = {}
     for low, high in m.pairs:
-        if low not in diag.id_of or high not in diag.id_of:
+        if low not in poset.index or high not in poset.index:
             raise ValueError(f"pair ({low}, {high}) refers to unknown faces")
-        i, j = diag.id_of[low], diag.id_of[high]
-        if j not in diag.up[i]:
+        i, j = poset.index[low], poset.index[high]
+        if j not in poset.up[i]:
             raise ValueError(f"{high} does not cover {low}")
         if i in used or j in used:
             raise ValueError("a face appears in two pairs")
         used.add(i)
         used.add(j)
         matched_up[i] = j
-    # Kahn's algorithm: Hasse arrows point down, matched ones point up
-    succ = [[i for i in diag.down[j] if matched_up.get(i) != j]
-            for j in range(len(diag.key_of))]
+    return matched_up
+
+
+def _acyclic(poset: FacePoset, matched_up: dict) -> bool:
+    """Kahn's algorithm on the Hasse diagram with its arrows pointing
+    down and the matched ones reversed."""
+    succ = [[i for i in covered if matched_up.get(i) != j]
+            for j, covered in enumerate(poset.down)]
     for i, j in matched_up.items():
         succ[i].append(j)
     indegree = [0] * len(succ)
@@ -167,20 +140,26 @@ def validate_matching(c, m: MorseMatching) -> bool:
     return len(ready) == len(succ)
 
 
+def validate_matching(c, m: MorseMatching) -> bool:
+    """Raise ValueError on structurally bad pairs; return False when the
+    reversed diagram has a cycle, True otherwise."""
+    poset = _poset_of(c)
+    return _acyclic(poset, _check_pairs(poset, m))
+
+
 def critical_faces(c, m: MorseMatching) -> dict:
     """Unmatched faces keyed by dimension, each list sorted."""
-    diag = _Diagram(_poset_of(c))
     matched = {k for pair in m.pairs for k in pair}
     out: dict[int, list] = {}
-    for key, dim in zip(diag.key_of, diag.dims):
+    for key, dim in _face_dims(c).items():
         if key not in matched:
             out.setdefault(dim, []).append(key)
     return {d: sorted(v) for d, v in sorted(out.items())}
 
 
-def _collapse_backtrack(diag, target_ids, pair_filter, budget, rng,
-                        end_predicate):
-    """DFS over elementary collapses of the whole diagram, run on an
+def _collapse_backtrack(poset, closures, target_ids, pair_filter, budget,
+                        rng, end_predicate):
+    """DFS over elementary collapses of the whole poset, run on an
     explicit stack because a collapse sequence is as deep as the complex
     has faces.  Returns (pair list or None, nodes visited); raises
     _BudgetSpent when the node budget dies.
@@ -189,8 +168,8 @@ def _collapse_backtrack(diag, target_ids, pair_filter, budget, rng,
     free when count[i] == 1, and its partner is then its one live cover.
     A collapse decrements the counters of the strict down-closures of
     the two faces it removes and a backtrack increments them again.
-    `free` holds the free faces outside the target and `heap` their
-    ranks in (dimension, key) order, with stale entries dropped when
+    `free` holds the free faces outside the target and `heap` their ids,
+    which are in (dimension, key) order, with stale entries dropped when
     they surface.  The candidates of a node are the free pairs that pass
     the target and the filter, in (dimension, key) order, shuffled by
     rng when it is given.  Without rng a node takes its first candidate
@@ -199,14 +178,14 @@ def _collapse_backtrack(diag, target_ids, pair_filter, budget, rng,
     keyed by a hash of the removed faces; the states on the stack shrink
     strictly, so a state can only come back after its subtree failed.
     """
-    below, up, order, rank = diag.below, diag.up, diag.order, diag.rank
+    below, counts, tokens = closures
+    up = poset.up
     blocked = target_ids if target_ids is not None else frozenset()
-    count = list(diag.above_counts)
+    count = list(counts)
     live = set(range(len(count)))
     free = {i for i in live if count[i] == 1 and i not in blocked}
-    heap = sorted(rank[i] for i in free)
+    heap = sorted(free)
     queued = set(free)
-    tokens = diag.tokens
     state_hash = 0
     dead = {}
     counter = budget
@@ -223,8 +202,7 @@ def _collapse_backtrack(diag, target_ids, pair_filter, budget, rng,
 
     def candidates():
         out = []
-        for r in sorted(rank[i] for i in free):
-            i = order[r]
+        for i in sorted(free):
             j = partner(i)
             if allowed(i, j):
                 out.append((i, j))
@@ -234,7 +212,7 @@ def _collapse_backtrack(diag, target_ids, pair_filter, budget, rng,
         aside = []
         found = None
         while heap:
-            i = order[heap[0]]
+            i = heap[0]
             if i not in free:
                 heappop(heap)
                 queued.discard(i)
@@ -244,15 +222,15 @@ def _collapse_backtrack(diag, target_ids, pair_filter, budget, rng,
                 found = (i, j)
                 break
             aside.append(heappop(heap))
-        for r in aside:
-            heappush(heap, r)
+        for i in aside:
+            heappush(heap, i)
         return found
 
     def became_free(k):
         free.add(k)
         if k not in queued:
             queued.add(k)
-            heappush(heap, rank[k])
+            heappush(heap, k)
 
     def shift(i, j, step):
         # the live faces strictly above a face below i or j change by step
@@ -325,11 +303,12 @@ def _collapse_backtrack(diag, target_ids, pair_filter, budget, rng,
     return None, budget - counter
 
 
-def _restarting_search(diag, target_ids, pair_filter, end_predicate, budget,
+def _restarting_search(poset, target_ids, pair_filter, end_predicate, budget,
                        seed, attempts, what):
     """Split the budget into `attempts` slices: the first attempt is
     greedy, the later ones shuffle the candidates with seeds seed + 1,
     seed + 2, ...  Returns the pair ids of the first collapse found."""
+    closures = _closures(poset)
     slice_budget = max(1, budget // attempts)
     spent = 0
     nodes = 0
@@ -338,7 +317,8 @@ def _restarting_search(diag, target_ids, pair_filter, end_predicate, budget,
             (seed if seed is not None else 0) + attempt)
         try:
             result, visited = _collapse_backtrack(
-                diag, target_ids, pair_filter, slice_budget, rng, end_predicate)
+                poset, closures, target_ids, pair_filter, slice_budget, rng,
+                end_predicate)
         except _BudgetSpent:
             nodes += slice_budget
             spent += slice_budget
@@ -363,22 +343,18 @@ def collapse_search(c, target=None, budget: int = 10 ** 6,
     the budget runs out.  Raises SearchExhausted when no collapse is
     found.
     """
-    diag = _Diagram(_poset_of(c))
+    poset = _poset_of(c)
     if target is None:
         target_ids = None
         end = lambda state: len(state) == 1
     else:
-        keys = _subcomplex_keys(target)
-        missing = keys - set(diag.id_of)
-        if missing:
-            raise ValueError(f"target faces not in complex: {sorted(missing)[:3]}")
-        target_ids = {diag.id_of[k] for k in keys}
+        target_ids = _ids_in(poset, target, "target")
         end = lambda state: state == target_ids
 
-    result = _restarting_search(diag, target_ids, None, end, budget, seed,
+    result = _restarting_search(poset, target_ids, None, end, budget, seed,
                                 restarts + 1, "collapse")
-    return MorseMatching(tuple(
-        (diag.key_of[i], diag.key_of[j]) for i, j in result))
+    key = poset.elements
+    return MorseMatching(tuple((key[i], key[j]) for i, j in result))
 
 
 def out_j_collapse(c, d, j: int, budget: int = 10 ** 6,
@@ -390,23 +366,20 @@ def out_j_collapse(c, d, j: int, budget: int = 10 ** 6,
     Returns (matching, ledger) where the ledger lists the crossing faces
     in removal order.
     """
-    diag = _Diagram(_poset_of(c))
-    d_keys = _subcomplex_keys(d)
-    missing = d_keys - set(diag.id_of)
-    if missing:
-        raise ValueError(f"subcomplex faces not in complex: {sorted(missing)[:3]}")
-    d_ids = {diag.id_of[k] for k in d_keys}
+    poset = _poset_of(c)
+    d_ids = _ids_in(poset, d, "subcomplex")
 
     def pair_ok(i, jj):
         if i in d_ids and jj not in d_ids:
-            return diag.dims[i] == j
+            return poset.dims[i] == j
         return True
 
     end = lambda state: len(state) == 1 and next(iter(state)) in d_ids
-    result = _restarting_search(diag, None, pair_ok, end, budget, seed, 4,
+    result = _restarting_search(poset, None, pair_ok, end, budget, seed, 4,
                                 "constrained collapse")
-    pairs = tuple((diag.key_of[i], diag.key_of[jj]) for i, jj in result)
-    ledger = [diag.key_of[i] for (i, jj) in result
+    key = poset.elements
+    pairs = tuple((key[i], key[jj]) for i, jj in result)
+    ledger = [key[i] for (i, jj) in result
               if i in d_ids and jj not in d_ids]
     return MorseMatching(pairs), ledger
 
@@ -419,27 +392,26 @@ def deformation_trace(c, d, m: MorseMatching) -> list:
     maximal.  Pairs crossing the boundary of d are rejected.  Collapse
     events are preferred; ties go to the smallest (dimension, key).
     """
-    if validate_matching(c, m) is False:
+    poset = _poset_of(c)
+    matched_up = _check_pairs(poset, m)
+    if not _acyclic(poset, matched_up):
         raise ValueError("matching has a gradient cycle")
-    diag = _Diagram(_poset_of(c))
-    d_keys = _subcomplex_keys(d)
-    d_ids = {diag.id_of[k] for k in d_keys if k in diag.id_of}
-    if len(d_ids) != len(d_keys):
-        raise ValueError("subcomplex faces not in complex")
+    d_ids = _ids_in(poset, d, "subcomplex")
+    key, dims = poset.elements, poset.dims
 
     partner = {}
-    for low, high in m.pairs:
-        i, j = diag.id_of[low], diag.id_of[high]
+    for i, j in matched_up.items():
         if (i in d_ids) != (j in d_ids):
             raise ValueError(
-                f"pair ({low}, {high}) crosses the subcomplex boundary")
+                f"pair ({key[i]}, {key[j]}) crosses the subcomplex boundary")
         partner[i] = j
         partner[j] = i
 
-    # heaps of the ranks of the live faces outside d that can go next: a
-    # low face whose one live coface is its partner, or an unmatched face
-    # with no live coface
-    count = list(diag.above_counts)
+    # heaps of the live faces outside d that can go next: a low face
+    # whose one live coface is its partner, or an unmatched face with no
+    # live coface
+    below, counts, _ = _closures(poset)
+    count = list(counts)
     collapsible, attachable = [], []
 
     def note(k):
@@ -447,12 +419,12 @@ def deformation_trace(c, d, m: MorseMatching) -> list:
             return
         if k not in partner:
             if count[k] == 0:
-                heappush(attachable, diag.rank[k])
-        elif count[k] == 1 and diag.dims[partner[k]] > diag.dims[k]:
-            heappush(collapsible, diag.rank[k])
+                heappush(attachable, k)
+        elif count[k] == 1 and dims[partner[k]] > dims[k]:
+            heappush(collapsible, k)
 
     def remove(face):
-        for k in diag.below[face]:
+        for k in below[face]:
             count[k] -= 1
             if count[k] < 2:
                 note(k)
@@ -463,17 +435,17 @@ def deformation_trace(c, d, m: MorseMatching) -> list:
     events = []
     while remaining:
         if collapsible:
-            i = diag.order[heappop(collapsible)]
+            i = heappop(collapsible)
             j = partner[i]
             remove(j)
             remove(i)
             remaining -= 2
-            events.append(("collapse", diag.key_of[i], diag.key_of[j]))
+            events.append(("collapse", key[i], key[j]))
         elif attachable:
-            i = diag.order[heappop(attachable)]
+            i = heappop(attachable)
             remove(i)
             remaining -= 1
-            events.append(("attach", diag.dims[i], diag.key_of[i]))
+            events.append(("attach", dims[i], key[i]))
         else:
             raise RuntimeError("trace is stuck; matching does not collapse onto d")
     return events

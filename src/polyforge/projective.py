@@ -21,6 +21,7 @@ from .exactfield import (
     FieldElem,
     ONE,
     ZERO,
+    as_field,
     in_convex_hull,
     mat_nullspace,
     mat_rank,
@@ -64,7 +65,7 @@ __all__ = [
 
 
 def _coerce_point(p):
-    pt = tuple(x if isinstance(x, FieldElem) else FieldElem(x) for x in p)
+    pt = tuple(as_field(x) for x in p)
     if not pt:
         raise ValueError("empty coordinate tuple")
     return pt
@@ -302,17 +303,13 @@ class _ProgramBuilder:
 # ---------------------------------------------------------------------------
 # arithmetic gadgets on the affine line of the plane
 
-def _p(*xs):
-    return tuple(FieldElem(x) for x in xs)
-
-
 # reference frame: origin, unit mark, off-axis anchor, two directions
 BASE_FRAME = (
-    ("O", _p(0, 0, 1)),
-    ("X1", _p(1, 0, 1)),
-    ("A", _p(0, 1, 1)),
-    ("INFX", _p(1, 0, 0)),
-    ("INFY", _p(0, 1, 0)),
+    ("O", _coerce_point((0, 0, 1))),
+    ("X1", _coerce_point((1, 0, 1))),
+    ("A", _coerce_point((0, 1, 1))),
+    ("INFX", _coerce_point((1, 0, 0))),
+    ("INFY", _coerce_point((0, 1, 0))),
 )
 
 _STD_FRAME = {name: name for name, _ in BASE_FRAME}
@@ -380,10 +377,10 @@ def gadget_div() -> IncidenceProgram:
 
 def poly_eval(coeffs, x):
     """Evaluate a polynomial given by ascending coefficients, exactly."""
-    x = x if isinstance(x, FieldElem) else FieldElem(x)
+    x = as_field(x)
     acc = ZERO
     for c in reversed(list(coeffs)):
-        acc = acc * x + (c if isinstance(c, FieldElem) else FieldElem(c))
+        acc = acc * x + as_field(c)
     return acc
 
 
@@ -455,7 +452,7 @@ def proj_config(weights) -> ProjConfig:
     Coordinate i of the lattice takes the values 0, w_i/2, w_i.  The
     frame collects the origin plus the full and half marks on each axis.
     """
-    ws = tuple(w if isinstance(w, FieldElem) else FieldElem(w) for w in weights)
+    ws = tuple(as_field(w) for w in weights)
     d = len(ws)
     if d < 3:
         raise ValueError("need at least three coordinates")
@@ -634,7 +631,7 @@ def subdirect_cone(triple, wedge, apex=None) -> PPConfig:
     p_raw, q_raw, r_raw = triple
     normal, offset = wedge
     normal = _coerce_point(normal)
-    offset = offset if isinstance(offset, FieldElem) else FieldElem(offset)
+    offset = as_field(offset)
     d = len(normal)
     p_pts = tuple(_coerce_point(p) for p in p_raw)
     q_pts = tuple(_coerce_point(p) for p in q_raw)
@@ -825,7 +822,7 @@ def _q3_build():
     program = IncidenceProgram(b.inputs, (), tuple(b.steps), tuple(outputs))
     derivation = FrameDerivation(b.inputs, tuple(derived), program)
 
-    points = {"ctr": _p(0, 0, 0, 1)}
+    points = {"ctr": _coerce_point((0, 0, 0, 1))}
     for a in signs:
         for bb in signs:
             for c in signs:
@@ -863,7 +860,7 @@ def coor_config(zeta, coeffs, lo, hi) -> CoorConfig:
     the bracketing isolates the root among the field's real embeddings.
     Root isolation beyond degree four is the caller's responsibility.
     """
-    zeta = zeta if isinstance(zeta, FieldElem) else FieldElem(zeta)
+    zeta = as_field(zeta)
     coeffs = [Fraction(c) for c in coeffs]
     stripped = list(coeffs)
     while stripped and stripped[-1] == 0:
@@ -873,8 +870,8 @@ def coor_config(zeta, coeffs, lo, hi) -> CoorConfig:
     degree = len(stripped) - 1
     if poly_eval(coeffs, zeta) != ZERO:
         raise ValueError("the target value is not a root of the polynomial")
-    lo = lo if isinstance(lo, FieldElem) else FieldElem(lo)
-    hi = hi if isinstance(hi, FieldElem) else FieldElem(hi)
+    lo = as_field(lo)
+    hi = as_field(hi)
     if not (lo < zeta < hi):
         raise ValueError("window does not bracket the target value")
     if degree <= 4:
@@ -906,11 +903,11 @@ def coor_config(zeta, coeffs, lo, hi) -> CoorConfig:
     points = {"zeta": (zeta, ZERO, ONE)}
     for i in (0, 1, 2):
         for j in (0, 1, 2):
-            points[f"q{i}{j}"] = _p(i, j, 1)
+            points[f"q{i}{j}"] = _coerce_point((i, j, 1))
     evaluated = evaluate_slp(program, points)
     for name, sid in zip(derived, outputs):
         points[name] = evaluated[sid]
-    if not proj_equal(evaluated[final], _p(0, 0, 1)):
+    if not proj_equal(evaluated[final], _coerce_point((0, 0, 1))):
         raise ValueError("evaluation did not land on the origin")
 
     certificate = {
@@ -930,27 +927,23 @@ _S3 = FieldElem.sqrt3()
 _LAM = FieldElem.sqrt2() - 1
 
 
-def _kp(*xs):
-    return tuple(x if isinstance(x, FieldElem) else FieldElem(x) for x in xs)
-
-
 # nine generating points: the x-axis pairs and one y-axis mark over each
 # corner of a wide triangle
 _K_BASE = (
-    ("x1p", _kp(1, 0, -2, 0, 1)),
-    ("x1m", _kp(-1, 0, -2, 0, 1)),
-    ("y1p", _kp(0, 1, -2, 0, 1)),
-    ("x2p", _kp(1, 0, 1, _S3, 1)),
-    ("x2m", _kp(-1, 0, 1, _S3, 1)),
-    ("y2p", _kp(0, 1, 1, _S3, 1)),
-    ("x3p", _kp(1, 0, 1, -_S3, 1)),
-    ("x3m", _kp(-1, 0, 1, -_S3, 1)),
-    ("y3p", _kp(0, 1, 1, -_S3, 1)),
+    ("x1p", _coerce_point((1, 0, -2, 0, 1))),
+    ("x1m", _coerce_point((-1, 0, -2, 0, 1))),
+    ("y1p", _coerce_point((0, 1, -2, 0, 1))),
+    ("x2p", _coerce_point((1, 0, 1, _S3, 1))),
+    ("x2m", _coerce_point((-1, 0, 1, _S3, 1))),
+    ("y2p", _coerce_point((0, 1, 1, _S3, 1))),
+    ("x3p", _coerce_point((1, 0, 1, -_S3, 1))),
+    ("x3m", _coerce_point((-1, 0, 1, -_S3, 1))),
+    ("y3p", _coerce_point((0, 1, 1, -_S3, 1))),
 )
 
 # the one point join/meet steps cannot reach: its coordinate is pinned
 # instead by the coplanarity certificate below
-_K_SEED = ("ring0_9", _kp(_LAM, _LAM, -2, 0, 1))
+_K_SEED = ("ring0_9", _coerce_point((_LAM, _LAM, -2, 0, 1)))
 
 _K_SIX = ("ring1_6", "ring1_7", "ring1_11", "ring0_6", "ring0_1", "ring0_5")
 _K_PINNING = (Fraction(-1), Fraction(2), Fraction(1))
@@ -1130,7 +1123,7 @@ def _k_build():
     rank_here = mat_rank([points[n] for n in _K_SIX])
     alt = Fraction(1, 2)
     alt_inputs = dict(_K_BASE)
-    alt_inputs[_K_SEED[0]] = _kp(alt, alt, -2, 0, 1)
+    alt_inputs[_K_SEED[0]] = _coerce_point((alt, alt, -2, 0, 1))
     alt_eval = evaluate_slp(program, alt_inputs)
     alt_points = dict(alt_inputs)
     for name, sid in zip(derivation.derived, program.outputs):

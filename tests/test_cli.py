@@ -86,6 +86,28 @@ class TestExitDiscipline:
         assert "must be at least" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["cct", "kappa", "--upto", "1", "--seed", "3"],
+        ["cct", "kappa", "--upto", "1", "--out", "k.json"],
+        ["cct", "verify", "--file", "unread.json", "--out", "v.json"],
+        ["cct", "generate", "--n", "3", "--budget", "10"],
+        ["morse", "validate", "--complex", "unread.json",
+         "--matching", "unread.json", "--out", "x"],
+        ["morse", "validate", "--complex", "unread.json",
+         "--matching", "unread.json", "--seed", "1"],
+        ["hirsch", "diameter", "--complex", "unread.json", "--budget", "5"],
+        ["proj", "pcctp", "--n", "2", "--seed", "1"],
+    ])
+    def test_flag_a_command_does_not_read_is_usage_error(self, capsys,
+                                                         monkeypatch, argv):
+        # rejected while parsing, before any construction runs
+        monkeypatch.setattr(cct_mod, "generate", None)
+        monkeypatch.setattr(cct_mod, "kappa_chain", None)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments" in captured.err
+        assert captured.out == ""
+
     def test_cli_import_leaves_networkx_unloaded(self):
         src = str(Path(polyforge.__file__).parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -366,6 +388,17 @@ class TestProjCommands:
         zero = FieldElem(0)
         res = evaluate_slp(prog, {"x": (s2, zero, one)})
         assert proj_equal(res[prog.outputs[0]], (zero, zero, one))
+
+    def test_staudt_emit_is_out(self, tmp_path, capsys):
+        outputs = {}
+        for flag in ("--emit", "--out"):
+            target = tmp_path / f"slp{flag}.json"
+            assert main(["proj", "staudt", "--poly", "x^2-2", "--at", "sqrt2",
+                         flag, str(target)]) == 0
+            outputs[flag] = (target.read_bytes(),
+                             capsys.readouterr().out.replace(str(target), "FILE"))
+        assert outputs["--emit"] == outputs["--out"]
+        assert outputs["--out"][1].endswith("wrote FILE\n")
 
     def test_staudt_non_root(self, capsys):
         rc = main(["proj", "staudt", "--poly", "x^2-2", "--at", "2"])

@@ -226,6 +226,22 @@ class TestFacePoset:
         with pytest.raises(ValueError):
             FacePoset(["a", "b"], [0, 2], {(0, 1)})
 
+    def test_duplicate_keys_rejected(self):
+        with pytest.raises(ValueError, match="not unique"):
+            FacePoset(["a", "a"], [0, 0], set())
+
+    @pytest.mark.parametrize("p", [FacePoset.from_simplicial(boundary_sphere(3)),
+                                   FacePoset.from_cubical(solid_cube(3))])
+    def test_index_and_cover_lists_agree_with_covers(self, p):
+        assert p.index == {k: i for i, k in enumerate(p.elements)}
+        assert sorted((i, j) for i, ups in enumerate(p.up) for j in ups) \
+            == sorted(p.covers)
+        assert sorted((i, j) for j, downs in enumerate(p.down) for i in downs) \
+            == sorted(p.covers)
+        # ids follow (dimension, key) order
+        assert list(p.elements) == sorted(
+            p.elements, key=lambda k: (p.dims[p.index[k]], k))
+
 
 # ---------------------------------------------------------------------------
 # oracle properties on random complexes

@@ -89,6 +89,25 @@ class TestValidation:
         total = sum((-1) ** d * len(fs) for d, fs in crit.items())
         assert total == euler(c) == 2
 
+    def test_critical_faces_of_cubical_complex(self):
+        # the dimensions come from the complex's own faces
+        assert critical_faces(solid_cube(2), MorseMatching(())) == {
+            0: [(0,), (1,), (2,), (3,)],
+            1: [(0, 1), (0, 2), (1, 3), (2, 3)],
+            2: [(0, 1, 2, 3)],
+        }
+
+    @pytest.mark.parametrize("call", [
+        lambda p: validate_matching(p, MorseMatching(())),
+        lambda p: critical_faces(p, MorseMatching(())),
+        lambda p: collapse_search(p),
+        lambda p: out_j_collapse(p, [(0,)], 0),
+        lambda p: deformation_trace(p, [(0,)], MorseMatching(())),
+    ])
+    def test_face_poset_is_not_a_complex(self, call):
+        with pytest.raises(TypeError, match="unsupported complex type"):
+            call(FacePoset.from_simplicial(simplex_complex(2)))
+
 
 def hasse_covers(c) -> list:
     """(face, cover) pairs of a simplicial complex, in a fixed order."""
