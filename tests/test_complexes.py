@@ -243,6 +243,43 @@ class TestFacePoset:
             p.elements, key=lambda k: (p.dims[p.index[k]], k))
 
 
+def ref_from_simplicial(c):
+    """The face poset with one global (size, key) sort of all faces."""
+    faces = sorted((f for fs in c.faces().values() for f in fs),
+                   key=lambda t: (len(t), t))
+    index = {f: i for i, f in enumerate(faces)}
+    covers = set()
+    for f in faces:
+        if len(f) >= 2:
+            for v in f:
+                covers.add((index[tuple(x for x in f if x != v)], index[f]))
+    return FacePoset(list(faces), [len(f) - 1 for f in faces], covers)
+
+
+def benchmark_balls(seed):
+    """Derived stellar 3-balls shaped like the collapse benchmark's: four
+    seeded balls of one and two rounds and the fixed three-round ball."""
+    rng = random.Random(f"collapse:{seed}")
+    balls = [stellar_rounds(simplex_complex(3), r, rng).derived_subdivision()
+             for r in (1, 1, 2, 2)]
+    balls.append(stellar_rounds(simplex_complex(3), 3, random.Random(
+        "collapse:0")).derived_subdivision())
+    return balls
+
+
+class TestFacePosetOracle:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_benchmark_balls_match_reference(self, seed):
+        for c in benchmark_balls(seed) + [octahedron(), boundary_sphere(3)]:
+            got, want = FacePoset.from_simplicial(c), ref_from_simplicial(c)
+            assert got == want
+            assert got.elements == want.elements and got.dims == want.dims
+            assert got.covers == want.covers
+            assert list(got.index.items()) == list(want.index.items())
+            # the cover lists in the same order, not only the same sets
+            assert got.up == want.up and got.down == want.down
+
+
 # ---------------------------------------------------------------------------
 # oracle properties on random complexes
 

@@ -1,7 +1,9 @@
 """Dual-graph path construction on normal flag complexes.
 
 BFS distances from networkx serve as the oracle for necklace lengths and
-diameter cross-checks.
+diameter cross-checks.  The path construction is also compared, path
+for path and error for error, with a test-local copy of the recursion
+that builds and relabels one link complex per step.
 """
 
 import itertools
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyforge.complexcore import SimplicialComplex, boundary_sphere
+from polyforge.complexcore import SimplicialComplex, bfs, boundary_sphere
 from polyforge.hirschpath import (
     FacetPath,
     combinatorial_segment,
@@ -222,3 +224,232 @@ class TestOracleProperties:
         d = min(reach.values())
         assert vertex_distance(c, x, targets) == (
             d, {y for y, dy in reach.items() if dy == d})
+
+
+class TestDiameterOracle:
+    @pytest.mark.parametrize("facets", [
+        [(0, 1, 2)],                         # one facet
+        [(0, 1, 2), (1, 2, 3)],              # two facets sharing a ridge
+        [(0, 1, 2), (2, 3, 4)],              # two facets sharing a vertex
+        [(0, 1), (1, 2), (3, 4)],            # two components
+    ])
+    def test_small_cases_match_networkx(self, facets):
+        c = SimplicialComplex(5, facets)
+        g = nx.Graph()
+        g.add_nodes_from(range(len(c.facets)))
+        g.add_edges_from(
+            (i, j) for i, j in itertools.combinations(range(len(c.facets)), 2)
+            if len(set(c.facets[i]) & set(c.facets[j])) == c.dim)
+        if nx.is_connected(g):
+            assert dual_diameter(c) == nx.diameter(g)
+        else:
+            with pytest.raises(ValueError, match="^dual graph is disconnected$"):
+                dual_diameter(c)
+
+    def test_empty_complex_raises(self):
+        with pytest.raises(ValueError, match="^empty complex has no diameter$"):
+            dual_diameter(SimplicialComplex(0, []))
+
+
+# ---------------------------------------------------------------------------
+# reference: the recursion on relabelled link complexes, one new complex
+# per step, with every facet lifted back through the old vertex ids
+
+
+def ref_vertex_distance(c, x, targets):
+    targets = set(targets)
+    if not targets:
+        raise ValueError("empty target set")
+    g = c.one_skeleton()
+    if x not in g:
+        raise ValueError(f"vertex {x} not in complex")
+    dist = bfs(g, [x])
+    reached = [y for y in targets if y in dist]
+    if not reached:
+        raise ValueError(f"vertex {x} cannot reach the target set")
+    d = min(dist[y] for y in reached)
+    return d, {y for y in reached if dist[y] == d}
+
+
+def ref_part1(c, X, targets):
+    d = c.dim
+    if d == 0:
+        if set(X) & targets:
+            return [X], [min(set(X) & targets)], [0]
+        live = sorted(v for v in targets if c.contains_face((v,)))
+        if not live:
+            raise ValueError("target set missing from complex")
+        return [X, (live[0],)], [X[0], live[0]], [0, 1]
+
+    g = c.one_skeleton()
+    dist = bfs(g, g.keys() & targets)
+    missing = [v for v in X if v not in dist]
+    if missing:
+        raise ValueError(f"vertices {missing} cannot reach the target set")
+    x = min(X, key=lambda v: (dist[v], v))
+    current_targets = ref_vertex_distance(c, x, targets)[1]
+
+    facets = [X]
+    pearls = [x]
+    chis = [0]
+    Xi = X
+    while not (set(Xi) & targets):
+        dist_i = bfs(g, current_targets)
+        dxi = dist_i[x]
+        tilde = sorted(y for y in g[x]
+                       if dist_i.get(y, -2) + 1 == dxi)
+        if not tilde:
+            raise ValueError("no descent neighbour; complex not connected enough")
+        lk, old = c.link((x,))
+        index = {v: i for i, v in enumerate(old)}
+        sub_start = tuple(sorted(index[v] for v in Xi if v != x))
+        sub_target = frozenset(index[y] for y in tilde)
+        sub_facets, _, _ = ref_part1(lk, sub_start, sub_target)
+        lifted = [tuple(sorted([old[v] for v in f] + [x]))
+                  for f in sub_facets]
+        assert lifted[0] == Xi
+        facets.extend(lifted[1:])
+        Xi = lifted[-1]
+        x = min(set(Xi) & set(tilde))
+        current_targets = ref_vertex_distance(c, x, current_targets)[1]
+        pearls.append(x)
+        chis.append(len(facets) - 1)
+    return facets, pearls, chis
+
+
+def ref_require_facet(c, f):
+    t = tuple(sorted(f))
+    if t not in c.facets:
+        raise ValueError(f"{f} is not a facet of the complex")
+    return t
+
+
+def ref_segment_to_vertex_set(c, X, targets):
+    if not c.is_pure():
+        raise ValueError("construction requires a pure complex")
+    X = ref_require_facet(c, X)
+    targets = frozenset(targets)
+    if not targets:
+        raise ValueError("empty target set")
+    facets, pearls, chis = ref_part1(c, X, targets)
+    return FacetPath(tuple(facets), tuple(pearls),
+                     tuple(chis + [len(facets) - 1]))
+
+
+def ref_combinatorial_segment(c, X, Y):
+    if not c.is_pure():
+        raise ValueError("construction requires a pure complex")
+    X = ref_require_facet(c, X)
+    Y = ref_require_facet(c, Y)
+    if c.dim == 0:
+        if X == Y:
+            return FacetPath((X,), (X[0],), (0, 0))
+        return FacetPath((X, Y), (X[0], Y[0]), (0, 1))
+
+    facets, pearls, chis = ref_part1(c, X, frozenset(Y))
+    xl = pearls[-1]
+    last = facets[-1]
+    if xl not in last or xl not in Y:
+        raise RuntimeError("final pearl does not join the two facets")
+    lk, old = c.link((xl,))
+    index = {v: i for i, v in enumerate(old)}
+    sub_X = tuple(sorted(index[v] for v in last if v != xl))
+    sub_Y = tuple(sorted(index[v] for v in Y if v != xl))
+    sub = ref_combinatorial_segment(lk, sub_X, sub_Y)
+    lifted = [tuple(sorted([old[v] for v in f] + [xl])) for f in sub.facets]
+    assert lifted[0] == last
+    facets = facets + lifted[1:]
+    return FacetPath(tuple(facets), tuple(pearls),
+                     tuple(chis + [len(facets) - 1]))
+
+
+def outcome(fn):
+    """("path", FacetPath) or ("raised", exception type, message)."""
+    try:
+        return ("path", fn())
+    except (ValueError, RuntimeError) as exc:
+        return ("raised", type(exc), str(exc))
+
+
+def criterion_6_complexes():
+    """The complexes of the release gate's path suite, in its order."""
+    rng = random.Random(416)
+    suite = [boundary_sphere(3).derived_subdivision(),
+             boundary_sphere(4).derived_subdivision()]
+    while len(suite) < 32:
+        base = 3 if (len(suite) - 2) % 3 else 2
+        suite.append(random_flag_sphere(rng, base, rng.randrange(1, 5)))
+    return suite
+
+
+CRITERION_6 = []
+
+
+# The strategies below draw one seed and make every choice from it, so
+# that the examples spread over the large complexes and far facet pairs
+# instead of shrinking toward the first ones.
+
+@st.composite
+def criterion_6_complex(draw):
+    if not CRITERION_6:
+        CRITERION_6.extend(criterion_6_complexes())
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    return rng.choice(CRITERION_6)
+
+
+@st.composite
+def derived_spheres(draw):
+    """Stellar subdivisions of the boundary of the 3- or 4-simplex, then
+    a derived subdivision: flag 2- and 3-spheres."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    c = boundary_sphere(rng.choice([3, 4, 4]))
+    for _ in range(rng.randrange(4)):
+        c = c.stellar_subdivision(c.facets[rng.randrange(len(c.facets))])
+    return c.derived_subdivision()
+
+
+path_complexes = st.one_of(criterion_6_complex(), derived_spheres(),
+                           flag_spheres())
+
+
+class TestRecursionOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(path_complexes, st.data())
+    def test_segment_matches_reference(self, c, data):
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+        X, Y = rng.choice(c.facets), rng.choice(c.facets)
+        if rng.randrange(10) == 0:
+            X = X[1:]  # a ridge, not a facet
+        assert (outcome(lambda: combinatorial_segment(c, X, Y))
+                == outcome(lambda: ref_combinatorial_segment(c, X, Y)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(path_complexes, st.data())
+    def test_vertex_set_segment_matches_reference(self, c, data):
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+        X = rng.choice(c.facets)
+        # ids past the last vertex are missing from the complex
+        targets = {rng.randrange(c.num_vertices + 3)
+                   for _ in range(rng.randrange(5))}
+        assert (outcome(lambda: segment_to_vertex_set(c, X, targets))
+                == outcome(lambda: ref_segment_to_vertex_set(c, X, targets)))
+
+    def test_criterion_6_pairs_match_reference(self):
+        # every facet pair of the two fixed spheres of the suite
+        for c in criterion_6_complexes()[:2]:
+            for X in c.facets[::24]:
+                for Y in c.facets:
+                    assert (combinatorial_segment(c, X, Y)
+                            == ref_combinatorial_segment(c, X, Y))
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_pure(), st.data())
+    def test_pure_complexes_raise_like_reference(self, c, data):
+        # pinched and disconnected complexes: the same paths, and errors
+        # of the same type
+        n = len(c.facets)
+        X = c.facets[data.draw(st.integers(0, n - 1))]
+        Y = c.facets[data.draw(st.integers(0, n - 1))]
+        got = outcome(lambda: combinatorial_segment(c, X, Y))
+        want = outcome(lambda: ref_combinatorial_segment(c, X, Y))
+        assert got[:2] == want[:2]
