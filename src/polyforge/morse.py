@@ -26,8 +26,8 @@ class SearchExhausted(Exception):
     """
 
     def __init__(self, reason: str, nodes: int, attempts: int):
-        super().__init__(f"{reason} after {nodes} nodes in {attempts} "
-                         f"attempt{'' if attempts == 1 else 's'}")
+        super().__init__(f"{reason} after {nodes} node{'' if nodes == 1 else 's'}"
+                         f" in {attempts} attempt{'' if attempts == 1 else 's'}")
         self.nodes = nodes
         self.attempts = attempts
 
@@ -307,7 +307,9 @@ def _restarting_search(poset, target_ids, pair_filter, end_predicate, budget,
                        seed, attempts, what):
     """Split the budget into `attempts` slices: the first attempt is
     greedy, the later ones shuffle the candidates with seeds seed + 1,
-    seed + 2, ...  Returns the pair ids of the first collapse found."""
+    seed + 2, ...  Returns the pair ids of the first collapse found.
+    An attempt that ends without a collapse searched every collapse
+    sequence, so no later attempt can find one and the search stops."""
     closures = _closures(poset)
     slice_budget = max(1, budget // attempts)
     spent = 0
@@ -327,9 +329,10 @@ def _restarting_search(poset, target_ids, pair_filter, end_predicate, budget,
                                       nodes, attempt + 1) from None
             continue
         nodes += visited
-        if result is not None:
-            return result
-        spent += slice_budget
+        if result is None:
+            raise SearchExhausted(f"no {what} found within budget",
+                                  nodes, attempt + 1)
+        return result
     raise SearchExhausted(f"no {what} found within budget", nodes, attempts)
 
 

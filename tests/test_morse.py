@@ -211,12 +211,13 @@ class TestCollapse:
 
 class TestSearchExhausted:
     def test_sphere_reports_one_node_per_attempt(self):
-        # no face of a sphere is ever free
+        # no face of a sphere is ever free, so the greedy attempt has
+        # searched everything after one node and no restart follows
         with pytest.raises(SearchExhausted) as info:
             collapse_search(boundary_sphere(3))
-        assert (info.value.nodes, info.value.attempts) == (7, 7)
+        assert (info.value.nodes, info.value.attempts) == (1, 1)
         assert str(info.value) == (
-            "no collapse found within budget after 7 nodes in 7 attempts")
+            "no collapse found within budget after 1 node in 1 attempt")
 
     def test_spent_slices_are_counted_in_full(self):
         with pytest.raises(SearchExhausted) as info:
@@ -237,11 +238,25 @@ class TestSearchExhausted:
         assert str(info.value) == (
             "collapse budget exhausted after 700 nodes in 7 attempts")
 
+    def test_exhaustive_attempt_stops_the_restarts(self):
+        # the greedy attempt searches every collapse of the ball onto the
+        # sphere within its slice; the six shuffled restarts used to search
+        # the same space again, 959 nodes in all
+        c = random_subdivided_ball(random.Random(3), rounds=1)
+        sphere = SimplicialComplex(c.num_vertices, list(
+            itertools.combinations(c.facets[0], 3)))
+        for restarts in (6, 0):
+            with pytest.raises(SearchExhausted) as info:
+                collapse_search(c, target=sphere, restarts=restarts)
+            assert (info.value.nodes, info.value.attempts) == (137, 1)
+            assert str(info.value) == (
+                "no collapse found within budget after 137 nodes in 1 attempt")
+
     def test_out_j_reports_attempts(self):
         with pytest.raises(SearchExhausted) as info:
             out_j_collapse(simplex_complex(2), boundary_sphere(2), 2, budget=5000)
-        assert (info.value.nodes, info.value.attempts) == (4, 4)
-        assert "after 4 nodes in 4 attempts" in str(info.value)
+        assert (info.value.nodes, info.value.attempts) == (1, 1)
+        assert "after 1 node in 1 attempt" in str(info.value)
 
 
 class TestOutJ:
@@ -450,9 +465,9 @@ def ref_restarts(diag, target_ids, pair_filter, end, budget, seed, attempts):
                 return ("exhausted", nodes, attempt + 1)
             continue
         nodes += used
-        if result is not None:
-            return ("found", result)
-        spent += slice_budget
+        if result is None:
+            return ("exhausted", nodes, attempt + 1)
+        return ("found", result)
     return ("exhausted", nodes, attempts)
 
 
