@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyforge.complexcore import SimplicialComplex, bfs, boundary_sphere
+from polyforge import hirschpath
 from polyforge.hirschpath import (
     FacetPath,
     combinatorial_segment,
@@ -121,6 +122,30 @@ class TestSegment:
         c = SimplicialComplex(3, [(0,), (1,), (2,)])
         p = combinatorial_segment(c, (0,), (2,))
         assert p.facets == ((0,), (2,))
+        # one breakpoint per pearl plus the last facet, as in every path
+        assert p.pearls == (0, 2) and p.breakpoints == (0, 1, 1)
+        validate_path(c, p)
+
+    def test_segment_builds_no_complex_and_caches_nothing(self, monkeypatch):
+        c = random_flag_sphere(random.Random(5), 4, 2)
+        c.one_skeleton()  # the index of the top complex is built once
+        before = set(vars(c))
+        module_before = set(vars(hirschpath))
+        built = []
+        init = SimplicialComplex.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SimplicialComplex, "__init__", counting_init)
+        for X, Y in [(c.facets[0], c.facets[-1]), (c.facets[7], c.facets[90])]:
+            p = combinatorial_segment(c, X, Y)
+            validate_path(c, p)
+            segment_to_vertex_set(c, X, Y)
+        assert built == []
+        assert set(vars(c)) == before
+        assert set(vars(hirschpath)) == module_before
 
 
 class TestNonRevisiting:
