@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 
 def _canon_face(face) -> tuple:
@@ -429,7 +429,8 @@ class FacePoset:
     constructor checks the covers and indexes them: index maps a key to
     its id, and up[i] and down[i] list the ids covering and covered by
     element i.  The two constructors from complexes list the elements in
-    (dimension, key) order.
+    (dimension, key) order, and pass the key-to-id index they built as
+    `known_index` so that it is not built twice.
     """
 
     elements: list
@@ -438,12 +439,14 @@ class FacePoset:
     index: dict = field(init=False, repr=False, compare=False)
     up: list = field(init=False, repr=False, compare=False)
     down: list = field(init=False, repr=False, compare=False)
+    known_index: InitVar[dict | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, known_index):
         if len(self.elements) != len(self.dims):
             raise ValueError("elements and dims must align")
         n = len(self.elements)
-        self.index = {k: i for i, k in enumerate(self.elements)}
+        self.index = (known_index if known_index is not None
+                      else {k: i for i, k in enumerate(self.elements)})
         if len(self.index) != n:
             raise ValueError("face keys are not unique")
         self.up = [[] for _ in range(n)]
@@ -466,15 +469,18 @@ class FacePoset:
 
     @classmethod
     def from_simplicial(cls, c: SimplicialComplex) -> "FacePoset":
-        faces = sorted((f for fs in c.faces().values() for f in fs),
-                       key=lambda t: (len(t), t))
+        layers = c.faces()
+        faces, dims = [], []
+        for d in sorted(layers):
+            faces += sorted(layers[d])
+            dims += [d] * len(layers[d])
         index = {f: i for i, f in enumerate(faces)}
         covers = set()
         for f in faces:
             if len(f) >= 2:
                 for v in f:
                     covers.add((index[tuple(x for x in f if x != v)], index[f]))
-        return cls(list(faces), [len(f) - 1 for f in faces], covers)
+        return cls(faces, dims, covers, index)
 
     @classmethod
     def from_cubical(cls, c: CubicalComplex) -> "FacePoset":
