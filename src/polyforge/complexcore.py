@@ -429,8 +429,8 @@ class FacePoset:
     constructor checks the covers and indexes them: index maps a key to
     its id, and up[i] and down[i] list the ids covering and covered by
     element i.  The two constructors from complexes list the elements in
-    (dimension, key) order, and pass the key-to-id index they built as
-    `known_index` so that it is not built twice.
+    (dimension, key) order; from_simplicial passes the key-to-id index
+    it built as `known_index`, so that it is not built twice.
     """
 
     elements: list

@@ -107,7 +107,7 @@ class _Views:
     def nearest(self, sigma: tuple, x: int, targets, d: int) -> set:
         """The targets nearest to x in lk(σ), as vertex_distance finds
         them, given their distance d from x: the targets in layer d of
-        a search from x that stops there."""
+        a search from x that stops there (a lone target is nearest)."""
         if len(targets) == 1:
             return set(targets)
         g = self.skeleton(sigma)
@@ -194,7 +194,7 @@ def _segment(views: _Views, sigma: tuple, X: tuple, Y: tuple):
 
 def _is_facet(c: SimplicialComplex, t) -> bool:
     """Whether t is in c.facets, answered from the incidence index."""
-    if not isinstance(t, tuple) or len(set(t)) != len(t):
+    if len(set(t)) != len(t):
         return False
     return any(c.facets[i] == t for i in c._facets_containing(t))
 

@@ -342,9 +342,9 @@ def collapse_search(c, target=None, budget: int = 10 ** 6,
 
     target None means collapse to a single vertex; otherwise target is a
     subcomplex (faces kept alive).  Greedy order is by (dimension, key);
-    on failure the search restarts with shuffled candidate order until
-    the budget runs out.  Raises SearchExhausted when no collapse is
-    found.
+    when an attempt spends its slice of the budget, the search restarts
+    with shuffled candidate order.  Raises SearchExhausted when the
+    budget runs out or an attempt has shown that no collapse exists.
     """
     poset = _poset_of(c)
     if target is None:

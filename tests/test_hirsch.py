@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyforge.complexcore import SimplicialComplex, bfs, boundary_sphere
 from polyforge import hirschpath
+from polyforge.complexcore import SimplicialComplex, bfs, boundary_sphere
 from polyforge.hirschpath import (
     FacetPath,
     combinatorial_segment,
