@@ -45,6 +45,18 @@ def _incidence(faces) -> dict:
     return out
 
 
+def _skeleton(faces) -> dict:
+    """Vertex -> set of the vertices sharing a face with it, one key per
+    vertex of the faces (each face a sequence)."""
+    out: dict[int, set] = {}
+    for f in faces:
+        for v in f:
+            out.setdefault(v, set()).update(f)
+    for v, nbrs in out.items():
+        nbrs.discard(v)
+    return out
+
+
 class SimplicialComplex:
     """A finite abstract simplicial complex given by its facets."""
 
@@ -105,13 +117,7 @@ class SimplicialComplex:
         """(vertex -> positions of the facets containing it, 1-skeleton),
         built on first use."""
         if self._index is None:
-            skeleton: dict[int, set] = {}
-            for f in self.facets:
-                for v in f:
-                    skeleton.setdefault(v, set()).update(f)
-            for v, nbrs in skeleton.items():
-                nbrs.discard(v)
-            self._index = (_incidence(self.facets), skeleton)
+            self._index = (_incidence(self.facets), _skeleton(self.facets))
         return self._index
 
     def contains_face(self, face) -> bool:

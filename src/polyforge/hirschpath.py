@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexcore import SimplicialComplex, bfs
+from .complexcore import SimplicialComplex, _skeleton, bfs
 
 
 @dataclass(frozen=True)
@@ -85,14 +85,9 @@ class _Views:
         g = self._skeletons.get(sigma)
         if g is None:
             c = self.c
-            g = {}
-            for i in c._facets_containing(sigma):
-                residue = [v for v in c.facets[i] if v not in sigma]
-                for v in residue:
-                    g.setdefault(v, set()).update(residue)
-            for v, nbrs in g.items():
-                nbrs.discard(v)
-            self._skeletons[sigma] = g
+            g = self._skeletons[sigma] = _skeleton(
+                [v for v in c.facets[i] if v not in sigma]
+                for i in c._facets_containing(sigma))
         return g
 
     def distances(self, sigma: tuple, sources) -> dict:
