@@ -4,8 +4,11 @@ The frozen coordinate tables below are the oracle; the chain generator
 must reproduce them digit for digit in exact arithmetic.
 """
 
+import hashlib
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +28,7 @@ from polyforge.cct import (
     check_symmetric,
     check_transversal,
     cctp,
+    certify_facet,
     clifford_lambda,
     clifford_lambda_exact,
     clifford_params,
@@ -48,6 +52,7 @@ from polyforge.exactfield import (
     rotation_12,
     rotation_34,
 )
+from polyforge.cli import main
 
 R12 = rotation_12()
 R34 = rotation_34()
@@ -388,3 +393,89 @@ class TestCCTP:
     def test_invalid_width(self):
         with pytest.raises(ValueError):
             cctp(0)
+
+
+# ---------------------------------------------------------------------------
+# Oracles for producer shortcuts: whatever the producer reuses between
+# widths or carries along a screw orbit must equal the check done afresh.
+
+
+class TestCertificateOracles:
+    @pytest.mark.parametrize("width", range(3, 13))
+    def test_normals_equal_per_facet_certificates(self, width):
+        geo = generate(width)
+        cert = check_convex_position(geo)
+        assert sorted(cert) == list(range(12 * (width - 2)))
+        for idx in range(len(geo.abstract.cubes.cubes)):
+            assert cert[idx] == certify_facet(geo, idx)
+
+    @pytest.mark.parametrize("width", range(1, 13))
+    def test_bundle_verdicts_equal_fresh_checks(self, width, tmp_path, capsys):
+        out_file = tmp_path / "tube.json"
+        assert main(["cct", "generate", "--n", str(width),
+                     "--out", str(out_file)]) == 0
+        capsys.readouterr()
+        checks = {c["name"]: c["pass"]
+                  for c in json.loads(out_file.read_text())["checks"]}
+        geo = generate(width)
+        assert checks["symmetry"] is bool(check_symmetric(geo)) is True
+        assert checks["transversality"] is check_transversal(geo)
+        assert checks["obtuse-slope"] is check_slope_obtuse(geo)
+        if width >= 3:
+            assert checks["orientation"] is check_oriented(geo)
+            assert checks["convex-position"] is True
+
+    # verdict lines of `cct verify` on width-4 tubes whose level `level` is
+    # scaled by `lam` in its first four coordinates: the screw symmetry
+    # survives, other predicates fail
+    SCALED_LEVEL_VERDICTS = [
+        (0, "9", "pass pass pass pass FAIL"),
+        (0, "-1", "pass FAIL pass pass FAIL"),
+        (2, "1/2", "pass pass pass pass FAIL"),
+        (2, "-1", "pass FAIL pass pass FAIL"),
+        (3, "-1", "pass FAIL FAIL pass FAIL"),
+        (4, "11/10", "pass pass pass pass FAIL"),
+        (4, "-1", "pass FAIL FAIL pass FAIL"),
+    ]
+
+    @pytest.mark.parametrize("level,lam,verdicts", SCALED_LEVEL_VERDICTS)
+    def test_verify_verdicts_on_scaled_levels(self, level, lam, verdicts,
+                                              tmp_path, capsys):
+        geo = generate(4)
+        scale = FieldElem(Fraction(lam))
+        coords = [
+            tuple(scale * x for x in p[:4]) + (p[4],)
+            if geo.abstract.layers[vid] == level else p
+            for vid, p in enumerate(geo.coords)]
+        doc = GeoCCT(geo.abstract, tuple(coords), geo.kappas).to_json()
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(doc))
+        assert main(["cct", "verify", "--file", str(path)]) == 1
+        out = capsys.readouterr().out.split()
+        assert out[1::2] == verdicts.split()
+
+    def test_tampered_non_representative_vertex(self, tmp_path, capsys):
+        geo = generate(4)
+        coords = list(geo.coords)
+        p = coords[17]
+        coords[17] = (p[0] * 2, p[1], p[2], p[3], p[4])
+        bad = GeoCCT(geo.abstract, tuple(coords), geo.kappas)
+        with pytest.raises(ValueError, match="symmetry"):
+            extend(bad)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad.to_json()))
+        assert main(["cct", "verify", "--file", str(path)]) == 1
+        assert "FAIL: symmetry violation" in capsys.readouterr().out
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("width", [4, 12])
+def test_bundle_bytes_match_golden_digest(width, tmp_path, capsys):
+    out_file = tmp_path / "tube.json"
+    assert main(["cct", "generate", "--n", str(width), "--out", str(out_file)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
+    want = (GOLDEN_DIR / f"cct{width}.sha256").read_text().split()[0]
+    assert digest == want

@@ -5,6 +5,7 @@ oracle) and then frozen into the test, so a regression in the hand-rolled
 arithmetic cannot hide behind the code under test.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from polyforge.exactfield import (
     FieldElem,
     in_cone,
     in_convex_hull,
+    lp_feasible,
     Mat,
     Vec,
     mat_det,
@@ -23,6 +25,7 @@ from polyforge.exactfield import (
     mat_mul,
     mat_nullspace,
     mat_rank,
+    mat_solve,
     mat_vec,
     rotation_12,
     rotation_34,
@@ -449,3 +452,347 @@ class TestKernelAgainstReference:
                 2 * x, x + 1, 1 - x
             x.inverse(), x.sign(), hash(x), abs(x), bool(x), float(x)
             x.conj_sqrt2(), x.conj_sqrt3(), x.to_json()
+
+
+# ---------------------------------------------------------------------------
+# The linear-algebra kernels against a frozen copy of the per-operation code.
+#
+# These copies normalise after every `*` and `+`, as the kernels first did;
+# any faster kernel must agree with them value for value (FieldElem is
+# canonical, so equal values have equal stored integers) and raise the same
+# errors on the same inputs.
+
+
+def ref_vec_dot(u, v):
+    acc = FieldElem(0)
+    for a, b in zip(u, v, strict=True):
+        acc = acc + a * b
+    return acc
+
+
+def ref_mat_vec(m, v):
+    return tuple(ref_vec_dot(tuple(row), v) for row in m)
+
+
+def ref_echelon(rows):
+    work = [list(r) for r in rows]
+    nrows = len(work)
+    ncols = len(work[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if work[i][col]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        inv = work[r][col].inverse()
+        prow = work[r] = [x * inv if x else x for x in work[r]]
+        for i in range(nrows):
+            if i != r and work[i][col]:
+                f = work[i][col]
+                work[i] = [x - f * y if y else x for x, y in zip(work[i], prow)]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return work, pivots
+
+
+def ref_mat_rank(m):
+    return len(ref_echelon(m)[1]) if m else 0
+
+
+def ref_mat_nullspace(m):
+    if not m:
+        return []
+    ncols = len(m[0])
+    rref, pivots = ref_echelon(m)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [FieldElem(0)] * ncols
+        v[free] = FieldElem(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rref[r][free]
+        basis.append(tuple(v))
+    return basis
+
+
+def ref_mat_solve(m, rhs):
+    aug = [list(row) + [b] for row, b in zip(m, rhs, strict=True)]
+    rref, pivots = ref_echelon(aug)
+    ncols = len(m[0])
+    if ncols in pivots:
+        return None
+    x = [FieldElem(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = rref[r][-1]
+    return tuple(x)
+
+
+def ref_mat_det(m):
+    n = len(m)
+    work = [list(r) for r in m]
+    det = FieldElem(1)
+    sign_flip = 1
+    for col in range(n):
+        pivot_row = None
+        for i in range(col, n):
+            if work[i][col]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            return FieldElem(0)
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+            sign_flip = -sign_flip
+        prow = work[col]
+        det = det * prow[col]
+        inv = prow[col].inverse()
+        for i in range(col + 1, n):
+            if work[i][col]:
+                f = work[i][col] * inv
+                work[i] = [x - f * y if y else x for x, y in zip(work[i], prow)]
+    return det if sign_flip == 1 else -det
+
+
+def ref_lp_feasible(eq_rows, rhs):
+    if not eq_rows:
+        return True
+    m = len(eq_rows)
+    n = len(eq_rows[0])
+    zero, one = FieldElem(0), FieldElem(1)
+    tab = []
+    for row, b in zip(eq_rows, rhs, strict=True):
+        r = list(row)
+        bb = b
+        if bb.sign() < 0:
+            r = [-x for x in r]
+            bb = -bb
+        tab.append(r + [zero] * m + [bb])
+    for i in range(m):
+        tab[i][n + i] = one
+    basis = list(range(n, n + m))
+    cost = [zero] * (n + m + 1)
+    for i in range(m):
+        cost = [c - t for c, t in zip(cost, tab[i])]
+    for j in range(n, n + m):
+        cost[j] = cost[j] + one
+    while True:
+        enter = None
+        for j in range(n + m):
+            if cost[j].sign() < 0:
+                enter = j
+                break
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            if tab[i][enter].sign() > 0:
+                ratio = tab[i][-1] / tab[i][enter]
+                if best is None or (ratio - best).sign() < 0 or (
+                    ratio == best and basis[i] < basis[leave]
+                ):
+                    best = ratio
+                    leave = i
+        piv = tab[leave][enter]
+        tab[leave] = [x / piv for x in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter]:
+                f = tab[i][enter]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+        if cost[enter]:
+            f = cost[enter]
+            cost = [x - f * y for x, y in zip(cost, tab[leave])]
+        basis[leave] = enter
+    return cost[-1].is_zero()
+
+
+small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+
+
+def kernel_elems(coeffs=small_rationals):
+    """Entries with many zeros and many rationals, so eliminations both
+    skip zero entries and meet unequal denominators."""
+    zero = st.just(Fraction(0))
+    return st.one_of(
+        st.just(FieldElem(0)),
+        st.builds(FieldElem, coeffs),
+        st.builds(FieldElem, st.one_of(zero, coeffs), st.one_of(zero, coeffs),
+                  st.one_of(zero, coeffs), st.one_of(zero, coeffs)),
+    )
+
+
+@st.composite
+def kernel_matrices(draw, max_rows=4, max_cols=5, entries=None):
+    if entries is None:
+        entries = kernel_elems()
+    nrows = draw(st.integers(1, max_rows))
+    ncols = draw(st.integers(1, max_cols))
+    rows = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 1 and draw(st.booleans()):
+        # a dependent row: a field multiple of another row plus a third
+        k = draw(entries)
+        i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+        rows[draw(st.integers(0, nrows - 1))] = [
+            k * x + y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+def rational_matrices(max_rows=4, max_cols=5):
+    return kernel_matrices(max_rows, max_cols,
+                           entries=st.builds(FieldElem, small_rationals))
+
+
+def same_vec(got, want):
+    assert type(got) is tuple and type(want) is tuple
+    assert [x._n for x in got] == [x._n for x in want]
+
+
+def sym_matrix(m):
+    return sympy.Matrix([[to_sympy(x) for x in row] for row in m])
+
+
+def sympy_feasible(a, b) -> bool:
+    """{x >= 0 : a x = b} is nonempty iff it has a basic solution: one
+    supported on linearly independent columns (Caratheodory)."""
+    b = sympy.Matrix(b)
+    if b.is_zero_matrix:
+        return True
+    for k in range(1, a.cols + 1):
+        for cols in itertools.combinations(range(a.cols), k):
+            sub = a.extract(list(range(a.rows)), list(cols))
+            if sub.rank() < k:
+                continue
+            try:
+                sol, _ = sub.gauss_jordan_solve(b)
+            except ValueError:
+                continue
+            if all(v >= 0 for v in sol):
+                return True
+    return False
+
+
+class TestKernelsAgainstPerOperationCode:
+    @given(kernel_matrices(max_rows=1), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_vec_dot(self, m, data):
+        u = tuple(m[0])
+        v = tuple(data.draw(kernel_elems()) for _ in u)
+        got = vec_dot(u, v)
+        assert got._n == ref_vec_dot(u, v)._n
+        assert_canonical(got)
+        want = sympy.expand(sum(to_sympy(a) * to_sympy(b) for a, b in zip(u, v)))
+        assert sympy.expand(to_sympy(got) - want) == 0
+
+    @given(kernel_matrices(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_mat_vec_and_mat_mul(self, m, data):
+        v = tuple(data.draw(kernel_elems()) for _ in m[0])
+        same_vec(mat_vec(m, v), ref_mat_vec(m, v))
+        cols = [[data.draw(kernel_elems())] for _ in m[0]]
+        got = mat_mul(m, cols)
+        want = [[ref_vec_dot(tuple(row), tuple(col)) for col in zip(*cols)]
+                for row in m]
+        assert [[x._n for x in r] for r in got] == [[x._n for x in r] for r in want]
+
+    @given(kernel_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_rank_nullspace_solve(self, m):
+        assert mat_rank(m) == ref_mat_rank(m)
+        got = mat_nullspace(m)
+        want = ref_mat_nullspace(m)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            same_vec(g, w)
+        rhs = [sum((x for x in row), FieldElem(0)) for row in m]
+        sol = mat_solve(m, rhs)
+        ref = ref_mat_solve(m, rhs)
+        same_vec(sol, ref)
+        inconsistent = [FieldElem(0)] * (len(m) - 1) + [FieldElem(1)]
+        ref_bad = ref_mat_solve(m, inconsistent)
+        bad = mat_solve(m, inconsistent)
+        assert (bad is None) == (ref_bad is None)
+        if ref_bad is not None:
+            same_vec(bad, ref_bad)
+
+    @given(st.integers(1, 4).flatmap(
+        lambda n: kernel_matrices(max_rows=n, max_cols=n).filter(
+            lambda m: len(m) == len(m[0]))))
+    @settings(max_examples=100, deadline=None)
+    def test_det(self, m):
+        got = mat_det(m)
+        assert got._n == ref_mat_det(m)._n
+        assert_canonical(got)
+
+    @given(rational_matrices())
+    @settings(max_examples=40, deadline=None)
+    def test_rational_against_sympy(self, m):
+        sm = sym_matrix(m)
+        assert mat_rank(m) == sm.rank()
+        assert len(mat_nullspace(m)) == len(m[0]) - sm.rank()
+        for v in mat_nullspace(m):
+            assert all(x.is_zero() for x in mat_vec(m, v))
+        if len(m) == len(m[0]):
+            assert to_sympy(mat_det(m)) == sm.det()
+
+    @given(st.integers(1, 3).flatmap(
+        lambda n: kernel_matrices(max_rows=n, max_cols=n).filter(
+            lambda m: len(m) == len(m[0]))))
+    @settings(max_examples=25, deadline=None)
+    def test_det_against_sympy(self, m):
+        want = sympy.expand(sym_matrix(m).det(method="berkowitz"))
+        assert sympy.expand(to_sympy(mat_det(m)) - want) == 0
+
+    @given(kernel_matrices(max_rows=3, max_cols=4), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_lp_feasible(self, rows, data):
+        rhs = [data.draw(kernel_elems()) for _ in rows]
+        assert lp_feasible(rows, rhs) == ref_lp_feasible(rows, rhs)
+
+    @given(rational_matrices(max_rows=3, max_cols=4), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_lp_feasible_against_sympy(self, rows, data):
+        rhs = [data.draw(st.builds(FieldElem, small_rationals)) for _ in rows]
+        assert lp_feasible(rows, rhs) == sympy_feasible(sym_matrix(rows),
+                                                        [to_sympy(x) for x in rhs])
+
+    def test_mixed_rational_entries(self):
+        half = Fraction(1, 2)
+        u = (FieldElem(1, 1), 3, half, FieldElem(0, 0, 1))
+        v = (2, FieldElem(0, half), FieldElem(-1), half)
+        assert vec_dot(u, v)._n == ref_vec_dot(u, v)._n
+        assert vec_dot((2, 3), (half, 4))._n == ref_vec_dot((2, 3), (half, 4))._n
+        m = [[FieldElem(2), 0, FieldElem(1, 1)], [0, FieldElem(3), half],
+             [FieldElem(2), FieldElem(3), FieldElem(Fraction(3, 2), 1)]]
+        assert mat_rank(m) == ref_mat_rank(m) == 2
+        for g, w in zip(mat_nullspace(m), ref_mat_nullspace(m)):
+            assert [FieldElem(0) + x for x in g] == [FieldElem(0) + x for x in w]
+
+    def test_same_errors(self):
+        one = FieldElem(1)
+        for kernel, ref in ((vec_dot, ref_vec_dot),):
+            with pytest.raises(ValueError):
+                ref((one, one), (one,))
+            with pytest.raises(ValueError):
+                kernel((one, one), (one,))
+            with pytest.raises(TypeError):
+                ref((one,), (1.5,))
+            with pytest.raises(TypeError):
+                kernel((one,), (1.5,))
+        with pytest.raises(ValueError):
+            mat_vec([[one, one]], (one,))
+        with pytest.raises(TypeError):
+            mat_rank([[one, one], [one, 1.5]])
+        with pytest.raises(TypeError):
+            ref_mat_rank([[one, one], [one, 1.5]])
+        with pytest.raises(ValueError):
+            mat_solve([[one]], [one, one])
+        with pytest.raises(ValueError):
+            lp_feasible([[one]], [one, one])
