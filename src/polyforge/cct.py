@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexcore import CubicalComplex, _cube_faces
+from .complexcore import CubicalComplex
 from .exactfield import (
     ZERO,
     FieldElem,
@@ -43,10 +43,33 @@ S_MIRROR = reflection_e4()
 B_STEP = mat_mul(R34, R12)
 B_POW = [mat_pow(B_STEP, j) for j in range(12)]
 A_TWIST = B_POW[8]
-A_TWIST_INV = B_POW[4]
 R12_SQ = mat_mul(R12, R12)
 _R12_R34 = mat_mul(R12, R34)
 _R12_R34_INV = mat_mul(R12, mat_pow(R34, 5))
+
+
+@dataclass(frozen=True)
+class Screw:
+    """A screw convention, as powers of B_STEP: the vertex at
+    w + (-1, 1, 0) is B_STEP**tb times the vertex at w, and the vertex at
+    w + (0, -1, 1) is B_STEP**tc times it."""
+
+    tb: int
+    tc: int
+
+    @property
+    def powers(self) -> tuple:
+        """For the 12 vertices of a level in id order, the power of B_STEP
+        that moves the level's first vertex, (0, l, 0), onto it.
+
+        Vertex 4*a + c of a level is (a, l - a - c, c), the first vertex
+        moved by c steps along (0, -1, 1) and a steps back along (-1, 1, 0).
+        """
+        return tuple((c * self.tc - a * self.tb) % 12
+                     for a in range(3) for c in range(4))
+
+
+SCREWS = (Screw(tb=4, tc=1), Screw(tb=8, tc=5))
 
 THETA0 = (_fe(-1, 1), _fe(1, -1), _fe(2), _fe(0), _fe(1))
 THETA1 = (_fe(1), _fe(0), _fe(1), _fe(0), _fe(1))
@@ -159,6 +182,39 @@ def _shift(w, axis, step=1):
     return tuple(out)
 
 
+def _vid(w) -> int:
+    r = canonical_rep(w)
+    return 12 * (r[0] + r[1] + r[2]) + 4 * r[0] + r[2]
+
+
+def _level0_cells():
+    """Edges, squares (as corner cycles) and 3-cells (as corners in bit
+    order) based on the 12 vertices of level 0, in vertex order."""
+    edges, squares, cubes = [], [], []
+    for w1 in range(3):
+        for w3 in range(4):
+            w = (w1, -w1 - w3, w3)
+            edges.extend((_vid(w), _vid(_shift(w, ax))) for ax in range(3))
+            for i, j in ((0, 1), (0, 2), (1, 2)):
+                squares.append((_vid(w), _vid(_shift(w, i)),
+                                _vid(_shift(_shift(w, i), j)), _vid(_shift(w, j))))
+            corners = []
+            for bits in range(8):
+                u = w
+                for ax in range(3):
+                    if (bits >> ax) & 1:
+                        u = _shift(u, ax)
+                corners.append(_vid(u))
+            cubes.append(tuple(corners))
+    return tuple(edges), tuple(squares), tuple(cubes)
+
+
+# The shift w -> w + (0, 1, 0) commutes with the lattice, raises the level
+# by one and adds 12 to every vertex id, so the cells based on level l are
+# the cells based on level 0 plus 12 l.
+_LEVEL0_EDGES, _LEVEL0_SQUARES, _LEVEL0_CUBES = _level0_cells()
+
+
 class AbstractCCT:
     """Grid cells between level 0 and level `width`, modulo the lattice.
 
@@ -170,61 +226,35 @@ class AbstractCCT:
         if width < 0:
             raise ValueError("width must be nonnegative")
         self.width = width
-        reps = []
-        layers = []
-        for level in range(width + 1):
-            for w1 in range(3):
-                for w3 in range(4):
-                    reps.append((w1, level - w1 - w3, w3))
-                    layers.append(level)
-        self.vertex_reps = tuple(reps)
-        self.layers = tuple(layers)
-
-        edges = set()
+        self.vertex_reps = tuple(
+            (w1, level - w1 - w3, w3)
+            for level in range(width + 1) for w1 in range(3) for w3 in range(4))
+        self.layers = tuple(level for level in range(width + 1) for _ in range(12))
+        # three edges leave each vertex below the top level
+        self._edge_count = 36 * width
         squares = {}
-        cubes3 = []
-        for vid, w in enumerate(reps):
-            level = layers[vid]
-            if level + 1 <= width:
-                for ax in range(3):
-                    edges.add(frozenset((vid, self.vertex_id(_shift(w, ax)))))
-            if level + 2 <= width:
-                for i, j in ((0, 1), (0, 2), (1, 2)):
-                    cyc = (
-                        vid,
-                        self.vertex_id(_shift(w, i)),
-                        self.vertex_id(_shift(_shift(w, i), j)),
-                        self.vertex_id(_shift(w, j)),
-                    )
-                    squares[frozenset(cyc)] = (cyc, level)
-            if level + 3 <= width:
-                corners = []
-                for bits in range(8):
-                    u = w
-                    for ax in range(3):
-                        if (bits >> ax) & 1:
-                            u = _shift(u, ax)
-                    corners.append(self.vertex_id(u))
-                cubes3.append(tuple(corners))
-        self._edge_count = len(edges)
+        for level in range(width - 1):
+            for cyc in _LEVEL0_SQUARES:
+                cyc = tuple(c + 12 * level for c in cyc)
+                squares[frozenset(cyc)] = (cyc, level)
         self._squares = squares
-        self._cubes3 = tuple(cubes3)
-        if cubes3:
-            cells = [(3, c) for c in cubes3]
+        self._cubes3 = tuple(
+            tuple(c + 12 * level for c in corners)
+            for level in range(width - 2) for corners in _LEVEL0_CUBES)
+        if self._cubes3:
+            cells = [(3, c) for c in self._cubes3]
         elif squares:
             cells = [(2, (c[0], c[1], c[3], c[2])) for c, _ in squares.values()]
-        elif edges:
-            cells = [(1, tuple(sorted(e))) for e in sorted(edges, key=sorted)]
         else:
-            cells = []
-        self.cubes = CubicalComplex(len(reps), cells)
+            cells = [(1, tuple(sorted(e))) for e in sorted(
+                {frozenset((a + 12 * level, b + 12 * level))
+                 for level in range(width) for a, b in _LEVEL0_EDGES}, key=sorted)]
+        self.cubes = CubicalComplex(len(self.vertex_reps), cells)
 
     def vertex_id(self, w) -> int:
-        r = canonical_rep(w)
-        level = r[0] + r[1] + r[2]
-        if not 0 <= level <= self.width:
+        if not 0 <= w[0] + w[1] + w[2] <= self.width:
             raise ValueError("vertex outside the level slab")
-        return 12 * level + 4 * r[0] + r[2]
+        return _vid(w)
 
     def f_vector(self) -> tuple:
         return (
@@ -235,15 +265,18 @@ class AbstractCCT:
         )
 
     def boundary_squares(self) -> list:
-        """Corner cycles of the squares lying in exactly one 3-cell."""
-        count = dict.fromkeys(self._squares, 0)
-        for corners in self._cubes3:
-            for fdim, sub in _cube_faces(3, corners):
-                if fdim == 2:
-                    key = frozenset(sub)
-                    if key in count:
-                        count[key] += 1
-        return [cyc for key, (cyc, _) in self._squares.items() if count[key] == 1]
+        """Corner cycles of the squares lying in exactly one 3-cell.
+
+        A square with base level l spanning axes i and j lies in the
+        3-cells based at its base vertex and at that vertex moved one step
+        back along the third axis, which exist when l <= width - 3 and
+        l >= 1 respectively.  So with any 3-cell at all, the boundary
+        squares are those based on level 0 and on level width - 2.
+        """
+        if not self._cubes3:
+            return []
+        return [cyc for cyc, level in self._squares.values()
+                if level == 0 or level == self.width - 2]
 
 
 def abstract_cct(k: int) -> AbstractCCT:
@@ -285,39 +318,78 @@ class GeoCCT:
         if width < 1:
             raise ValueError(f"width must be at least 1, got {width}")
         ab = AbstractCCT(width)
-        coords = tuple(
-            tuple(FieldElem.from_json(x) for x in p) for p in data["vertices"])
+        coords = _points_from_json(data["vertices"], "vertex")
         if len(coords) != len(ab.vertex_reps):
             raise ValueError("vertex count does not match the width")
-        kappas = tuple(
-            tuple(FieldElem.from_json(x) for x in p) for p in data["kappas"])
+        kappas = _points_from_json(data["kappas"], "kappa")
+        if len(kappas) != width + 1:
+            raise ValueError(
+                f"{len(kappas)} kappas for width {width}, expected {width + 1}")
         return cls(ab, coords, kappas)
 
 
-def _geo_from_kappas(kappas) -> GeoCCT:
-    ab = AbstractCCT(len(kappas) - 1)
-    coords = []
-    for vid, w in enumerate(ab.vertex_reps):
-        level = ab.layers[vid]
-        e = (8 * w[0] + w[2] + 5 * level) % 12
-        coords.append(tuple(mat_vec(B_POW[e], kappas[level])))
-    return GeoCCT(ab, tuple(coords), tuple(kappas))
+def _points_from_json(points, what: str) -> tuple:
+    """Homogeneous 5-coordinate points; a malformed one is named."""
+    out = []
+    for i, p in enumerate(points):
+        if len(p) != 5:
+            raise ValueError(f"{what} {i} has {len(p)} coordinates, not 5")
+        try:
+            out.append(tuple(FieldElem.from_json(x) for x in p))
+        except ZeroDivisionError:
+            raise ValueError(f"{what} {i} has a zero denominator") from None
+    return tuple(out)
+
+
+def _level_coords(ab: AbstractCCT, level: int, kappa) -> tuple:
+    """The 12 vertices of one level: screw images of its squeeze point."""
+    return tuple(
+        tuple(mat_vec(B_POW[(8 * w[0] + w[2] + 5 * level) % 12], kappa))
+        for w in ab.vertex_reps[12 * level:12 * level + 12])
 
 
 def seed_ct1() -> GeoCCT:
-    return _geo_from_kappas(kappa_chain(1))
+    kappas = tuple(kappa_chain(1))
+    ab = AbstractCCT(1)
+    coords = _level_coords(ab, 0, kappas[0]) + _level_coords(ab, 1, kappas[1])
+    return GeoCCT(ab, coords, kappas)
 
 
 def seed_ct3() -> GeoCCT:
     return extend(extend(seed_ct1()))
 
 
-def generate(n: int) -> GeoCCT:
+class TubeRecord:
+    """What has been proven about the levels of one growing tube.
+
+    A tube's coordinates on a level never depend on its width, so a
+    predicate that is a conjunction over levels (symmetry, axis avoidance,
+    injectivity, the star conditions) need only be checked on the levels
+    a record has not covered yet.  One ``generate`` call, or one
+    verification, owns one record and drops it when it returns; an empty
+    record makes every check a full one.
+    """
+
+    def __init__(self):
+        self.symmetric_levels = 0   # levels 0.. that satisfy the mirror relation
+        self.screws = SCREWS        # the conventions that hold on all of them
+        self.transversal_levels = 0
+        self.ray_keys = set()       # double-projection keys of those levels
+        self.transversal = True     # verdict through the last level checked
+
+    @property
+    def screw(self) -> Screw | None:
+        return self.screws[0] if self.screws else None
+
+
+def generate(n: int, record: TubeRecord | None = None) -> GeoCCT:
+    """The tube of width n; `record` keeps what the extensions proved."""
     if n < 1:
         raise ValueError("width must be at least 1")
+    record = TubeRecord() if record is None else record
     geo = seed_ct1()
     while geo.width < n:
-        geo = extend(geo)
+        geo = extend(geo, record)
     return geo
 
 
@@ -355,31 +427,39 @@ def reconstruct_cube_corner(t: GeoCCT, cube_index: int, position: int):
     return tuple(x * inv for x in z)
 
 
-def extend(t: GeoCCT) -> GeoCCT:
-    """Add one layer.  Wide inputs must pass all predicates first."""
+def extend(t: GeoCCT, record: TubeRecord | None = None) -> GeoCCT:
+    """Add one layer.  Wide inputs must pass all predicates first.
+
+    Only the new level's coordinates are computed.  With the `record` of
+    the calls that built `t`, the level-wise predicates run on the levels
+    it has not covered; without one, on all of `t`.  The new cells form
+    one screw orbit, so the first is checked for flatness and corner
+    reconstruction and the proven symmetry carries the result to the
+    other eleven.
+    """
+    record = TubeRecord() if record is None else record
     k = t.width
     if k >= 3:
-        if not check_symmetric(t):
+        if not check_symmetric(t, record):
             raise ValueError("predicate failure: symmetry")
-        if not _transversal_core(t):
+        if not _transversal_core(t, record):
             raise ValueError("predicate failure: transversality")
         if not _slope_core(t):
             raise ValueError("predicate failure: slope")
         if not _oriented_core(t):
             raise ValueError("predicate failure: orientation")
     nxt = tuple(mat_vec(R12_SQ, iterate(t.kappas[k - 1], t.kappas[k])))
-    geo = _geo_from_kappas(t.kappas + (nxt,))
+    ab = AbstractCCT(k + 1)
+    geo = GeoCCT(ab, t.coords + _level_coords(ab, k + 1, nxt), t.kappas + (nxt,))
     if geo.width >= 3:
-        base = geo.width - 3
-        for idx, (dim, corners) in enumerate(geo.abstract.cubes.cubes):
-            if geo.abstract.layers[corners[0]] != base:
-                continue
-            rows = [list(geo.coords[c]) for c in corners]
-            if mat_rank(rows) != 4:
-                raise ValueError("degenerate geometry: new cell is not flat")
-            rebuilt = reconstruct_cube_corner(geo, idx, 7)
-            if rebuilt != geo.coords[corners[7]]:
-                raise ValueError("degenerate geometry: corner reconstruction mismatch")
+        if not check_symmetric(geo, record):
+            raise ValueError("predicate failure: symmetry")
+        idx = 12 * (geo.width - 3)
+        corners = ab.cubes.cubes[idx][1]
+        if mat_rank([list(geo.coords[c]) for c in corners]) != 4:
+            raise ValueError("degenerate geometry: new cell is not flat")
+        if reconstruct_cube_corner(geo, idx, 7) != geo.coords[corners[7]]:
+            raise ValueError("degenerate geometry: corner reconstruction mismatch")
     return geo
 
 
@@ -400,13 +480,13 @@ def _is_zero2(u) -> bool:
 
 
 def _cross2(u, v):
-    return u[0] * v[1] - u[1] * v[0]
+    return vec_dot((u[0], -u[1]), (v[1], v[0]))
 
 
 def _same_ray(u, v) -> bool:
     if _cross2(u, v):
         return False
-    return (u[0] * v[0] + u[1] * v[1]).sign() > 0
+    return vec_dot(u, v).sign() > 0
 
 
 def _ray_canon(u):
@@ -446,8 +526,7 @@ def _origin_in_hull2(pts) -> bool:
     for i in range(n):
         for j in range(i + 1, n):
             if not _cross2(pts[i], pts[j]):
-                dot = pts[i][0] * pts[j][0] + pts[i][1] * pts[j][1]
-                if dot.sign() <= 0:
+                if vec_dot(pts[i], pts[j]).sign() <= 0:
                     return True
     for a, b, c in itertools.combinations(pts, 3):
         s1 = _cross2(a, b).sign()
@@ -460,27 +539,33 @@ def _origin_in_hull2(pts) -> bool:
     return False
 
 
-def check_symmetric(t: GeoCCT) -> bool:
-    """Mirror relation plus one of the two consistent screw conventions."""
+def check_symmetric(t: GeoCCT, record: TubeRecord | None = None) -> Screw | None:
+    """Mirror relation plus one of the two consistent screw conventions.
+
+    Returns the first convention that holds on every level (a true value),
+    or None.  Each level maps to itself under the mirror and the screw, so
+    the check runs level by level; with a `record`, only on the levels it
+    has not covered.
+    """
+    record = TubeRecord() if record is None else record
     ab = t.abstract
-    for vid, w in enumerate(ab.vertex_reps):
-        sid = ab.vertex_id((w[1], w[0], w[2]))
-        if t.coords[sid] != tuple(mat_vec(S_MIRROR, t.coords[vid])):
-            return False
-    for gb, gc in ((A_TWIST_INV, B_STEP), (A_TWIST, B_POW[5])):
-        ok = True
-        for vid, w in enumerate(ab.vertex_reps):
-            tb = ab.vertex_id((w[0] - 1, w[1] + 1, w[2]))
-            if t.coords[tb] != tuple(mat_vec(gb, t.coords[vid])):
-                ok = False
-                break
-            tc = ab.vertex_id((w[0], w[1] - 1, w[2] + 1))
-            if t.coords[tc] != tuple(mat_vec(gc, t.coords[vid])):
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    P = t.coords
+    while record.screws and record.symmetric_levels <= t.width:
+        start = 12 * record.symmetric_levels
+        level = list(enumerate(ab.vertex_reps[start:start + 12], start))
+        if any(P[ab.vertex_id((w[1], w[0], w[2]))] != mat_vec(S_MIRROR, P[vid])
+               for vid, w in level):
+            record.screws = ()
+            break
+        record.screws = tuple(
+            screw for screw in record.screws
+            if all(P[ab.vertex_id((w[0] - 1, w[1] + 1, w[2]))]
+                   == mat_vec(B_POW[screw.tb], P[vid])
+                   and P[ab.vertex_id((w[0], w[1] - 1, w[2] + 1))]
+                   == mat_vec(B_POW[screw.tc], P[vid])
+                   for vid, w in level))
+        record.symmetric_levels += 1
+    return record.screw
 
 
 def _star_ok(t: GeoCCT, vid: int, direction: int) -> bool:
@@ -531,18 +616,31 @@ def check_transversal(t: GeoCCT) -> bool:
     return _transversal_core(t)
 
 
-def _transversal_core(t: GeoCCT) -> bool:
-    k = t.width
-    for p in t.coords:
+def _transversal_core(t: GeoCCT, record: TubeRecord | None = None) -> bool:
+    """Transversality through the tube's width, level by level: a new
+    level is checked for axis avoidance and injectivity against the ray
+    keys of the levels below, and completes the star conditions of the
+    middle layer under it.  With a `record`, only uncovered levels run."""
+    record = TubeRecord() if record is None else record
+    while record.transversal and record.transversal_levels <= t.width:
+        level = record.transversal_levels
+        record.transversal = _transversal_level(t, level, record.ray_keys)
+        record.transversal_levels += 1
+    return record.transversal
+
+
+def _transversal_level(t: GeoCCT, level: int, seen: set) -> bool:
+    points = t.coords[12 * level:12 * level + 12]
+    for p in points:
         if _is_zero2(_pi0(p)) or _is_zero2(_pi2(p)):
             return False
-    seen = set()
-    for p in t.coords:
+    for p in points:
         key = (_ray_canon(_pi0(p)), _ray_canon(_pi2(p)))
         if key in seen:
             return False
         seen.add(key)
-    for mid in range(1, k):
+    if level >= 2:
+        mid = level - 1
         for vid in range(12 * (mid - 1), 12 * mid):
             if not _star_ok(t, vid, +1):
                 return False
@@ -553,7 +651,7 @@ def _transversal_core(t: GeoCCT) -> bool:
 
 
 def _dot4(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
+    return vec_dot(u[:4], v[:4])
 
 
 def check_slope_obtuse(t: GeoCCT) -> bool:
@@ -591,8 +689,8 @@ def _slope_core(t: GeoCCT) -> bool:
     mm = _dot4(m, m)
 
     def tangent(x):
-        xm = _dot4(x, m)
-        return tuple(mm * xi - xm * mi for xi, mi in zip(x, m))
+        xm = -_dot4(x, m)
+        return tuple(vec_dot((mm, xm), (xi, mi)) for xi, mi in zip(x, m))
 
     return _dot4(tangent(w0), tangent(yu)).sign() < 0
 
@@ -711,10 +809,39 @@ def certify_facet(t: GeoCCT, cube_index: int):
     return n
 
 
-def check_convex_position(t: GeoCCT) -> dict:
+def check_convex_position(t: GeoCCT, screw: Screw | None = None) -> dict:
+    """Outer normal of every 3-cell, keyed by cell index.
+
+    The screw motions act transitively on each level, and the 3-cells
+    with base vertices on one level form one orbit.  So certify_facet
+    runs on the first cell of each level, and the orthogonal screw matrix
+    that moves the base vertex to another cell's base vertex moves the
+    normal with it; the vertex set is screw-invariant, so the moved normal
+    is strict on the same number of vertices.  Dividing by the absolute
+    value of its last nonzero coordinate reproduces the normalisation of
+    mat_nullspace.  `screw` is the convention check_symmetric proved; it
+    is proven here when not given.
+    """
     if t.width < 3:
         raise ValueError("convex position needs width at least 3")
-    return {i: certify_facet(t, i) for i in range(len(t.abstract.cubes.cubes))}
+    if screw is None:
+        screw = check_symmetric(t)
+        if not screw:
+            raise ValueError("symmetry violation")
+    out = {}
+    for base in range(0, len(t.abstract.cubes.cubes), 12):
+        n = certify_facet(t, base)
+        for j, e in enumerate(screw.powers):
+            out[base + j] = _carry(n, e)
+    return out
+
+
+def _carry(n, e: int) -> tuple:
+    if e == 0:
+        return n
+    m = mat_vec(B_POW[e], n)
+    scale = abs(next(x for x in reversed(m) if x))
+    return m if scale == 1 else tuple(x / scale for x in m)
 
 
 def cctp(n: int) -> dict:

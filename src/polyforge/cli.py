@@ -281,14 +281,17 @@ def _cmd_arr_betti(args) -> int:
 # ---------------------------------------------------------------------------
 # cct
 
-def _cct_checks(geo):
-    # the other predicates presuppose the screw symmetry, so it is checked
-    # once, first, and a tube without it fails outright
-    if not cct_mod.check_symmetric(geo):
+def _cct_checks(geo, screw, record):
+    """The tube's verdicts at its width.  `screw` is the convention
+    check_symmetric proved with `record`: the other predicates presuppose
+    it, so a tube without it fails outright, and convex position carries
+    normals along it.  The level-wise predicates run only on the levels
+    `record` has not covered."""
+    if not screw:
         raise ValueError("symmetry violation")
     checks = [
         ("symmetry", True, "screw motion invariance"),
-        ("transversality", cct_mod._transversal_core(geo),
+        ("transversality", cct_mod._transversal_core(geo, record),
          "tube rays cross every slab cell"),
         ("obtuse-slope", cct_mod._slope_core(geo),
          "consecutive slope vectors at obtuse angles"),
@@ -298,7 +301,7 @@ def _cct_checks(geo):
         checks.append(("orientation", cct_mod._oriented_core(geo),
                        "all cells tilt toward the core circle"))
         try:
-            normals = cct_mod.check_convex_position(geo)
+            normals = cct_mod.check_convex_position(geo, screw)
             checks.append(("convex-position", True,
                            f"{len(normals)} facets exactly exposed"))
         except ValueError as exc:
@@ -310,8 +313,11 @@ def _cct_checks(geo):
 
 
 def _cmd_cct_generate(args) -> int:
-    geo = cct_mod.generate(args.n)
-    checks, normals = _cct_checks(geo)
+    # the verdicts at width n come from the record of the generating fold
+    record = cct_mod.TubeRecord()
+    geo = cct_mod.generate(args.n, record)
+    checks, normals = _cct_checks(
+        geo, cct_mod.check_symmetric(geo, record), record)
     expected = 12 * (args.n + 1)
     checks.append(("vertex-count", len(geo.coords) == expected,
                    f"f0 = {len(geo.coords)}, expected {expected}"))
@@ -345,8 +351,10 @@ def _cmd_cct_verify(args) -> int:
         geo = cct_mod.GeoCCT.from_json(inner)
     except (KeyError, TypeError, ValueError) as exc:
         raise _UsageError(f"{args.file} is malformed: {exc}") from exc
+    # a full recomputation: the same level-wise checks from an empty record
+    screw = cct_mod.check_symmetric(geo)
     ok = True
-    for name, passed, witness in _cct_checks(geo)[0]:
+    for name, passed, witness in _cct_checks(geo, screw, cct_mod.TubeRecord())[0]:
         print(f"{name}: {'pass' if passed else 'FAIL'}")
         ok = ok and passed
     return 0 if ok else 1

@@ -78,15 +78,14 @@ class SimplicialComplex:
             t for t in canon
             if len(t) == top
             or len(set.intersection(*(incidence[v] for v in t))) == 1))
+        sizes = {len(f) for f in self.facets}
+        self.dim = max(sizes, default=0) - 1
+        self._pure = len(sizes) <= 1
         self._faces = None
         self._index = None
 
-    @property
-    def dim(self) -> int:
-        return max((len(f) - 1 for f in self.facets), default=-1)
-
     def is_pure(self) -> bool:
-        return len({len(f) for f in self.facets}) <= 1
+        return self._pure
 
     def faces(self) -> dict:
         """All nonempty faces, keyed by dimension."""

@@ -326,10 +326,82 @@ Mat = list
 
 
 def vec_dot(u: Vec, v: Vec) -> FieldElem:
+    """Sum of products, normalised once.
+
+    The products' numerators are summed over one running denominator and
+    the sum is reduced by a single gcd at the end.  Entries that are not
+    FieldElem (ints, Fractions) take the operator path.
+    """
+    sa = sb = sc = sd = 0
+    sq = 1
+    for x, y in zip(u, v, strict=True):
+        if type(x) is not FieldElem or type(y) is not FieldElem:
+            return _dot_by_operators(u, v)
+        a1, b1, c1, d1, q1 = x._n
+        a2, b2, c2, d2, q2 = y._n
+        if not (a1 or b1 or c1 or d1) or not (a2 or b2 or c2 or d2):
+            continue
+        pa = a1 * a2 + 2 * b1 * b2 + 3 * c1 * c2 + 6 * d1 * d2
+        pb = a1 * b2 + b1 * a2 + 3 * (c1 * d2 + d1 * c2)
+        pc = a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2)
+        pd = a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2
+        q = q1 * q2
+        if q != sq:
+            if sq % q == 0:
+                k = sq // q
+                pa, pb, pc, pd = pa * k, pb * k, pc * k, pd * k
+            else:
+                k = q // sq if q % sq == 0 else q
+                sa, sb, sc, sd = sa * k, sb * k, sc * k, sd * k
+                if k == q:
+                    pa, pb, pc, pd = pa * sq, pb * sq, pc * sq, pd * sq
+                sq *= k
+        sa += pa
+        sb += pb
+        sc += pc
+        sd += pd
+    return _elem(sa, sb, sc, sd, sq)
+
+
+def _dot_by_operators(u, v) -> FieldElem:
     acc = ZERO
     for a, b in zip(u, v, strict=True):
         acc = acc + a * b
     return acc
+
+
+def _sub_multiple(xs: list, f, ys: list) -> list:
+    """The row update ``[x - f*y if y else x for x, y in zip(xs, ys)]``.
+
+    Each entry is one integer expression reduced by one gcd, instead of a
+    normalised product and a normalised difference.  Entries that are not
+    FieldElem take the operator path.
+    """
+    if type(f) is not FieldElem:
+        return [x - f * y if y else x for x, y in zip(xs, ys)]
+    fa, fb, fc, fd, fq = f._n
+    out = []
+    append = out.append
+    for x, y in zip(xs, ys):
+        if type(x) is not FieldElem or type(y) is not FieldElem:
+            append(x - f * y if y else x)
+            continue
+        ya, yb, yc, yd, yq = y._n
+        if not (ya or yb or yc or yd):
+            append(x)
+            continue
+        xa, xb, xc, xd, xq = x._n
+        pa = fa * ya + 2 * fb * yb + 3 * fc * yc + 6 * fd * yd
+        pb = fa * yb + fb * ya + 3 * (fc * yd + fd * yc)
+        pc = fa * yc + fc * ya + 2 * (fb * yd + fd * yb)
+        pd = fa * yd + fd * ya + fb * yc + fc * yb
+        q = fq * yq
+        if q == xq:
+            append(_elem(xa - pa, xb - pb, xc - pc, xd - pd, q))
+        else:
+            append(_elem(xa * q - pa * xq, xb * q - pb * xq,
+                         xc * q - pc * xq, xd * q - pd * xq, xq * q))
+    return out
 
 
 def vec_is_zero(u: Vec) -> bool:
@@ -376,8 +448,7 @@ def _echelon(rows: Mat):
         prow = work[r] = [x * inv if x else x for x in work[r]]
         for i in range(nrows):
             if i != r and work[i][col]:
-                f = work[i][col]
-                work[i] = [x - f * y if y else x for x, y in zip(work[i], prow)]
+                work[i] = _sub_multiple(work[i], work[i][col], prow)
         pivots.append(col)
         r += 1
         if r == nrows:
@@ -416,8 +487,7 @@ def mat_det(m: Mat) -> FieldElem:
         inv = prow[col].inverse()
         for i in range(col + 1, n):
             if work[i][col]:
-                f = work[i][col] * inv
-                work[i] = [x - f * y if y else x for x, y in zip(work[i], prow)]
+                work[i] = _sub_multiple(work[i], work[i][col] * inv, prow)
     return det if sign_flip == 1 else -det
 
 
@@ -530,15 +600,13 @@ def lp_feasible(eq_rows: Sequence[Sequence[FieldElem]], rhs: Sequence[FieldElem]
             # phase-1 objective is bounded below by zero, so this cannot
             # happen; guard anyway
             raise ArithmeticError("unbounded phase-1 simplex")
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
+        inv = tab[leave][enter].inverse()
+        prow = tab[leave] = [x * inv for x in tab[leave]]
         for i in range(m):
             if i != leave and tab[i][enter]:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+                tab[i] = _sub_multiple(tab[i], tab[i][enter], prow)
         if cost[enter]:
-            f = cost[enter]
-            cost = [x - f * y for x, y in zip(cost, tab[leave])]
+            cost = _sub_multiple(cost, cost[enter], prow)
         basis[leave] = enter
 
     # optimum of the artificial objective is -cost[-1]

@@ -12,9 +12,12 @@ from pathlib import Path
 
 import pytest
 
+from polyforge import cct as cct_mod
 from polyforge.cct import (
+    B_POW,
     AbstractCCT,
     GeoCCT,
+    TubeRecord,
     KAPPA1,
     THETA0,
     THETA1,
@@ -41,6 +44,7 @@ from polyforge.cct import (
     seed_ct1,
     seed_ct3,
 )
+from polyforge.cct import _transversal_core
 from polyforge.exactfield import (
     FieldElem,
     mat_identity,
@@ -479,3 +483,143 @@ def test_bundle_bytes_match_golden_digest(width, tmp_path, capsys):
     digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
     want = (GOLDEN_DIR / f"cct{width}.sha256").read_text().split()[0]
     assert digest == want
+
+
+def counted_abstract(width):
+    """The quotient complex built cell by cell through vertex_id, and its
+    boundary squares found by counting 3-cells per square."""
+    ab = AbstractCCT(width)
+    edges, squares, cubes = set(), {}, []
+    for vid, w in enumerate(ab.vertex_reps):
+        level = ab.layers[vid]
+        shift = lambda u, ax: tuple(x + (k == ax) for k, x in enumerate(u))
+        if level + 1 <= width:
+            for ax in range(3):
+                edges.add(frozenset((vid, ab.vertex_id(shift(w, ax)))))
+        if level + 2 <= width:
+            for i, j in ((0, 1), (0, 2), (1, 2)):
+                cyc = (vid, ab.vertex_id(shift(w, i)),
+                       ab.vertex_id(shift(shift(w, i), j)), ab.vertex_id(shift(w, j)))
+                squares[frozenset(cyc)] = (cyc, level)
+        if level + 3 <= width:
+            corners = []
+            for bits in range(8):
+                u = w
+                for ax in range(3):
+                    if (bits >> ax) & 1:
+                        u = shift(u, ax)
+                corners.append(ab.vertex_id(u))
+            cubes.append(tuple(corners))
+    count = dict.fromkeys(squares, 0)
+    for corners in cubes:
+        for i in range(3):
+            for side in (0, 1):
+                face = frozenset(c for b, c in enumerate(corners)
+                                 if (b >> i) & 1 == side)
+                if face in count:
+                    count[face] += 1
+    boundary = [cyc for key, (cyc, _) in squares.items() if count[key] == 1]
+    return len(edges), list(squares.values()), cubes, boundary
+
+
+@pytest.mark.parametrize("width", range(0, 13))
+def test_level_shifted_cells_equal_cells_built_one_by_one(width):
+    ab = AbstractCCT(width)
+    edge_count, squares, cubes, boundary = counted_abstract(width)
+    assert ab.f_vector() == (12 * (width + 1), edge_count, len(squares), len(cubes))
+    assert list(ab._squares.values()) == squares
+    assert list(ab._cubes3) == cubes
+    assert ab.boundary_squares() == boundary
+    # cell index i is the 3-cell based at vertex i
+    assert all(corners[0] == i for i, (_, corners) in enumerate(ab.cubes.cubes)
+               if width >= 3)
+
+
+def prefix(geo, width):
+    return GeoCCT(AbstractCCT(width), geo.coords[:12 * (width + 1)],
+                  geo.kappas[:width + 1])
+
+
+def scale_level(geo, level, lam):
+    scale = FieldElem(Fraction(lam))
+    return GeoCCT(geo.abstract, tuple(
+        tuple(scale * x for x in p[:4]) + (p[4],)
+        if geo.abstract.layers[vid] == level else p
+        for vid, p in enumerate(geo.coords)), geo.kappas)
+
+
+class TestIncrementalRecord:
+    @pytest.mark.parametrize("tamper", [None, (3, "-1"), (7, "-1"), (5, "9")])
+    def test_verdicts_equal_full_fold(self, tamper):
+        full_tube = generate(12)
+        if tamper:
+            full_tube = scale_level(full_tube, *tamper)
+        record = TubeRecord()
+        for width in range(1, 13):
+            geo = prefix(full_tube, width)
+            assert check_symmetric(geo, record) == check_symmetric(geo)
+            assert _transversal_core(geo, record) is _transversal_core(geo)
+        assert record.symmetric_levels == 13
+
+    def test_generate_record_covers_every_level(self):
+        record = TubeRecord()
+        geo = generate(7, record)
+        assert record.symmetric_levels == 8
+        assert record.transversal_levels == 7
+        assert check_symmetric(geo, record) == check_symmetric(geo)
+        assert record.screw is check_symmetric(geo)
+        assert _transversal_core(geo, record) is True
+        assert record.transversal_levels == 8
+        assert len(record.ray_keys) == 12 * 8
+
+    def test_screw_powers_move_the_first_vertex_of_each_level(self):
+        geo = generate(5)
+        screw = check_symmetric(geo)
+        for level in range(6):
+            first = geo.coords[12 * level]
+            for j, e in enumerate(screw.powers):
+                assert geo.coords[12 * level + j] == mat_vec(B_POW[e], first)
+
+    def test_non_representative_tamper_is_a_symmetry_violation(self):
+        geo = generate(5)
+        coords = list(geo.coords)
+        p = coords[17]
+        coords[17] = (p[0], p[1], p[2] * 3, p[3], p[4])
+        bad = GeoCCT(geo.abstract, tuple(coords), geo.kappas)
+        with pytest.raises(ValueError, match="symmetry violation"):
+            check_convex_position(bad)
+        with pytest.raises(ValueError, match="predicate failure: symmetry"):
+            extend(bad)
+        narrow = prefix(bad, 2)
+        with pytest.raises(ValueError, match="predicate failure: symmetry"):
+            extend(narrow)
+
+    def test_extend_keeps_the_input_coordinates(self):
+        geo = scale_level(generate(4), 0, "9")
+        wider = extend(geo)
+        assert wider.coords[:60] == geo.coords
+        assert wider.coords[60:] == generate(5).coords[60:]
+
+
+@pytest.mark.parametrize("width", range(3, 13))
+def test_generate_does_each_layer_once(width, tmp_path, capsys, monkeypatch):
+    calls = {"certify_facet": [], "reconstruct_cube_corner": [], "_star_ok": []}
+    for name, seen in calls.items():
+        real = getattr(cct_mod, name)
+
+        def counting(*args, _real=real, _seen=seen):
+            _seen.append(args[1:])
+            return _real(*args)
+
+        monkeypatch.setattr(cct_mod, name, counting)
+    out_file = tmp_path / "tube.json"
+    assert main(["cct", "generate", "--n", str(width), "--out", str(out_file)]) == 0
+    capsys.readouterr()
+    assert calls["certify_facet"] == [(12 * b,) for b in range(width - 2)]
+    assert calls["reconstruct_cube_corner"] == [
+        (12 * b, 7) for b in range(width - 2)]
+    stars = calls["_star_ok"]
+    assert len(stars) == len(set(stars))
+    assert set(stars) == (
+        {(vid, +1) for vid in range(12 * (width - 1))}
+        | {(vid, -1) for vid in range(24, 12 * (width + 1))})

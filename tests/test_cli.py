@@ -358,6 +358,28 @@ class TestCctCommands:
         assert main(["cct", "verify", "--file", bad]) == 1
         assert "FAIL: symmetry violation" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("zero-denominator", None, "vertex 3 has a zero denominator"),
+        ("four-coordinates", 4, "vertex 3 has 4 coordinates, not 5"),
+        ("six-coordinates", 6, "vertex 3 has 6 coordinates, not 5"),
+        ("kappa-count", None, "3 kappas for width 3, expected 4"),
+    ])
+    def test_verify_malformed_tube_is_usage_error(self, tmp_path, capsys,
+                                                  field, value, message):
+        doc = generate(3).to_json()
+        if field == "zero-denominator":
+            doc["vertices"][3][0]["a"] = "1/0"
+        elif field == "kappa-count":
+            doc["kappas"] = doc["kappas"][:3]
+        else:
+            doc["vertices"][3] = (doc["vertices"][3]
+                                  + [FieldElem(0).to_json()])[:value]
+        bad = write_json(tmp_path / "bad.json", doc)
+        assert main(["cct", "verify", "--file", bad]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("width", [1, 2])
     def test_narrow_widths_pass(self, tmp_path, capsys, width):
         out_file = tmp_path / f"cct{width}.json"
