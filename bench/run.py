@@ -5,8 +5,7 @@
 
 For each source tree, in the order given, one fresh single-threaded
 process imports polyforge from ``<tree>/src`` and times, for every width
-n of the ladder (default 4, 12, 24 and 32), the best of ``--repeat``
-(default 3) runs of
+n of the ladder (4, 12, 24 and 32), the best of 3 runs of
 
   * ``generate_s``: the library call ``cct.generate(n)``;
   * ``cct_generate_s``: ``polyforge cct generate --n n --out FILE``;
@@ -32,18 +31,19 @@ import tempfile
 import time
 
 WIDTHS = (4, 12, 24, 32)
+REPEAT = 3
 
 
-def _best(repeat: int, fn) -> float:
+def _best(fn) -> float:
     best = float("inf")
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         start = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - start)
     return best
 
 
-def measure(widths, repeat: int) -> dict:
+def measure() -> dict:
     """Time the ladder in this process; polyforge comes from sys.path."""
     from polyforge import cct, cli
 
@@ -56,12 +56,12 @@ def measure(widths, repeat: int) -> dict:
     results = {}
     with tempfile.TemporaryDirectory() as work:
         bundle = os.path.join(work, "tube.json")
-        for n in widths:
+        for n in WIDTHS:
             gen_argv = ["cct", "generate", "--n", str(n), "--out", bundle]
             results[str(n)] = {
-                "generate_s": _best(repeat, lambda: cct.generate(n)),
-                "cct_generate_s": _best(repeat, lambda: run_cli(gen_argv)),
-                "verify_s": _best(repeat, lambda: run_cli(
+                "generate_s": _best(lambda: cct.generate(n)),
+                "cct_generate_s": _best(lambda: run_cli(gen_argv)),
+                "verify_s": _best(lambda: run_cli(
                     ["cct", "verify", "--file", bundle])),
                 "bundle_bytes": os.path.getsize(bundle),
             }
@@ -88,15 +88,14 @@ def _processor() -> str:
     return platform.processor() or platform.machine()
 
 
-def run_tree(label: str, tree: str, widths, repeat: int) -> dict:
+def run_tree(label: str, tree: str) -> dict:
     src = os.path.join(os.path.abspath(tree), "src")
     if not os.path.isfile(os.path.join(src, "polyforge", "__init__.py")):
         raise SystemExit(f"{tree}: no polyforge source tree under src/")
     env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0",
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     env.pop("POLYFORGE_BUDGET", None)
-    cmd = [sys.executable, os.path.abspath(__file__), "--measure",
-           "--repeat", str(repeat), "--widths", *map(str, widths)]
+    cmd = [sys.executable, os.path.abspath(__file__), "--measure"]
     out = subprocess.run(cmd, env=env, capture_output=True, text=True)
     if out.returncode != 0:
         raise SystemExit(f"{label}: measuring process failed\n{out.stderr}")
@@ -114,16 +113,12 @@ def main() -> int:
     parser.add_argument("--tree", action="append", metavar="LABEL=DIR",
                         help="a source tree to measure (repeatable; default: "
                              "this checkout, labelled 'change')")
-    parser.add_argument("--widths", type=int, nargs="+", default=list(WIDTHS))
-    parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--out", help="write the JSON here (default: stdout)")
     parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
-    if args.repeat < 1 or min(args.widths) < 1:
-        parser.error("--repeat and every width must be at least 1")
 
     if args.measure:
-        print(json.dumps(measure(args.widths, args.repeat)))
+        print(json.dumps(measure()))
         return 0
 
     trees = args.tree or [
@@ -133,17 +128,17 @@ def main() -> int:
         label, sep, tree = spec.partition("=")
         if not sep or not label or not tree:
             parser.error(f"--tree takes LABEL=DIR, got {spec!r}")
-        runs.append(run_tree(label, tree, args.widths, args.repeat))
+        runs.append(run_tree(label, tree))
     doc = {
         "bench": "tube-ladder",
-        "metric": f"best of {args.repeat} wall-clock seconds",
+        "metric": f"best of {REPEAT} wall-clock seconds",
         "machine": {
             "platform": platform.platform(),
             "processor": _processor(),
             "cpu_count": os.cpu_count(),
             "python": platform.python_version(),
         },
-        "widths": args.widths,
+        "widths": list(WIDTHS),
         "runs": runs,
     }
     text = json.dumps(doc, indent=2) + "\n"

@@ -650,10 +650,6 @@ def _transversal_level(t: GeoCCT, level: int, seen: set) -> bool:
     return True
 
 
-def _dot4(u, v):
-    return vec_dot(u[:4], v[:4])
-
-
 def check_slope_obtuse(t: GeoCCT) -> bool:
     """Sign test for the turning angle at the newest layer.
 
@@ -686,13 +682,13 @@ def _slope_core(t: GeoCCT) -> bool:
     yt = image[:4]
     m = tuple(a + b for a, b in zip(ys, yt))
     w0 = (m[0], m[1], ZERO, ZERO)
-    mm = _dot4(m, m)
+    mm = vec_dot(m, m)
 
     def tangent(x):
-        xm = -_dot4(x, m)
+        xm = -vec_dot(x, m)
         return tuple(vec_dot((mm, xm), (xi, mi)) for xi, mi in zip(x, m))
 
-    return _dot4(tangent(w0), tangent(yu)).sign() < 0
+    return vec_dot(tangent(w0), tangent(yu)).sign() < 0
 
 
 def _ray_crosses_cell(zs, g) -> bool:

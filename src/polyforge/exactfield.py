@@ -350,12 +350,14 @@ def vec_dot(u: Vec, v: Vec) -> FieldElem:
             if sq % q == 0:
                 k = sq // q
                 pa, pb, pc, pd = pa * k, pb * k, pc * k, pd * k
-            else:
-                k = q // sq if q % sq == 0 else q
+            elif q % sq == 0:
+                k = q // sq
                 sa, sb, sc, sd = sa * k, sb * k, sc * k, sd * k
-                if k == q:
-                    pa, pb, pc, pd = pa * sq, pb * sq, pc * sq, pd * sq
-                sq *= k
+                sq = q
+            else:
+                sa, sb, sc, sd = sa * q, sb * q, sc * q, sd * q
+                pa, pb, pc, pd = pa * sq, pb * sq, pc * sq, pd * sq
+                sq *= q
         sa += pa
         sb += pb
         sc += pc
