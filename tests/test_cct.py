@@ -43,8 +43,8 @@ from polyforge.cct import (
     reconstruct_cube_corner,
     seed_ct1,
     seed_ct3,
+    _transversal_core,
 )
-from polyforge.cct import _transversal_core
 from polyforge.exactfield import (
     FieldElem,
     mat_identity,

@@ -681,7 +681,7 @@ def sympy_feasible(a, b) -> bool:
 
 class TestKernelsAgainstPerOperationCode:
     @given(kernel_matrices(max_rows=1), st.data())
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=40, deadline=None)
     def test_vec_dot(self, m, data):
         u = tuple(m[0])
         v = tuple(data.draw(kernel_elems()) for _ in u)
@@ -692,7 +692,7 @@ class TestKernelsAgainstPerOperationCode:
         assert sympy.expand(to_sympy(got) - want) == 0
 
     @given(kernel_matrices(), st.data())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=30, deadline=None)
     def test_mat_vec_and_mat_mul(self, m, data):
         v = tuple(data.draw(kernel_elems()) for _ in m[0])
         same_vec(mat_vec(m, v), ref_mat_vec(m, v))
@@ -703,7 +703,7 @@ class TestKernelsAgainstPerOperationCode:
         assert [[x._n for x in r] for r in got] == [[x._n for x in r] for r in want]
 
     @given(kernel_matrices())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_rank_nullspace_solve(self, m):
         assert mat_rank(m) == ref_mat_rank(m)
         got = mat_nullspace(m)
@@ -725,14 +725,14 @@ class TestKernelsAgainstPerOperationCode:
     @given(st.integers(1, 4).flatmap(
         lambda n: kernel_matrices(max_rows=n, max_cols=n).filter(
             lambda m: len(m) == len(m[0]))))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_det(self, m):
         got = mat_det(m)
         assert got._n == ref_mat_det(m)._n
         assert_canonical(got)
 
     @given(rational_matrices())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=25, deadline=None)
     def test_rational_against_sympy(self, m):
         sm = sym_matrix(m)
         assert mat_rank(m) == sm.rank()
@@ -745,19 +745,19 @@ class TestKernelsAgainstPerOperationCode:
     @given(st.integers(1, 3).flatmap(
         lambda n: kernel_matrices(max_rows=n, max_cols=n).filter(
             lambda m: len(m) == len(m[0]))))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=15, deadline=None)
     def test_det_against_sympy(self, m):
         want = sympy.expand(sym_matrix(m).det(method="berkowitz"))
         assert sympy.expand(to_sympy(mat_det(m)) - want) == 0
 
     @given(kernel_matrices(max_rows=3, max_cols=4), st.data())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=50, deadline=None)
     def test_lp_feasible(self, rows, data):
         rhs = [data.draw(kernel_elems()) for _ in rows]
         assert lp_feasible(rows, rhs) == ref_lp_feasible(rows, rhs)
 
     @given(rational_matrices(max_rows=3, max_cols=4), st.data())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=25, deadline=None)
     def test_lp_feasible_against_sympy(self, rows, data):
         rhs = [data.draw(st.builds(FieldElem, small_rationals)) for _ in rows]
         assert lp_feasible(rows, rhs) == sympy_feasible(sym_matrix(rows),
