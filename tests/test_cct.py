@@ -49,8 +49,10 @@ from polyforge.exactfield import (
     FieldElem,
     mat_identity,
     mat_mul,
+    mat_nullspace,
     mat_pow,
     mat_rank,
+    mat_solve,
     mat_vec,
     reflection_e4,
     rotation_12,
@@ -470,6 +472,149 @@ class TestCertificateOracles:
         path.write_text(json.dumps(bad.to_json()))
         assert main(["cct", "verify", "--file", str(path)]) == 1
         assert "FAIL: symmetry violation" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# Per-vertex references for the orbit-reduced tube predicates: the star
+# conditions on every vertex of a level, and the orientation with one
+# nullspace elimination per boundary square.
+
+
+def per_vertex_transversal(t):
+    seen = set()
+    for level in range(t.width + 1):
+        points = t.coords[12 * level:12 * level + 12]
+        for p in points:
+            if cct_mod._is_zero2(cct_mod._pi0(p)) or cct_mod._is_zero2(cct_mod._pi2(p)):
+                return False
+        for p in points:
+            key = (cct_mod._ray_canon(cct_mod._pi0(p)),
+                   cct_mod._ray_canon(cct_mod._pi2(p)))
+            if key in seen:
+                return False
+            seen.add(key)
+        if level >= 2:
+            mid = level - 1
+            for vid in range(12 * (mid - 1), 12 * mid):
+                if not cct_mod._star_ok(t, vid, +1):
+                    return False
+            for vid in range(12 * (mid + 1), 12 * (mid + 2)):
+                if not cct_mod._star_ok(t, vid, -1):
+                    return False
+    return True
+
+
+def per_square_oriented(t):
+    k = t.width
+    v = min(range(12 * k, 12 * (k + 1)), key=lambda i: t.coords[i])
+    y = t.coords[v][:4]
+    p0 = y
+    p1 = (y[0], y[1], fe(0), fe(0))
+    plane_comp = mat_nullspace([list(p0), list(p1)])
+    if len(plane_comp) != 2:
+        raise ValueError("chord endpoints are collinear")
+    crossings = 0
+    for cyc in t.abstract.boundary_squares():
+        zs = [t.coords[c][:4] for c in cyc]
+        wcomp = mat_nullspace([list(z) for z in zs])
+        if len(wcomp) != 1:
+            raise ValueError("degenerate boundary cell span")
+        meet = mat_nullspace([list(r) for r in plane_comp] + [list(wcomp[0])])
+        if len(meet) != 1:
+            raise ValueError("chord plane lies inside a boundary cell plane")
+        g = meet[0]
+        alpha, beta = mat_solve([[p0[i], p1[i]] for i in range(4)], list(g))
+        sa, sb = alpha.sign(), beta.sign()
+        if sa * sb <= 0:
+            continue
+        if sa < 0:
+            g = tuple(-x for x in g)
+        if cct_mod._ray_crosses_cell(zs, g):
+            crossings += 1
+    return crossings % 2 == 0
+
+
+def outcome(fn, *args):
+    """A predicate's verdict, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def tamper_vertex(geo, vid, change):
+    coords = list(geo.coords)
+    coords[vid] = change(coords[vid])
+    return GeoCCT(geo.abstract, tuple(coords), geo.kappas)
+
+
+class TestPerVertexOracles:
+    @pytest.mark.parametrize("width", range(3, 13))
+    def test_generated_tubes(self, width):
+        geo = generate(width)
+        assert outcome(check_transversal, geo) == outcome(per_vertex_transversal, geo)
+        assert outcome(_transversal_core, geo) == outcome(per_vertex_transversal, geo)
+        assert outcome(check_oriented, geo) == outcome(per_square_oriented, geo)
+
+    @pytest.mark.parametrize("lam", ["9", "1/2", "-1", "-3"])
+    @pytest.mark.parametrize("level", range(6))
+    def test_scaled_levels(self, level, lam):
+        geo = scale_level(generate(5), level, lam)
+        assert check_symmetric(geo)
+        want = outcome(per_vertex_transversal, geo)
+        assert outcome(check_transversal, geo) == want
+        assert outcome(_transversal_core, geo, TubeRecord()) == want
+        assert outcome(check_oriented, geo) == outcome(per_square_oriented, geo)
+
+    # Scaling pi0 and pi2 of one level by separate factors, after the screw
+    # power 0 or 3, keeps the symmetry; these reach every error of the
+    # orientation: collinear chord, degenerate cell span, chord plane inside
+    # a cell plane, chord touching a cell edge.
+    @pytest.mark.parametrize("width,level,a,b,rot", [
+        (3, 3, "1/3", "-2", 0),
+        (3, 3, "1/3", "-2", 3),
+        (4, 1, "3", "0", 0),
+        (4, 1, "-1", "0", 3),
+        (4, 2, "-1", "3", 3),
+        (4, 4, "0", "3", 0),
+        (4, 4, "-2", "0", 3),
+        (5, 3, "3", "1/3", 3),
+        (6, 1, "1/3", "0", 0),
+        (6, 6, "-1", "-2", 0),
+    ])
+    def test_plane_scaled_levels(self, width, level, a, b, rot):
+        a, b = FieldElem(Fraction(a)), FieldElem(Fraction(b))
+
+        def change(p):
+            p = mat_vec(B_POW[rot], p)
+            return (a * p[0], a * p[1], b * p[2], b * p[3], p[4])
+
+        base = generate(width)
+        geo = GeoCCT(base.abstract, tuple(
+            change(p) if base.abstract.layers[vid] == level else p
+            for vid, p in enumerate(base.coords)), base.kappas)
+        assert check_symmetric(geo)
+        assert outcome(check_transversal, geo) == outcome(per_vertex_transversal, geo)
+        assert outcome(check_oriented, geo) == outcome(per_square_oriented, geo)
+
+    @pytest.mark.parametrize("vid,change", [
+        (17, lambda p: (p[0] * 2, p[1], p[2], p[3], p[4])),
+        (17, lambda p: (-p[0], -p[1], -p[2], -p[3], p[4])),
+        (43, lambda p: (p[0], p[1], -p[2], -p[3], p[4])),
+        (70, lambda p: (p[1], p[0], p[2], p[3], p[4])),
+    ])
+    def test_tampered_non_representative_vertex(self, vid, change):
+        bad = tamper_vertex(generate(5), vid, change)
+        # without a proven screw the star conditions run on every vertex
+        assert not check_symmetric(bad)
+        want = outcome(per_vertex_transversal, bad)
+        assert outcome(_transversal_core, bad) == want
+        assert outcome(_transversal_core, bad, TubeRecord()) == want
+        # and the orbit-reduced predicates are never reached
+        for check in (check_transversal, check_oriented):
+            assert outcome(check, bad) == (ValueError, "symmetry violation")
+        with pytest.raises(ValueError, match="predicate failure: symmetry"):
+            extend(bad)
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
