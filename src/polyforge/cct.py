@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .complexcore import CubicalComplex
@@ -219,7 +220,9 @@ class AbstractCCT:
     """Grid cells between level 0 and level `width`, modulo the lattice.
 
     Vertex ids are dense: level block l occupies ids 12l..12l+11, ordered
-    by (w1, w3) within the block.
+    by (w1, w3) within the block.  The squares, the 3-cells and the cubical
+    complex are built on first read: a growing tube needs only the one new
+    3-cell per width, which ``cube_corners`` shifts up from level 0.
     """
 
     def __init__(self, width: int):
@@ -232,24 +235,40 @@ class AbstractCCT:
         self.layers = tuple(level for level in range(width + 1) for _ in range(12))
         # three edges leave each vertex below the top level
         self._edge_count = 36 * width
+
+    @cached_property
+    def _squares(self) -> dict:
         squares = {}
-        for level in range(width - 1):
+        for level in range(self.width - 1):
             for cyc in _LEVEL0_SQUARES:
                 cyc = tuple(c + 12 * level for c in cyc)
                 squares[frozenset(cyc)] = (cyc, level)
-        self._squares = squares
-        self._cubes3 = tuple(
+        return squares
+
+    @cached_property
+    def _cubes3(self) -> tuple:
+        return tuple(
             tuple(c + 12 * level for c in corners)
-            for level in range(width - 2) for corners in _LEVEL0_CUBES)
+            for level in range(self.width - 2) for corners in _LEVEL0_CUBES)
+
+    @cached_property
+    def cubes(self) -> CubicalComplex:
         if self._cubes3:
             cells = [(3, c) for c in self._cubes3]
-        elif squares:
-            cells = [(2, (c[0], c[1], c[3], c[2])) for c, _ in squares.values()]
+        elif self._squares:
+            cells = [(2, (c[0], c[1], c[3], c[2])) for c, _ in self._squares.values()]
         else:
             cells = [(1, tuple(sorted(e))) for e in sorted(
                 {frozenset((a + 12 * level, b + 12 * level))
-                 for level in range(width) for a, b in _LEVEL0_EDGES}, key=sorted)]
-        self.cubes = CubicalComplex(len(self.vertex_reps), cells)
+                 for level in range(self.width) for a, b in _LEVEL0_EDGES},
+                key=sorted)]
+        return CubicalComplex(len(self.vertex_reps), cells)
+
+    def cube_corners(self, index: int) -> tuple:
+        """Corners, in bit order, of 3-cell `index` of ``cubes``: the cell
+        based at vertex `index`."""
+        level, j = divmod(range(12 * (self.width - 2))[index], 12)
+        return tuple(c + 12 * level for c in _LEVEL0_CUBES[j])
 
     def vertex_id(self, w) -> int:
         if not 0 <= w[0] + w[1] + w[2] <= self.width:
@@ -271,12 +290,13 @@ class AbstractCCT:
         3-cells based at its base vertex and at that vertex moved one step
         back along the third axis, which exist when l <= width - 3 and
         l >= 1 respectively.  So with any 3-cell at all, the boundary
-        squares are those based on level 0 and on level width - 2.
+        squares are those based on level 0 and on level width - 2: 36 per
+        level, the three based at each vertex of the level in vertex order.
         """
-        if not self._cubes3:
+        if self.width < 3:
             return []
-        return [cyc for cyc, level in self._squares.values()
-                if level == 0 or level == self.width - 2]
+        return [tuple(c + 12 * level for c in cyc)
+                for level in (0, self.width - 2) for cyc in _LEVEL0_SQUARES]
 
 
 def abstract_cct(k: int) -> AbstractCCT:
@@ -400,9 +420,9 @@ def reconstruct_cube_corner(t: GeoCCT, cube_index: int, position: int):
     already determined by its other three corners; the meet of the three
     subspaces must be the corner's ray.
     """
-    dim, corners = t.abstract.cubes.cubes[cube_index]
-    if dim != 3:
+    if t.width < 3:
         raise ValueError("reconstruction needs a 3-cell")
+    corners = t.abstract.cube_corners(cube_index)
     if not 0 <= position < 8:
         raise ValueError("corner position out of range")
     rows = []
@@ -440,13 +460,14 @@ def extend(t: GeoCCT, record: TubeRecord | None = None) -> GeoCCT:
     record = TubeRecord() if record is None else record
     k = t.width
     if k >= 3:
-        if not check_symmetric(t, record):
+        screw = check_symmetric(t, record)
+        if not screw:
             raise ValueError("predicate failure: symmetry")
         if not _transversal_core(t, record):
             raise ValueError("predicate failure: transversality")
         if not _slope_core(t):
             raise ValueError("predicate failure: slope")
-        if not _oriented_core(t):
+        if not _oriented_core(t, screw):
             raise ValueError("predicate failure: orientation")
     nxt = tuple(mat_vec(R12_SQ, iterate(t.kappas[k - 1], t.kappas[k])))
     ab = AbstractCCT(k + 1)
@@ -455,7 +476,7 @@ def extend(t: GeoCCT, record: TubeRecord | None = None) -> GeoCCT:
         if not check_symmetric(geo, record):
             raise ValueError("predicate failure: symmetry")
         idx = 12 * (geo.width - 3)
-        corners = ab.cubes.cubes[idx][1]
+        corners = ab.cube_corners(idx)
         if mat_rank([list(geo.coords[c]) for c in corners]) != 4:
             raise ValueError("degenerate geometry: new cell is not flat")
         if reconstruct_cube_corner(geo, idx, 7) != geo.coords[corners[7]]:
@@ -611,25 +632,44 @@ def _star_ok(t: GeoCCT, vid: int, direction: int) -> bool:
 
 def check_transversal(t: GeoCCT) -> bool:
     """Axis avoidance, injective double projection, and star conditions."""
-    if not check_symmetric(t):
+    record = TubeRecord()
+    if not check_symmetric(t, record):
         raise ValueError("symmetry violation")
-    return _transversal_core(t)
+    return _transversal_core(t, record)
 
 
 def _transversal_core(t: GeoCCT, record: TubeRecord | None = None) -> bool:
     """Transversality through the tube's width, level by level: a new
     level is checked for axis avoidance and injectivity against the ray
     keys of the levels below, and completes the star conditions of the
-    middle layer under it.  With a `record`, only uncovered levels run."""
+    middle layer under it.  With a `record`, only uncovered levels run.
+
+    The star conditions are orbit-reduced on the levels whose screw
+    symmetry `record` has proven, so symmetry is proven through it first;
+    on a tube without a screw every vertex is checked.
+    """
     record = TubeRecord() if record is None else record
+    if record.symmetric_levels <= t.width:
+        check_symmetric(t, record)
     while record.transversal and record.transversal_levels <= t.width:
         level = record.transversal_levels
-        record.transversal = _transversal_level(t, level, record.ray_keys)
+        record.transversal = _transversal_level(
+            t, level, record.ray_keys, bool(record.screws))
         record.transversal_levels += 1
     return record.transversal
 
 
-def _transversal_level(t: GeoCCT, level: int, seen: set) -> bool:
+def _transversal_level(t: GeoCCT, level: int, seen: set, orbit: bool) -> bool:
+    """Axis avoidance and injectivity of the 12 points of `level`, then
+    the star conditions of the layer between levels level - 2 and level.
+
+    The stars are checked upward from level - 2 and downward from
+    `level`.  With `orbit`, meaning a screw holds on every level, only the
+    first vertex of each is checked: the screw power that moves it onto
+    another vertex of its level moves its star onto that vertex's star,
+    and acts on the planes pi0 and pi2 as rotations, which keep every sign
+    test of _star_ok.
+    """
     points = t.coords[12 * level:12 * level + 12]
     for p in points:
         if _is_zero2(_pi0(p)) or _is_zero2(_pi2(p)):
@@ -640,13 +680,11 @@ def _transversal_level(t: GeoCCT, level: int, seen: set) -> bool:
             return False
         seen.add(key)
     if level >= 2:
-        mid = level - 1
-        for vid in range(12 * (mid - 1), 12 * mid):
-            if not _star_ok(t, vid, +1):
-                return False
-        for vid in range(12 * (mid + 1), 12 * (mid + 2)):
-            if not _star_ok(t, vid, -1):
-                return False
+        count = 1 if orbit else 12
+        for first, direction in ((12 * (level - 2), +1), (12 * level, -1)):
+            for vid in range(first, first + count):
+                if not _star_ok(t, vid, direction):
+                    return False
     return True
 
 
@@ -735,12 +773,27 @@ def check_oriented(t: GeoCCT) -> bool:
     axis-plane shadow; an even number of proper crossings with the two
     boundary tori means the complex points at the axis circle.
     """
-    if not check_symmetric(t):
+    screw = check_symmetric(t)
+    if not screw:
         raise ValueError("symmetry violation")
-    return _oriented_core(t)
+    return _oriented_core(t, screw)
 
 
-def _oriented_core(t: GeoCCT) -> bool:
+def _oriented_core(t: GeoCCT, screw: Screw) -> bool:
+    """check_oriented for a tube on which `screw` holds, orbit-reduced.
+
+    The chord plane span(p0, p1) meets the hyperplane w-perp of a cell in
+    the line of g = (w.p1) p0 - (w.p0) p1, so two dot products give the
+    signs of g's coefficients.  Only their product is tested, and g is
+    flipped to a positive p0 coefficient, so the scale of w does not
+    matter.  The boundary squares of a level are three screw orbits: the
+    square based at vertex j of the level is B^e Q for the square Q of its
+    kind at the level's first vertex, e = screw.powers[j], so its normal is
+    B^e w_Q and w.p = w_Q.(B^-e p).  One nullspace per orbit thus serves
+    its twelve squares.  The squares are visited in boundary_squares()
+    order, which meets each orbit's Q first, so the first error raised is
+    the one a nullspace per square would raise.
+    """
     ab = t.abstract
     k = ab.width
     if k < 3:
@@ -749,26 +802,31 @@ def _oriented_core(t: GeoCCT) -> bool:
     y = t.coords[v][:4]
     p0 = y
     p1 = (y[0], y[1], ZERO, ZERO)
-    plane_comp = mat_nullspace([list(p0), list(p1)])
-    if len(plane_comp) != 2:
+    if mat_rank([list(p0), list(p1)]) != 2:
         raise ValueError("chord endpoints are collinear")
+    # the chord's top vertex pulled back by each screw power: B^-e p0 and,
+    # as its pi0 part, B^-e p1
+    pulled = [mat_vec(B_POW[-e % 12], t.coords[v]) for e in range(12)]
+    normals = [None] * 3
     crossings = 0
-    for cyc in ab.boundary_squares():
+    for i, cyc in enumerate(ab.boundary_squares()):
+        j, kind = divmod(i % 36, 3)
         zs = [t.coords[c][:4] for c in cyc]
-        wcomp = mat_nullspace([list(z) for z in zs])
-        if len(wcomp) != 1:
-            raise ValueError("degenerate boundary cell span")
-        meet = mat_nullspace([list(r) for r in plane_comp] + [list(wcomp[0])])
-        if len(meet) != 1:
+        if j == 0:
+            wcomp = mat_nullspace([list(z) for z in zs])
+            if len(wcomp) != 1:
+                raise ValueError("degenerate boundary cell span")
+            normals[kind] = wcomp[0]
+        w, q = normals[kind], pulled[screw.powers[j]]
+        wp1 = vec_dot(w[:2], q[:2])
+        wp0 = wp1 + vec_dot(w[2:4], q[2:4])
+        if not (wp0 or wp1):
             raise ValueError("chord plane lies inside a boundary cell plane")
-        g = meet[0]
-        coef = mat_solve([[p0[i], p1[i]] for i in range(4)], list(g))
-        alpha, beta = coef
-        sa, sb = alpha.sign(), beta.sign()
-        if sa * sb <= 0:
+        if wp0.sign() * wp1.sign() >= 0:
             continue
-        if sa < 0:
-            g = tuple(-x for x in g)
+        if wp1.sign() < 0:
+            wp0, wp1 = -wp0, -wp1
+        g = tuple(wp1 * a - wp0 * b for a, b in zip(p0, p1))
         if _ray_crosses_cell(zs, g):
             crossings += 1
     return crossings % 2 == 0

@@ -79,15 +79,18 @@ def _load_json(path: str, what: str = "a JSON object") -> dict:
 
 def _load_document(path: str, parse, what: str,
                    errors=(KeyError, TypeError, ValueError), kind=None):
-    """Parse a JSON file; a `kind` other than the one given, or an
-    exception in `errors` from `parse`, is a usage error, because it
-    means the file is malformed."""
+    """Parse a JSON file; a `kind` other than the one given, a zero
+    denominator, or an exception in `errors` from `parse`, is a usage
+    error, because it means the file is malformed."""
     data = _load_json(path, what)
     if kind is not None and data.get("kind") != kind:
         raise _UsageError(f"{path} is not {what}: its kind is "
                           f"{data.get('kind')!r}, not {kind!r}")
     try:
         return parse(data)
+    except ZeroDivisionError as exc:
+        raise _UsageError(f"{path} is not {what}: it has a zero "
+                          "denominator") from exc
     except errors as exc:
         raise _UsageError(f"{path} is not {what}: {exc}") from exc
 
@@ -298,7 +301,7 @@ def _cct_checks(geo, screw, record):
     ]
     normals = None
     if geo.width >= 3:
-        checks.append(("orientation", cct_mod._oriented_core(geo),
+        checks.append(("orientation", cct_mod._oriented_core(geo, screw),
                        "all cells tilt toward the core circle"))
         try:
             normals = cct_mod.check_convex_position(geo, screw)
@@ -351,10 +354,12 @@ def _cmd_cct_verify(args) -> int:
         geo = cct_mod.GeoCCT.from_json(inner)
     except (KeyError, TypeError, ValueError) as exc:
         raise _UsageError(f"{args.file} is malformed: {exc}") from exc
-    # a full recomputation: the same level-wise checks from an empty record
-    screw = cct_mod.check_symmetric(geo)
+    # a full recomputation: the same level-wise checks from an empty
+    # record, which symmetry and transversality share
+    record = cct_mod.TubeRecord()
+    screw = cct_mod.check_symmetric(geo, record)
     ok = True
-    for name, passed, witness in _cct_checks(geo, screw, cct_mod.TubeRecord())[0]:
+    for name, passed, witness in _cct_checks(geo, screw, record)[0]:
         print(f"{name}: {'pass' if passed else 'FAIL'}")
         ok = ok and passed
     return 0 if ok else 1

@@ -674,6 +674,7 @@ def test_level_shifted_cells_equal_cells_built_one_by_one(width):
     assert ab.f_vector() == (12 * (width + 1), edge_count, len(squares), len(cubes))
     assert list(ab._squares.values()) == squares
     assert list(ab._cubes3) == cubes
+    assert [ab.cube_corners(i) for i in range(len(cubes))] == cubes
     assert ab.boundary_squares() == boundary
     # cell index i is the 3-cell based at vertex i
     assert all(corners[0] == i for i, (_, corners) in enumerate(ab.cubes.cubes)
@@ -748,7 +749,8 @@ class TestIncrementalRecord:
 
 @pytest.mark.parametrize("width", range(3, 13))
 def test_generate_does_each_layer_once(width, tmp_path, capsys, monkeypatch):
-    calls = {"certify_facet": [], "reconstruct_cube_corner": [], "_star_ok": []}
+    calls = {"certify_facet": [], "reconstruct_cube_corner": [], "_star_ok": [],
+             "mat_nullspace": []}
     for name, seen in calls.items():
         real = getattr(cct_mod, name)
 
@@ -757,14 +759,30 @@ def test_generate_does_each_layer_once(width, tmp_path, capsys, monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(cct_mod, name, counting)
+    eliminations = []
+    real_oriented = cct_mod._oriented_core
+
+    def oriented(*args):
+        before = len(calls["mat_nullspace"])
+        try:
+            return real_oriented(*args)
+        finally:
+            eliminations.append(len(calls["mat_nullspace"]) - before)
+
+    monkeypatch.setattr(cct_mod, "_oriented_core", oriented)
     out_file = tmp_path / "tube.json"
     assert main(["cct", "generate", "--n", str(width), "--out", str(out_file)]) == 0
     capsys.readouterr()
     assert calls["certify_facet"] == [(12 * b,) for b in range(width - 2)]
     assert calls["reconstruct_cube_corner"] == [
         (12 * b, 7) for b in range(width - 2)]
+    # one star per (level, direction): the first vertex of the level
     stars = calls["_star_ok"]
-    assert len(stars) == len(set(stars))
+    assert len(stars) == 2 * (width - 1)
     assert set(stars) == (
-        {(vid, +1) for vid in range(12 * (width - 1))}
-        | {(vid, -1) for vid in range(24, 12 * (width + 1))})
+        {(12 * level, +1) for level in range(width - 1)}
+        | {(12 * level, -1) for level in range(2, width + 1)})
+    # one orientation per width from 3 up, each with at most seven
+    # eliminations: one per screw orbit of boundary squares, three per level
+    assert len(eliminations) == width - 2
+    assert max(eliminations) <= 7

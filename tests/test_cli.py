@@ -292,6 +292,21 @@ class TestArrangementCommand:
             out = capsys.readouterr().out
             assert f"b_{i} = {expect}" in out
 
+    def test_zero_denominator_is_usage_error(self, tmp_path, capsys):
+        arr = {
+            "dim": 4,
+            "subspaces": [{
+                "basis": [["1", "0", "0", "0"], ["0", "1", "0", "0"]],
+                "offset": ["1/0", "0", "0", "0"],
+            }],
+        }
+        a_file = write_json(tmp_path / "arr.json", arr)
+        assert main(["arr", "betti", "--file", a_file, "--i", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"{a_file} is not an arrangement document: "
+                                "it has a zero denominator\n")
+        assert captured.out == ""
+
 
 class TestCctCommands:
     def test_kappa_matches_golden_file(self, capsys):
@@ -343,7 +358,8 @@ class TestCctCommands:
         calls = []
         real = cct_mod.check_symmetric
         monkeypatch.setattr(cct_mod, "check_symmetric",
-                            lambda geo: calls.append(geo) or real(geo))
+                            lambda geo, record=None:
+                            calls.append(geo) or real(geo, record))
         assert main(["cct", "verify", "--file", str(out_file)]) == 0
         assert len(calls) == 1
         capsys.readouterr()
@@ -487,6 +503,28 @@ class TestProjCommands:
         c_file = write_json(tmp_path / "pp.json", cfg)
         assert main(["proj", "lawrence", "--config", c_file]) == 1
         capsys.readouterr()
+
+    def test_lawrence_zero_denominator_is_usage_error(self, tmp_path, capsys):
+        cfg = {
+            "format": "polyforge/1",
+            "kind": "ppconfig",
+            "ambient_dim": 2,
+            "polytope_vertices": [
+                [FieldElem(x).to_json(), FieldElem(y).to_json()]
+                for x, y in ((0, 0), (1, 0), (0, 1), (1, 1))
+            ],
+            "free_points": [
+                [FieldElem(3).to_json(), FieldElem(3).to_json()],
+            ],
+            "metadata": None,
+        }
+        cfg["free_points"][0][0]["a"] = "1/0"
+        c_file = write_json(tmp_path / "pp.json", cfg)
+        assert main(["proj", "lawrence", "--config", c_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"{c_file} is not a point configuration "
+                                "document: it has a zero denominator\n")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("doc", [{"kind": "ppconfig", "ambient_dim": 2}, []])
     def test_lawrence_malformed_config_is_usage_error(self, tmp_path, capsys, doc):
