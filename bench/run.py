@@ -1,11 +1,11 @@
 """Tube scaling ladder: best-of-k timings of generate(n) and `cct verify`.
 
     python3 bench/run.py --tree parent=../old-checkout --tree change=. \
-        --out BENCH_8.json
+        --out BENCH_9.json
 
 For each source tree, in the order given, one fresh single-threaded
 process imports polyforge from ``<tree>/src`` and times, for every width
-n of the ladder (4, 12, 24 and 32), the best of 3 runs of
+n of the ladder (4, 12, 24, 32 and 64), the best of 3 runs of
 
   * ``generate_s``: the library call ``cct.generate(n)``;
   * ``cct_generate_s``: ``polyforge cct generate --n n --out FILE``;
@@ -30,7 +30,7 @@ import sys
 import tempfile
 import time
 
-WIDTHS = (4, 12, 24, 32)
+WIDTHS = (4, 12, 24, 32, 64)
 REPEAT = 3
 
 
