@@ -826,7 +826,7 @@ def _oriented_core(t: GeoCCT, screw: Screw) -> bool:
             continue
         if wp1.sign() < 0:
             wp0, wp1 = -wp0, -wp1
-        g = tuple(wp1 * a - wp0 * b for a, b in zip(p0, p1))
+        g = tuple(wp1 * x0 - wp0 * x1 for x0, x1 in zip(p0, p1))
         if _ray_crosses_cell(zs, g):
             crossings += 1
     return crossings % 2 == 0
