@@ -238,18 +238,13 @@ class AbstractCCT:
 
     @cached_property
     def _squares(self) -> dict:
-        squares = {}
-        for level in range(self.width - 1):
-            for cyc in _LEVEL0_SQUARES:
-                cyc = tuple(c + 12 * level for c in cyc)
-                squares[frozenset(cyc)] = (cyc, level)
-        return squares
+        return {frozenset(cyc): (cyc, level)
+                for level in range(self.width - 1)
+                for cyc in self.level_squares(level)}
 
     @cached_property
     def _cubes3(self) -> tuple:
-        return tuple(
-            tuple(c + 12 * level for c in corners)
-            for level in range(self.width - 2) for corners in _LEVEL0_CUBES)
+        return tuple(map(self.cube_corners, range(12 * (self.width - 2))))
 
     @cached_property
     def cubes(self) -> CubicalComplex:
@@ -269,6 +264,11 @@ class AbstractCCT:
         based at vertex `index`."""
         level, j = divmod(range(12 * (self.width - 2))[index], 12)
         return tuple(c + 12 * level for c in _LEVEL0_CUBES[j])
+
+    def level_squares(self, level: int) -> list:
+        """Corner cycles of the 36 squares based on `level`, three per
+        vertex of the level in vertex order."""
+        return [tuple(c + 12 * level for c in cyc) for cyc in _LEVEL0_SQUARES]
 
     def vertex_id(self, w) -> int:
         if not 0 <= w[0] + w[1] + w[2] <= self.width:
@@ -295,8 +295,7 @@ class AbstractCCT:
         """
         if self.width < 3:
             return []
-        return [tuple(c + 12 * level for c in cyc)
-                for level in (0, self.width - 2) for cyc in _LEVEL0_SQUARES]
+        return self.level_squares(0) + self.level_squares(self.width - 2)
 
 
 def abstract_cct(k: int) -> AbstractCCT:
@@ -638,37 +637,33 @@ def check_transversal(t: GeoCCT) -> bool:
     return _transversal_core(t, record)
 
 
-def _transversal_core(t: GeoCCT, record: TubeRecord | None = None) -> bool:
+def _transversal_core(t: GeoCCT, record: TubeRecord) -> bool:
     """Transversality through the tube's width, level by level: a new
     level is checked for axis avoidance and injectivity against the ray
     keys of the levels below, and completes the star conditions of the
-    middle layer under it.  With a `record`, only uncovered levels run.
+    middle layer under it.  Only the levels `record` has not covered run.
 
-    The star conditions are orbit-reduced on the levels whose screw
-    symmetry `record` has proven, so symmetry is proven through it first;
-    on a tube without a screw every vertex is checked.
+    The star conditions are orbit-reduced, so `record` must have proven,
+    through check_symmetric, a screw on every level of `t`.
     """
-    record = TubeRecord() if record is None else record
-    if record.symmetric_levels <= t.width:
-        check_symmetric(t, record)
+    if not record.screws or record.symmetric_levels <= t.width:
+        raise ValueError("symmetry violation")
     while record.transversal and record.transversal_levels <= t.width:
         level = record.transversal_levels
-        record.transversal = _transversal_level(
-            t, level, record.ray_keys, bool(record.screws))
+        record.transversal = _transversal_level(t, level, record.ray_keys)
         record.transversal_levels += 1
     return record.transversal
 
 
-def _transversal_level(t: GeoCCT, level: int, seen: set, orbit: bool) -> bool:
+def _transversal_level(t: GeoCCT, level: int, seen: set) -> bool:
     """Axis avoidance and injectivity of the 12 points of `level`, then
     the star conditions of the layer between levels level - 2 and level.
 
     The stars are checked upward from level - 2 and downward from
-    `level`.  With `orbit`, meaning a screw holds on every level, only the
-    first vertex of each is checked: the screw power that moves it onto
-    another vertex of its level moves its star onto that vertex's star,
-    and acts on the planes pi0 and pi2 as rotations, which keep every sign
-    test of _star_ok.
+    `level`, each on the first vertex of its level only: the screw power
+    that moves that vertex onto another vertex of its level moves its star
+    onto that vertex's star, and acts on the planes pi0 and pi2 as
+    rotations, which keep every sign test of _star_ok.
     """
     points = t.coords[12 * level:12 * level + 12]
     for p in points:
@@ -680,11 +675,9 @@ def _transversal_level(t: GeoCCT, level: int, seen: set, orbit: bool) -> bool:
             return False
         seen.add(key)
     if level >= 2:
-        count = 1 if orbit else 12
-        for first, direction in ((12 * (level - 2), +1), (12 * level, -1)):
-            for vid in range(first, first + count):
-                if not _star_ok(t, vid, direction):
-                    return False
+        for vid, direction in ((12 * (level - 2), +1), (12 * level, -1)):
+            if not _star_ok(t, vid, direction):
+                return False
     return True
 
 
@@ -838,7 +831,7 @@ def _oriented_core(t: GeoCCT, screw: Screw) -> bool:
 
 def certify_facet(t: GeoCCT, cube_index: int):
     """Outer normal of one 3-cell, strict on every other vertex."""
-    dim, corners = t.abstract.cubes.cubes[cube_index]
+    corners = t.abstract.cube_corners(cube_index)
     rows = [list(t.coords[c]) for c in corners]
     null = mat_nullspace(rows)
     if len(null) != 1:
@@ -883,7 +876,7 @@ def check_convex_position(t: GeoCCT, screw: Screw | None = None) -> dict:
         if not screw:
             raise ValueError("symmetry violation")
     out = {}
-    for base in range(0, len(t.abstract.cubes.cubes), 12):
+    for base in range(0, 12 * (t.width - 2), 12):
         n = certify_facet(t, base)
         for j, e in enumerate(screw.powers):
             out[base + j] = _carry(n, e)

@@ -553,17 +553,17 @@ class TestPerVertexOracles:
     def test_generated_tubes(self, width):
         geo = generate(width)
         assert outcome(check_transversal, geo) == outcome(per_vertex_transversal, geo)
-        assert outcome(_transversal_core, geo) == outcome(per_vertex_transversal, geo)
         assert outcome(check_oriented, geo) == outcome(per_square_oriented, geo)
 
     @pytest.mark.parametrize("lam", ["9", "1/2", "-1", "-3"])
     @pytest.mark.parametrize("level", range(6))
     def test_scaled_levels(self, level, lam):
         geo = scale_level(generate(5), level, lam)
-        assert check_symmetric(geo)
+        record = TubeRecord()
+        assert check_symmetric(geo, record)
         want = outcome(per_vertex_transversal, geo)
         assert outcome(check_transversal, geo) == want
-        assert outcome(_transversal_core, geo, TubeRecord()) == want
+        assert outcome(_transversal_core, geo, record) == want
         assert outcome(check_oriented, geo) == outcome(per_square_oriented, geo)
 
     # Scaling pi0 and pi2 of one level by separate factors, after the screw
@@ -605,14 +605,15 @@ class TestPerVertexOracles:
     ])
     def test_tampered_non_representative_vertex(self, vid, change):
         bad = tamper_vertex(generate(5), vid, change)
-        # without a proven screw the star conditions run on every vertex
-        assert not check_symmetric(bad)
-        want = outcome(per_vertex_transversal, bad)
-        assert outcome(_transversal_core, bad) == want
-        assert outcome(_transversal_core, bad, TubeRecord()) == want
-        # and the orbit-reduced predicates are never reached
+        # the screw ties the vertex to the first of its level, so the tube
+        # loses its symmetry and the orbit-reduced predicates refuse it
+        record = TubeRecord()
+        assert not check_symmetric(bad, record)
+        refused = (ValueError, "symmetry violation")
+        assert outcome(_transversal_core, bad, record) == refused
+        assert outcome(_transversal_core, bad, TubeRecord()) == refused
         for check in (check_transversal, check_oriented):
-            assert outcome(check, bad) == (ValueError, "symmetry violation")
+            assert outcome(check, bad) == refused
         with pytest.raises(ValueError, match="predicate failure: symmetry"):
             extend(bad)
 
@@ -704,7 +705,7 @@ class TestIncrementalRecord:
         for width in range(1, 13):
             geo = prefix(full_tube, width)
             assert check_symmetric(geo, record) == check_symmetric(geo)
-            assert _transversal_core(geo, record) is _transversal_core(geo)
+            assert _transversal_core(geo, record) is check_transversal(geo)
         assert record.symmetric_levels == 13
 
     def test_generate_record_covers_every_level(self):
