@@ -5,7 +5,7 @@
 
 For each source tree, in the order given, one fresh single-threaded
 process imports polyforge from ``<tree>/src`` and times, for every width
-n of the ladder (4, 12, 24, 32 and 64), the best of 3 runs of
+n of the ladder (4, 12, 16, 24, 32 and 64), the best of 3 runs of
 
   * ``generate_s``: the library call ``cct.generate(n)``;
   * ``cct_generate_s``: ``polyforge cct generate --n n --out FILE``;
@@ -30,7 +30,7 @@ import sys
 import tempfile
 import time
 
-WIDTHS = (4, 12, 24, 32, 64)
+WIDTHS = (4, 12, 16, 24, 32, 64)
 REPEAT = 3
 
 
