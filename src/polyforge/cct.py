@@ -797,9 +797,9 @@ def _oriented_core(t: GeoCCT, screw: Screw) -> bool:
     p1 = (y[0], y[1], ZERO, ZERO)
     if mat_rank([list(p0), list(p1)]) != 2:
         raise ValueError("chord endpoints are collinear")
-    # the chord's top vertex pulled back by each screw power: B^-e p0 and,
-    # as its pi0 part, B^-e p1
-    pulled = [mat_vec(B_POW[-e % 12], t.coords[v]) for e in range(12)]
+    # the chord's top vertex pulled back by the screw power e of each
+    # vertex of a level: B^-e p0 and, as its pi0 part, B^-e p1
+    pulled = [mat_vec(B_POW[-e % 12], t.coords[v]) for e in screw.powers]
     normals = [None] * 3
     crossings = 0
     for i, cyc in enumerate(ab.boundary_squares()):
@@ -810,7 +810,7 @@ def _oriented_core(t: GeoCCT, screw: Screw) -> bool:
             if len(wcomp) != 1:
                 raise ValueError("degenerate boundary cell span")
             normals[kind] = wcomp[0]
-        w, q = normals[kind], pulled[screw.powers[j]]
+        w, q = normals[kind], pulled[j]
         wp1 = vec_dot(w[:2], q[:2])
         wp0 = wp1 + vec_dot(w[2:4], q[2:4])
         if not (wp0 or wp1):
