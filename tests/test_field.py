@@ -143,6 +143,27 @@ class TestSerialization:
     def test_round_trip(self, x):
         assert FieldElem.from_json(x.to_json()) == x
 
+    @given(st.lists(st.one_of(
+        st.fractions().map(str),
+        st.tuples(st.integers(-10 ** 30, 10 ** 30), st.integers(0, 99)).map(
+            lambda t: f"{t[0]}/{t[1]}"),
+        st.text("0123456789-+/ ._e", max_size=8),
+        st.integers(-99, 99)), min_size=4, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_from_json_parses_like_fraction(self, texts):
+        # unreduced, zero-denominator and non-canonical coefficients give
+        # the value or the error that Fraction gives them
+        doc = dict(zip("abcd", texts))
+
+        def outcome(parse):
+            try:
+                return ("value", parse())
+            except (ValueError, ZeroDivisionError) as exc:
+                return ("raised", type(exc), str(exc))
+
+        assert (outcome(lambda: FieldElem.from_json(doc))
+                == outcome(lambda: FieldElem(*(Fraction(doc[k]) for k in "abcd"))))
+
     def test_json_shape(self):
         x = FieldElem(Fraction(-3, 4), 2)
         d = x.to_json()

@@ -8,6 +8,7 @@ that builds and relabels one link complex per step.
 
 import itertools
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyforge import hirschpath
-from polyforge.complexcore import SimplicialComplex, bfs, boundary_sphere
+from polyforge.complexcore import SimplicialComplex, _skeleton, bfs, boundary_sphere
 from polyforge.hirschpath import (
     FacetPath,
     combinatorial_segment,
@@ -117,6 +118,25 @@ class TestSegment:
         c = boundary_sphere(3)
         with pytest.raises(ValueError):
             combinatorial_segment(c, (0, 1), (1, 2, 3))
+
+    @pytest.mark.parametrize("bad", [(0, 1), (0, 0, 1)])
+    def test_rejects_ridge_and_repeated_vertex(self, bad):
+        c = boundary_sphere(3)
+        with pytest.raises(ValueError,
+                           match=rf"^{re.escape(str(bad))} is not a facet of the complex$"):
+            combinatorial_segment(c, bad, (1, 2, 3))
+        with pytest.raises(ValueError,
+                           match=rf"^{re.escape(str(bad))} is not a facet of the complex$"):
+            segment_to_vertex_set(c, bad, {3})
+
+    @pytest.mark.parametrize("bad", [(0, 1), (0, 0, 1), (2, 1, 0), [0, 1, 2]])
+    def test_validate_path_rejects_non_facets(self, bad):
+        # a ridge, a repeated vertex, an unsorted facet and a list
+        c = boundary_sphere(3)
+        path = FacetPath(((0, 1, 2), bad), (0,), (0, 1))
+        with pytest.raises(ValueError,
+                           match=rf"^{re.escape(str(bad))} is not a facet$"):
+            validate_path(c, path)
 
     def test_zero_dimensional(self):
         c = SimplicialComplex(3, [(0,), (1,), (2,)])
@@ -478,3 +498,86 @@ class TestRecursionOracle:
         got = outcome(lambda: combinatorial_segment(c, X, Y))
         want = outcome(lambda: ref_combinatorial_segment(c, X, Y))
         assert got[:2] == want[:2]
+
+
+# ---------------------------------------------------------------------------
+# the link views against their definitions: each view's 1-skeleton, the
+# BFS run on it, and segments whose views are shared between calls
+
+
+def _bits(mask: int) -> list:
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def _mask(vertices) -> int:
+    return sum(1 << v for v in vertices)
+
+
+def _neighbour_sets(g) -> dict:
+    """A view skeleton as vertex -> set of neighbours; a view holds
+    either neighbour sets or neighbour bitmasks."""
+    return {v: set(_bits(n)) if isinstance(n, int) else set(n)
+            for v, n in g.items()}
+
+
+def _view_distances(views, sigma, sources) -> dict:
+    """The views' BFS from a vertex set as vertex -> hops, read from a
+    dict or from a list of layer bitmasks."""
+    g = views.skeleton(sigma)
+    if not all(isinstance(n, int) for n in g.values()):
+        return views.distances(sigma, sources)
+    layers = views.distances(sigma, _mask(sources))
+    return {v: k for k, layer in enumerate(layers) for v in _bits(layer)}
+
+
+def _random_face(c, rng) -> tuple:
+    f = rng.choice(c.facets)
+    return tuple(v for v in f if rng.randrange(2))
+
+
+link_complexes = st.one_of(random_pure(), flag_spheres(), criterion_6_complex())
+
+
+class TestLinkViewOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(link_complexes, st.data())
+    def test_view_skeleton_is_skeleton_of_residues(self, c, data):
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+        views = hirschpath._Views(c)
+        for sigma in [()] + [_random_face(c, rng) for _ in range(6)]:
+            want = _skeleton([v for v in c.facets[i] if v not in sigma]
+                             for i in c._facets_containing(sigma))
+            assert _neighbour_sets(views.skeleton(sigma)) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(link_complexes, st.data())
+    def test_view_bfs_matches_bfs(self, c, data):
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+        views = hirschpath._Views(c)
+        for _ in range(6):
+            sigma = _random_face(c, rng)
+            g = _neighbour_sets(views.skeleton(sigma))
+            if not g:
+                continue
+            sources = rng.sample(sorted(g), rng.randrange(1, min(4, len(g)) + 1))
+            assert _view_distances(views, sigma, sources) == bfs(g, sources)
+
+    @settings(max_examples=20, deadline=None)
+    @given(path_complexes, path_complexes, st.data())
+    def test_shared_views_do_not_depend_on_call_order(self, c1, c2, data):
+        # segments on two complexes, interleaved in a shuffled order, and
+        # the same segments on a copy of the first complex built afresh
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+        calls = [(c, rng.choice(c.facets), rng.choice(c.facets))
+                 for c in (c1, c2) for _ in range(5)]
+        rng.shuffle(calls)
+        want = [ref_combinatorial_segment(c, X, Y) for c, X, Y in calls]
+        assert [combinatorial_segment(c, X, Y) for c, X, Y in calls] == want
+        copy = SimplicialComplex(c1.num_vertices, c1.facets)
+        for (c, X, Y), path in reversed(list(zip(calls, want))):
+            if c is c1:
+                assert combinatorial_segment(copy, X, Y) == path
+        for c, X, Y in calls:
+            targets = {rng.randrange(c.num_vertices) for _ in range(3)}
+            assert (outcome(lambda: segment_to_vertex_set(c, X, targets))
+                    == outcome(lambda: ref_segment_to_vertex_set(c, X, targets)))
