@@ -57,6 +57,47 @@ def _skeleton(faces) -> dict:
     return out
 
 
+class _LinkIndex:
+    """Facet membership and link 1-skeletons of one complex, on vertex
+    bitmasks.
+
+    masks[i] has bit v set for each vertex v of facets[i]; facet_set
+    answers facet membership with one hash lookup.  skeletons maps a face
+    σ (a sorted tuple) to the 1-skeleton of lk(σ) as vertex -> bitmask of
+    its neighbours, one key per vertex of the link, built on first
+    request and kept for the life of the complex.  Vertex ids are those
+    of the complex, so ascending bit order is ascending vertex order.
+    """
+
+    __slots__ = ("facets", "incidence", "masks", "facet_set", "skeletons")
+
+    def __init__(self, facets: tuple, incidence: dict):
+        self.facets = facets
+        self.incidence = incidence
+        self.masks = [sum(1 << v for v in f) for f in facets]
+        self.facet_set = frozenset(facets)
+        self.skeletons: dict[tuple, dict] = {}
+
+    def skeleton(self, sigma: tuple) -> dict:
+        g = self.skeletons.get(sigma)
+        if g is None:
+            if sigma:
+                incidence = self.incidence
+                ids = set.intersection(*(incidence.get(v, set()) for v in sigma))
+            else:
+                ids = range(len(self.facets))
+            keep = ~sum(1 << v for v in sigma)
+            facets, masks = self.facets, self.masks
+            g = {}
+            for i in ids:
+                r = masks[i] & keep
+                for v in facets[i]:
+                    if r >> v & 1:
+                        g[v] = g.get(v, 0) | r
+            g = self.skeletons[sigma] = {v: m ^ (1 << v) for v, m in g.items()}
+        return g
+
+
 class SimplicialComplex:
     """A finite abstract simplicial complex given by its facets."""
 
@@ -83,6 +124,7 @@ class SimplicialComplex:
         self._pure = len(sizes) <= 1
         self._faces = None
         self._index = None
+        self._links = None
 
     def is_pure(self) -> bool:
         return self._pure
@@ -118,6 +160,13 @@ class SimplicialComplex:
         if self._index is None:
             self._index = (_incidence(self.facets), _skeleton(self.facets))
         return self._index
+
+    def _link_index(self) -> _LinkIndex:
+        """The facet masks and link skeletons of the complex, built on
+        first use and kept like the incidence index."""
+        if self._links is None:
+            self._links = _LinkIndex(self.facets, self._indexed()[0])
+        return self._links
 
     def contains_face(self, face) -> bool:
         return bool(self._facets_containing(face))

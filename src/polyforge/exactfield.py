@@ -19,6 +19,7 @@ the field.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Sequence
 
@@ -52,6 +53,27 @@ def _rat_text(n: int, q: int) -> str:
     """``str(Fraction(n, q))`` for q > 0, without building the Fraction."""
     g = _gcd(n, q)
     return str(n // g) if g == q else f"{n // g}/{q // g}"
+
+
+_CANONICAL_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
+
+
+def _parse_rational(x) -> tuple:
+    """(numerator, positive denominator) of a JSON coefficient, not
+    necessarily in lowest terms.  The form ``str(Fraction)`` writes is
+    read with int(); anything else goes through Fraction(), so the inputs
+    accepted and the errors raised are Fraction's."""
+    m = _CANONICAL_RATIONAL(x) if type(x) is str else None
+    if m is None:
+        f = Fraction(x)
+        return f.numerator, f.denominator
+    n, q = m.groups()
+    if q is None:
+        return int(n), 1
+    q = int(q)
+    if not q:
+        raise ZeroDivisionError(f"Fraction({int(n)}, 0)")
+    return int(n), q
 
 
 def _wrap(n: tuple) -> "FieldElem":
@@ -298,8 +320,10 @@ class FieldElem:
 
     @classmethod
     def from_json(cls, data: dict) -> "FieldElem":
-        return cls(Fraction(data["a"]), Fraction(data["b"]),
-                   Fraction(data["c"]), Fraction(data["d"]))
+        (a, p), (b, r), (c, s), (d, t) = (
+            _parse_rational(data[k]) for k in "abcd")
+        q = math.lcm(p, r, s, t)
+        return _elem(a * (q // p), b * (q // r), c * (q // s), d * (q // t), q)
 
 
 def _coerce(x):

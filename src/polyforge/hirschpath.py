@@ -9,8 +9,11 @@ within the classical diameter bound.
 
 No link is ever built as a complex of its own.  Links of links are links
 of faces, lk(v, lk(σ, K)) = lk(σ ∪ v, K), so the recursion carries the
-face σ and reads the link off the incidence index of the top complex K;
-path facets are facets of K with its vertex ids throughout.
+face σ and reads the link off the top complex K; path facets are facets
+of K with its vertex ids throughout.  K keeps a link index: each link's
+1-skeleton as vertex bitmasks, built on first use, so every path on K
+shares it.  The searches run on bitmask layers and are kept for one
+call only.
 
 All choices (start pearl, next pearl, base-case facet) break ties by
 smallest vertex id, so paths are deterministic.
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexcore import SimplicialComplex, _skeleton, bfs
+from .complexcore import SimplicialComplex, bfs
 
 
 @dataclass(frozen=True)
@@ -64,85 +67,108 @@ def vertex_distance(c: SimplicialComplex, x: int, targets):
     return d, {y for y in reached if dist[y] == d}
 
 
+def _step(g: dict, frontier: int) -> int:
+    """The vertices adjacent to some vertex of `frontier`, as a bitmask."""
+    out = 0
+    while frontier:
+        low = frontier & -frontier
+        out |= g[low.bit_length() - 1]
+        frontier ^= low
+    return out
+
+
+def _layers(g: dict, sources: int) -> list:
+    """Breadth-first search on a bitmask graph: entry k is the bitmask of
+    the vertices at distance k from the source set."""
+    layers = []
+    seen = frontier = sources
+    while frontier:
+        layers.append(frontier)
+        frontier = _step(g, frontier) & ~seen
+        seen |= frontier
+    return layers
+
+
+def _depth(layers: list, v: int):
+    """The layer holding vertex v, or None when the search missed it."""
+    bit = 1 << v
+    for k, layer in enumerate(layers):
+        if layer & bit:
+            return k
+    return None
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
 class _Views:
-    """Link views lk(σ, K) of one pure complex K, kept for one call.
+    """Link views lk(σ, K) of one pure complex K, for one call.
 
     σ is a sorted tuple of vertices.  The facets of lk(σ, K) are the
-    facets f of K containing σ, less σ, found by intersecting the
-    incidence sets of K; links of links are links of faces, so the
-    recursion only ever adds a vertex to σ and vertex ids stay those of
-    K.  The object holds each view's 1-skeleton and one BFS per
-    (σ, source set), and is dropped when the call that made it returns;
-    nothing is cached on K.
+    facets f of K containing σ, less σ; links of links are links of
+    faces, so the recursion only ever adds a vertex to σ and vertex ids
+    stay those of K.  Vertex sets are bitmasks.  Each view's 1-skeleton
+    comes from K's link index (`SimplicialComplex._link_index`), which K
+    keeps, so the segments of one complex share them; the BFS layers,
+    one search per (σ, source set), are held by this object and dropped
+    when the call that made it returns.
     """
 
     def __init__(self, c: SimplicialComplex):
-        self.c = c
-        self._skeletons = {(): c.one_skeleton()}
+        self.skeleton = c._link_index().skeleton
         self._distances = {}
 
-    def skeleton(self, sigma: tuple) -> dict:
-        g = self._skeletons.get(sigma)
-        if g is None:
-            c = self.c
-            g = self._skeletons[sigma] = _skeleton(
-                [v for v in c.facets[i] if v not in sigma]
-                for i in c._facets_containing(sigma))
-        return g
-
-    def distances(self, sigma: tuple, sources) -> dict:
-        """BFS distances in the 1-skeleton of lk(σ) from a set of its
+    def distances(self, sigma: tuple, sources: int) -> list:
+        """BFS layers in the 1-skeleton of lk(σ) from a set of its
         vertices."""
-        key = (sigma, frozenset(sources))
-        dist = self._distances.get(key)
-        if dist is None:
-            dist = self._distances[key] = bfs(self.skeleton(sigma), key[1])
-        return dist
+        key = (sigma, sources)
+        layers = self._distances.get(key)
+        if layers is None:
+            layers = self._distances[key] = _layers(self.skeleton(sigma), sources)
+        return layers
 
-    def nearest(self, sigma: tuple, x: int, targets, d: int) -> set:
+    def nearest(self, sigma: tuple, x: int, targets: int, d: int) -> int:
         """The targets nearest to x in lk(σ), as vertex_distance finds
         them, given their distance d from x: the targets in layer d of
         a search from x that stops there (a lone target is nearest)."""
-        if len(targets) == 1:
-            return set(targets)
+        if not targets & (targets - 1):
+            return targets
         g = self.skeleton(sigma)
-        seen = {x}
-        layer = [x]
+        seen = layer = 1 << x
         for _ in range(d):
-            nxt = []
-            for u in layer:
-                for v in g[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            layer = nxt
-        return targets & set(layer)
+            layer = _step(g, layer) & ~seen
+            seen |= layer
+        return targets & layer
 
 
 def _with(sigma: tuple, x: int) -> tuple:
     return tuple(sorted(sigma + (x,)))
 
 
-def _part1(views: _Views, sigma: tuple, X: tuple, targets: frozenset):
-    """Facet path in the star of σ from facet X toward the vertex set
-    `targets`; the target set is met only by the last facet.  Returns
-    (facets, pearls, chis) where chis[i] indexes the facet current when
-    pearl i starts; facets are facets of K and contain σ.  Below the top
-    (σ nonempty) every target is a vertex of lk(σ): a neighbour of the
-    pearl whose link is entered, or a vertex of the facet Y of a segment.
+def _part1(views: _Views, sigma: tuple, X: tuple, targets: int):
+    """Facet path in the star of σ from facet X toward `targets`, a
+    bitmask of vertices of lk(σ); the target set is met only by the last
+    facet.  Returns (facets, pearls, chis) where chis[i] indexes the facet
+    current when pearl i starts; facets are facets of K and contain σ.
+    Below the top (σ nonempty) every target is a neighbour of the pearl
+    whose link is entered, or a vertex of the facet Y of a segment; at
+    the top, the callers drop the targets that are not vertices of K.
     """
     residue = [v for v in X if v not in sigma]
     if len(residue) == 1:
-        if set(residue) & targets:
-            return [X], [min(set(residue) & targets)], [0]
-        live = sorted(targets if sigma else views.skeleton(()).keys() & targets)
-        if not live:
+        x = residue[0]
+        if targets >> x & 1:
+            return [X], [x], [0]
+        if not targets:
             raise ValueError("target set missing from complex")
-        return [X, _with(sigma, live[0])], [residue[0], live[0]], [0, 1]
+        y = _lowest(targets)
+        return [X, _with(sigma, y)], [x, y], [0, 1]
 
     g = views.skeleton(sigma)
-    dist = views.distances(sigma, g.keys() & targets)
-    missing = [v for v in residue if v not in dist]
+    layers = views.distances(sigma, targets)
+    dist = {v: _depth(layers, v) for v in residue}
+    missing = [v for v in residue if dist[v] is None]
     if missing:
         raise ValueError(f"vertices {missing} cannot reach the target set")
     x = min(residue, key=lambda v: (dist[v], v))
@@ -152,17 +178,16 @@ def _part1(views: _Views, sigma: tuple, X: tuple, targets: frozenset):
     pearls = [x]
     chis = [0]
     Xi = X
-    while not (set(Xi) & targets):
-        dist_i = views.distances(sigma, current_targets)
-        dxi = dist_i[x]
-        tilde = sorted(y for y in g[x]
-                       if dist_i.get(y, -2) + 1 == dxi)
+    while not any(targets >> v & 1 for v in Xi):
+        layers_i = views.distances(sigma, current_targets)
+        dxi = _depth(layers_i, x)
+        tilde = g[x] & layers_i[dxi - 1]
         if not tilde:
             raise ValueError("no descent neighbour; complex not connected enough")
-        sub_facets, _, _ = _part1(views, _with(sigma, x), Xi, frozenset(tilde))
+        sub_facets, _, _ = _part1(views, _with(sigma, x), Xi, tilde)
         facets.extend(sub_facets[1:])
         Xi = sub_facets[-1]
-        x = min(set(Xi) & set(tilde))
+        x = min(v for v in Xi if tilde >> v & 1)
         current_targets = views.nearest(sigma, x, current_targets, dxi - 1)
         pearls.append(x)
         chis.append(len(facets) - 1)
@@ -177,8 +202,8 @@ def _segment(views: _Views, sigma: tuple, X: tuple, Y: tuple):
         if X == Y:
             return [X], [x], [0]
         return [X, Y], [x, y], [0, 1]
-    facets, pearls, chis = _part1(views, sigma, X,
-                                  frozenset(Y).difference(sigma))
+    facets, pearls, chis = _part1(
+        views, sigma, X, sum(1 << v for v in Y if v not in sigma))
     xl = pearls[-1]
     last = facets[-1]
     if xl not in last or xl not in Y:
@@ -188,10 +213,8 @@ def _segment(views: _Views, sigma: tuple, X: tuple, Y: tuple):
 
 
 def _is_facet(c: SimplicialComplex, t) -> bool:
-    """Whether t is in c.facets, answered from the incidence index."""
-    if len(set(t)) != len(t):
-        return False
-    return any(c.facets[i] == t for i in c._facets_containing(t))
+    """Whether t is in c.facets, by one lookup in the link index."""
+    return isinstance(t, tuple) and t in c._link_index().facet_set
 
 
 def _require_facet(c: SimplicialComplex, f) -> tuple:
@@ -209,7 +232,9 @@ def segment_to_vertex_set(c: SimplicialComplex, X, targets) -> FacetPath:
     targets = frozenset(targets)
     if not targets:
         raise ValueError("empty target set")
-    facets, pearls, chis = _part1(_Views(c), (), X, targets)
+    views = _Views(c)
+    live = sum(1 << v for v in views.skeleton(()).keys() & targets)
+    facets, pearls, chis = _part1(views, (), X, live)
     return FacetPath(tuple(facets), tuple(pearls),
                      tuple(chis + [len(facets) - 1]))
 

@@ -6,9 +6,11 @@ for path and error for error, with a test-local copy of the recursion
 that builds and relabels one link complex per step.
 """
 
+import gc
 import itertools
 import random
 import re
+import weakref
 
 import networkx as nx
 import pytest
@@ -146,10 +148,11 @@ class TestSegment:
         assert p.pearls == (0, 2) and p.breakpoints == (0, 1, 1)
         validate_path(c, p)
 
-    def test_segment_builds_no_complex_and_caches_nothing(self, monkeypatch):
+    def test_segment_builds_no_complex_and_keeps_only_the_link_index(
+            self, monkeypatch):
         c = random_flag_sphere(random.Random(5), 4, 2)
         c.one_skeleton()  # the index of the top complex is built once
-        before = set(vars(c))
+        before = dict(vars(c))
         module_before = set(vars(hirschpath))
         built = []
         init = SimplicialComplex.__init__
@@ -164,8 +167,17 @@ class TestSegment:
             validate_path(c, p)
             segment_to_vertex_set(c, X, Y)
         assert built == []
-        assert set(vars(c)) == before
         assert set(vars(hirschpath)) == module_before
+        # the link index is the only state the paths leave on the complex,
+        # it is keyed by faces of the complex, and it dies with it
+        assert set(vars(c)) == set(before)
+        assert [k for k, v in vars(c).items() if v is not before[k]] == ["_links"]
+        assert c._links.skeletons
+        assert all(c.contains_face(sigma) for sigma in c._links.skeletons)
+        alive = weakref.ref(c)
+        del c
+        gc.collect()
+        assert alive() is None
 
 
 class TestNonRevisiting:
@@ -514,18 +526,14 @@ def _mask(vertices) -> int:
 
 
 def _neighbour_sets(g) -> dict:
-    """A view skeleton as vertex -> set of neighbours; a view holds
-    either neighbour sets or neighbour bitmasks."""
-    return {v: set(_bits(n)) if isinstance(n, int) else set(n)
-            for v, n in g.items()}
+    """A view skeleton, vertex -> bitmask of neighbours, as vertex -> set
+    of neighbours."""
+    return {v: set(_bits(n)) for v, n in g.items()}
 
 
 def _view_distances(views, sigma, sources) -> dict:
-    """The views' BFS from a vertex set as vertex -> hops, read from a
-    dict or from a list of layer bitmasks."""
-    g = views.skeleton(sigma)
-    if not all(isinstance(n, int) for n in g.values()):
-        return views.distances(sigma, sources)
+    """The views' BFS from a vertex set, a list of layer bitmasks, as
+    vertex -> hops."""
     layers = views.distances(sigma, _mask(sources))
     return {v: k for k, layer in enumerate(layers) for v in _bits(layer)}
 
