@@ -1,15 +1,30 @@
-"""Tube scaling ladder: best-of-k timings of generate(n) and `cct verify`.
+"""Scaling ladder: best-of-k timings of the tube pipeline and of facet paths.
 
     python3 bench/run.py --tree parent=../old-checkout --tree change=. \
-        --out BENCH_9.json
+        --out BENCH_10.json
 
 For each source tree, in the order given, one fresh single-threaded
-process imports polyforge from ``<tree>/src`` and times, for every width
-n of the ladder (4, 12, 16, 24, 32 and 64), the best of 3 runs of
+process imports polyforge from ``<tree>/src`` and times two rungs.  Each
+figure is the best of 3 runs after one untimed warm-up run.
+
+The ``tube`` rung, for every width n of the ladder (4, 12, 16, 24, 32
+and 64):
 
   * ``generate_s``: the library call ``cct.generate(n)``;
   * ``cct_generate_s``: ``polyforge cct generate --n n --out FILE``;
   * ``verify_s``: ``polyforge cct verify --file FILE`` on that bundle.
+
+The ``paths`` rung, ``combinatorial_segment`` plus ``validate_path`` for
+every facet pair of:
+
+  * ``criterion6_s``: the 32 flag spheres of the release gate's path
+    suite (criterion 6) with its sampled pairs, 9,607 segments;
+  * ``sphere90_s``: 90 seeded pairs on one derived 3-sphere made like the
+    largest of the benchmark's (three stellar rounds of the boundary of
+    the 4-simplex, then a derived subdivision).
+
+Every paths run gets fresh copies of the complexes, so whatever a complex
+keeps from its first path is paid in every run.
 
 The JSON written holds the machine (platform, processor, CPU count,
 Python), each tree's git SHA, and the timings.  Trees are measured one
@@ -21,10 +36,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import io
+import itertools
 import json
 import os
 import platform
+import random
 import subprocess
 import sys
 import tempfile
@@ -32,19 +50,24 @@ import time
 
 WIDTHS = (4, 12, 16, 24, 32, 64)
 REPEAT = 3
+SPHERE_PAIRS = 90
 
 
-def _best(fn) -> float:
+def _best(fn, prepare=lambda: None) -> float:
+    """Best of REPEAT timed calls fn(prepare()), after one untimed call;
+    prepare runs untimed before every call."""
+    fn(prepare())
     best = float("inf")
     for _ in range(REPEAT):
+        arg = prepare()
+        gc.collect()
         start = time.perf_counter()
-        fn()
+        fn(arg)
         best = min(best, time.perf_counter() - start)
     return best
 
 
-def measure() -> dict:
-    """Time the ladder in this process; polyforge comes from sys.path."""
+def measure_tube() -> dict:
     from polyforge import cct, cli
 
     def run_cli(argv):
@@ -59,13 +82,77 @@ def measure() -> dict:
         for n in WIDTHS:
             gen_argv = ["cct", "generate", "--n", str(n), "--out", bundle]
             results[str(n)] = {
-                "generate_s": _best(lambda: cct.generate(n)),
-                "cct_generate_s": _best(lambda: run_cli(gen_argv)),
-                "verify_s": _best(lambda: run_cli(
+                "generate_s": _best(lambda _: cct.generate(n)),
+                "cct_generate_s": _best(lambda _: run_cli(gen_argv)),
+                "verify_s": _best(lambda _: run_cli(
                     ["cct", "verify", "--file", bundle])),
                 "bundle_bytes": os.path.getsize(bundle),
             }
     return results
+
+
+def _stellar_rounds(c, rounds: int, rng):
+    for _ in range(rounds):
+        c = c.stellar_subdivision(c.facets[rng.randrange(len(c.facets))])
+    return c
+
+
+def _criterion6_suite(cc) -> list:
+    """(complex, facet index pairs) of the path suite, drawn as the
+    release gate draws them."""
+    rng = random.Random(416)
+    suite = [cc.boundary_sphere(3).derived_subdivision(),
+             cc.boundary_sphere(4).derived_subdivision()]
+    while len(suite) < 32:
+        base = 3 if (len(suite) - 2) % 3 else 2
+        suite.append(_stellar_rounds(cc.boundary_sphere(base),
+                                     rng.randrange(1, 5), rng)
+                     .derived_subdivision())
+    out = []
+    for which, c in enumerate(suite):
+        pairs = list(itertools.combinations(range(len(c.facets)), 2))
+        if which >= 2 and len(pairs) > 80:
+            pairs = rng.sample(pairs, 80)
+        out.append((c, pairs))
+    return out
+
+
+def _sphere90(cc) -> list:
+    rng = random.Random("paths-rung")
+    c = _stellar_rounds(cc.boundary_sphere(4), 3, rng).derived_subdivision()
+    return [(c, [tuple(rng.sample(range(len(c.facets)), 2))
+                 for _ in range(SPHERE_PAIRS)])]
+
+
+def _time_segments(cc, hp, items) -> float:
+    def fresh():
+        return [(cc.SimplicialComplex(c.num_vertices, c.facets), pairs)
+                for c, pairs in items]
+
+    def run(copies):
+        for c, pairs in copies:
+            for a, b in pairs:
+                hp.validate_path(c, hp.combinatorial_segment(
+                    c, c.facets[a], c.facets[b]))
+
+    return _best(run, fresh)
+
+
+def measure_paths() -> dict:
+    from polyforge import complexcore as cc, hirschpath as hp
+
+    suite, sphere = _criterion6_suite(cc), _sphere90(cc)
+    return {
+        "criterion6_s": _time_segments(cc, hp, suite),
+        "criterion6_segments": sum(len(p) for _, p in suite),
+        "sphere90_s": _time_segments(cc, hp, sphere),
+        "sphere90_facets": len(sphere[0][0].facets),
+    }
+
+
+def measure() -> dict:
+    """Time the rungs in this process; polyforge comes from sys.path."""
+    return {"tube": measure_tube(), "paths": measure_paths()}
 
 
 def _git(tree: str, *args) -> str | None:
@@ -130,8 +217,8 @@ def main() -> int:
             parser.error(f"--tree takes LABEL=DIR, got {spec!r}")
         runs.append(run_tree(label, tree))
     doc = {
-        "bench": "tube-ladder",
-        "metric": f"best of {REPEAT} wall-clock seconds",
+        "bench": "ladder",
+        "metric": f"best of {REPEAT} wall-clock seconds after one warm-up run",
         "machine": {
             "platform": platform.platform(),
             "processor": _processor(),

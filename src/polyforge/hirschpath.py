@@ -98,10 +98,6 @@ def _depth(layers: list, v: int):
     return None
 
 
-def _lowest(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
 class _Views:
     """Link views lk(σ, K) of one pure complex K, for one call.
 
@@ -162,7 +158,7 @@ def _part1(views: _Views, sigma: tuple, X: tuple, targets: int):
             return [X], [x], [0]
         if not targets:
             raise ValueError("target set missing from complex")
-        y = _lowest(targets)
+        y = (targets & -targets).bit_length() - 1  # the smallest target
         return [X, _with(sigma, y)], [x, y], [0, 1]
 
     g = views.skeleton(sigma)
