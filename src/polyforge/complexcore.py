@@ -124,6 +124,7 @@ class SimplicialComplex:
         self._pure = len(sizes) <= 1
         self._faces = None
         self._index = None
+        self._graph = None
         self._links = None
 
     def is_pure(self) -> bool:
@@ -151,28 +152,28 @@ class SimplicialComplex:
         t = _canon_face(face)
         if not t:
             return set(range(len(self.facets)))
-        incidence = self._indexed()[0]
+        incidence = self._indexed()
         return set.intersection(*(incidence.get(v, set()) for v in t))
 
-    def _indexed(self) -> tuple:
-        """(vertex -> positions of the facets containing it, 1-skeleton),
-        built on first use."""
+    def _indexed(self) -> dict:
+        """Vertex -> positions of the facets containing it, built on first
+        use."""
         if self._index is None:
-            self._index = (_incidence(self.facets), _skeleton(self.facets))
+            self._index = _incidence(self.facets)
         return self._index
 
     def _link_index(self) -> _LinkIndex:
         """The facet masks and link skeletons of the complex, built on
         first use and kept like the incidence index."""
         if self._links is None:
-            self._links = _LinkIndex(self.facets, self._indexed()[0])
+            self._links = _LinkIndex(self.facets, self._indexed())
         return self._links
 
     def contains_face(self, face) -> bool:
         return bool(self._facets_containing(face))
 
     def vertices(self) -> list:
-        return sorted(self._indexed()[1])
+        return sorted(self._indexed())
 
     def link(self, face):
         """Link of a face, re-indexed to 0..m-1.
@@ -232,7 +233,9 @@ class SimplicialComplex:
     def one_skeleton(self) -> dict:
         """Vertex -> set of neighbours, one key per vertex.  The map is
         cached on the complex, so callers must not mutate it."""
-        return self._indexed()[1]
+        if self._graph is None:
+            self._graph = _skeleton(self.facets)
+        return self._graph
 
     def is_flag(self) -> bool:
         """True when every clique of the 1-skeleton spans a face, that is,

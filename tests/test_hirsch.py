@@ -151,7 +151,7 @@ class TestSegment:
     def test_segment_builds_no_complex_and_keeps_only_the_link_index(
             self, monkeypatch):
         c = random_flag_sphere(random.Random(5), 4, 2)
-        c.one_skeleton()  # the index of the top complex is built once
+        c.vertices()  # the incidence index of the top complex is built once
         before = dict(vars(c))
         module_before = set(vars(hirschpath))
         built = []
