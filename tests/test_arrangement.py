@@ -4,12 +4,15 @@ Oracles: homotopy types known by hand (circles, tori, wedges of circles)
 and Euler-characteristic bookkeeping.
 """
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from polyforge.arrangement import (
     AffineSubspace,
+    _slice_into,
     arrangement_from_json,
     arrangement_to_json,
     betti_reduced_homology,
@@ -18,6 +21,7 @@ from polyforge.arrangement import (
     lefschetz_inequality_check,
 )
 from polyforge.complexcore import SimplicialComplex, boundary_sphere
+from polyforge.exactfield import ONE, ZERO, mat_nullspace, mat_rank, mat_solve, vec_dot
 
 
 def line2(a, b, c):
@@ -228,3 +232,296 @@ class TestLefschetz:
         # truncation removes exactly the maximal 0-dimensional node.
         assert report["poset_nodes_ambient"] == 3
         assert report["poset_nodes_sliced"] == 2
+
+
+# ---------------------------------------------------------------------------
+# Reference poset path: a copy of the all-pairs closure, the span-per-call
+# order, the chain recursion of the lower complexes and the dense boundary
+# ranks, which the library's order table and shared posets must reproduce.
+
+
+def ref_span(s):
+    n = s.ambient_dim
+    if not s._canon:
+        return [ZERO] * n, [tuple(ONE if i == j else ZERO for j in range(n))
+                            for i in range(n)]
+    a_rows = [list(row[:n]) for row in s._canon]
+    b = [row[n] for row in s._canon]
+    return list(mat_solve(a_rows, b)), mat_nullspace(a_rows)
+
+
+def ref_contains(a, b):
+    n = a.ambient_dim
+    offset, basis = ref_span(b)
+    for row in a._canon:
+        if vec_dot(row[:n], offset) != row[n]:
+            return False
+        if any(vec_dot(row[:n], v) for v in basis):
+            return False
+    return True
+
+
+def ref_nodes(arr):
+    nodes = set(arr)
+    while True:
+        current = list(nodes)
+        fresh = set()
+        for i in range(len(current)):
+            for j in range(i + 1, len(current)):
+                meet = current[i].intersect(current[j])
+                if meet is not None and meet not in nodes:
+                    fresh.add(meet)
+        if not fresh:
+            break
+        nodes |= fresh
+    return tuple(sorted(nodes, key=lambda s: (s.dim, s._canon)))
+
+
+def ref_less(nodes, i, j):
+    return nodes[i] != nodes[j] and ref_contains(nodes[i], nodes[j])
+
+
+def ref_lower_complex(nodes, i):
+    below = [j for j in range(len(nodes)) if ref_less(nodes, j, i)]
+    reindex = {j: k for k, j in enumerate(below)}
+    chains = []
+
+    def extend(chain):
+        nxt = [j for j in below if ref_less(nodes, chain[-1], j)]
+        if not nxt:
+            chains.append(tuple(reindex[j] for j in chain))
+            return
+        for j in nxt:
+            extend(chain + [j])
+
+    for j in below:
+        if not any(ref_less(nodes, o, j) for o in below):
+            extend([j])
+    return SimplicialComplex(len(below), chains)
+
+
+def ref_reduced_betti(c, k):
+    if k < -1:
+        return 0
+    faces = c.faces()
+
+    def basis(d):
+        return [()] if d == -1 else sorted(faces.get(d, ()))
+
+    def rank_boundary(d):
+        if d <= -1:
+            return 0
+        dom, cod = basis(d), basis(d - 1)
+        if not dom or not cod:
+            return 0
+        index = {f: i for i, f in enumerate(cod)}
+        rows = []
+        for f in dom:
+            row = [ZERO] * len(cod)
+            for i in range(len(f)):
+                row[index[f[:i] + f[i + 1:]]] = -ONE if i % 2 else ONE
+            rows.append(row)
+        return mat_rank(rows)
+
+    return len(basis(k)) - rank_boundary(k) - rank_boundary(k + 1)
+
+
+def ref_gm_betti(arr, i):
+    nodes = ref_nodes(arr)
+    d = arr[0].ambient_dim
+    total = 1 if i == 0 else 0
+    for idx, s in enumerate(nodes):
+        total += ref_reduced_betti(ref_lower_complex(nodes, idx), d - 2 - i - s.dim)
+    return total
+
+
+def ref_lefschetz(arr, hyperplane):
+    """Today's report, with every Betti number from the reference path."""
+    nodes = ref_nodes(arr)
+    d = arr[0].ambient_dim
+    if hyperplane.ambient_dim != d:
+        raise ValueError("hyperplane has the wrong ambient dimension")
+    if hyperplane.dim != d - 1:
+        raise ValueError("slicing flat must be a hyperplane")
+    sliced_of = {}
+    for idx, p in enumerate(nodes):
+        q = p.intersect(hyperplane)
+        if p.dim == 0:
+            if q is not None:
+                raise ValueError("not in general position: hyperplane hits a point flat")
+        else:
+            if q is None or q.dim != p.dim - 1:
+                raise ValueError("not in general position: non-transversal flat")
+            sliced_of[idx] = q
+    if len(set(sliced_of.values())) != len(sliced_of):
+        raise ValueError("not in general position: two flats slice to one")
+    sliced_arr = [cut for cut in (_slice_into(hyperplane, s) for s in arr)
+                  if cut is not None]
+    ambient = [ref_gm_betti(arr, i) for i in range(d)]
+    if sliced_arr:
+        sliced_nodes = len(ref_nodes(sliced_arr))
+        if sliced_nodes != len(sliced_of):
+            raise ValueError("not in general position: sliced poset is not a truncation")
+        sliced = [ref_gm_betti(sliced_arr, i) for i in range(d - 1)] + [0]
+    else:
+        sliced = [1] + [0] * (d - 1)
+        sliced_nodes = 0
+    return {
+        "generic": True,
+        "ambient": ambient,
+        "sliced": sliced,
+        "satisfied": [a >= b for a, b in zip(ambient, sliced)],
+        "poset_nodes_ambient": len(nodes),
+        "poset_nodes_sliced": sliced_nodes,
+    }
+
+
+def hyperplane(a, b):
+    """The hyperplane a.x = b, as a span."""
+    d = len(a)
+    k = next(i for i, x in enumerate(a) if x)
+    offset = [Fraction(0)] * d
+    offset[k] = Fraction(b, a[k])
+    basis = []
+    for j in range(d):
+        if j != k:
+            v = [Fraction(0)] * d
+            v[j] = Fraction(1)
+            v[k] = Fraction(-a[j], a[k])
+            basis.append(v)
+    return AffineSubspace(d, basis, offset)
+
+
+def random_flats(rng, count, d, k, coeff):
+    """`count` distinct k-flats of R^d with coefficients in [-coeff, coeff];
+    small coefficients give parallel, concurrent and nested members."""
+    out = []
+    while len(out) < count:
+        basis = [[rng.randint(-coeff, coeff) for _ in range(d)] for _ in range(k)]
+        offset = [rng.randint(-coeff, coeff) for _ in range(d)]
+        try:
+            s = AffineSubspace(d, basis, offset)
+        except ValueError:
+            continue
+        if s not in out:
+            out.append(s)
+    return out
+
+
+def random_hyperplanes(rng, count, d, coeff):
+    out = []
+    while len(out) < count:
+        a = [rng.randint(-coeff, coeff) for _ in range(d)]
+        if any(a):
+            h = hyperplane(a, rng.randint(-coeff, coeff))
+            if h not in out:
+                out.append(h)
+    return out
+
+
+def oracle_arrangements():
+    """(name, arrangement): seeded points in R^2, lines and planes in R^3,
+    hyperplanes in R^4 and codimension-2 flats in R^4."""
+    out = []
+    for seed in range(3):
+        rng = random.Random(f"arrangement-oracle:{seed}")
+        out += [
+            (f"points-r2-{seed}", random_flats(rng, 5, 2, 0, 3)),
+            (f"lines-r2-{seed}", random_flats(rng, 5, 2, 1, 2)),
+            (f"lines-r3-{seed}", random_flats(rng, 4, 3, 1, 1)),
+            (f"planes-r3-{seed}", random_hyperplanes(rng, 5, 3, 2)),
+            (f"hyperplanes-r4-{seed}", random_hyperplanes(rng, 4, 4, 2)),
+            (f"codim2-r4-{seed}", random_flats(rng, 3, 4, 2, 1)),
+        ]
+    return out
+
+
+ORACLE_ARRANGEMENTS = oracle_arrangements()
+
+
+class TestPosetOracle:
+    @pytest.mark.parametrize("name,arr", ORACLE_ARRANGEMENTS,
+                             ids=[name for name, _ in ORACLE_ARRANGEMENTS])
+    def test_poset_and_betti_match_reference(self, name, arr):
+        nodes = ref_nodes(arr)
+        poset = intersection_poset(arr)
+        assert poset.nodes == nodes
+        n = len(nodes)
+        assert [[poset.less(i, j) for j in range(n)] for i in range(n)] == \
+            [[ref_less(nodes, i, j) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            got, want = poset.lower_complex(i), ref_lower_complex(nodes, i)
+            assert (got.num_vertices, got.facets) == (want.num_vertices, want.facets)
+        d = arr[0].ambient_dim
+        want = [ref_gm_betti(arr, i) for i in range(d + 2)]
+        assert [gm_betti(arr, i) for i in range(d + 2)] == want
+
+    @pytest.mark.parametrize("name,arr", [
+        (name, arr) for name, arr in ORACLE_ARRANGEMENTS
+        if name.startswith(("planes", "hyperplanes", "lines-r2"))])
+    def test_zaslavsky_region_count(self, name, arr):
+        # the complement of a hyperplane arrangement has
+        # sum |mu(R^d, x)| components, over R^d and every flat x
+        poset = intersection_poset(arr)
+        mu = {}
+        # larger flats first: x < y in the poset only if dim x > dim y
+        for j in sorted(range(poset.size()), key=lambda j: -poset.nodes[j].dim):
+            mu[j] = -1 - sum(mu[i] for i in mu if poset.less(i, j))
+        assert gm_betti(arr, 0) == 1 + sum(abs(m) for m in mu.values())
+
+
+def generic_planes(rng, count):
+    """`count` planes of R^4 and a hyperplane x4 = c in general position
+    to them, as the benchmark draws its slice inputs; the points where
+    two planes meet are all distinct and off the hyperplane."""
+    while True:
+        planes = random_flats(rng, count, 4, 2, 3)
+        if any(p.dim != 2 for p in planes):
+            continue
+        meets = [a.intersect(b) for a, b in itertools.combinations(planes, 2)]
+        if any(m is None or m.dim != 0 for m in meets) or len(set(meets)) != len(meets):
+            continue
+        c = Fraction(rng.randint(1, 50), 7)
+        h = AffineSubspace(4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], [0, 0, 0, c])
+        try:
+            if all(p.intersect(h) is not None for p in planes):
+                ref_lefschetz(planes, h)
+                return planes, h
+        except ValueError:
+            continue
+
+
+def lefschetz_cases():
+    cases = []
+    for seed in range(2):
+        rng = random.Random(f"lefschetz-oracle:{seed}")
+        for count in (2, 3):
+            cases.append(generic_planes(rng, count))
+    cases += [
+        ([point2(0, 0), point2(1, 0)], line2(0, 1, 1)),
+        ([point2(0, 0), point2(1, 0)], line2(0, 1, 0)),
+        ([line2(1, 0, 0), line2(0, 1, 0), line2(1, 1, 3)], line2(1, -1, 7)),
+        ([line2(1, 0, 0), line2(1, 0, 1)], line2(1, 0, 2)),
+        ([coord_plane4(0, 1), coord_plane4(2, 3)],
+         AffineSubspace(4, [[1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]],
+                        [1, 0, 0, 0])),
+        ([coord_plane4(0, 1)],
+         AffineSubspace(4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+                        [0, 0, 0, 0])),
+        ([coord_plane4(0, 1)], coord_plane4(2, 3)),
+    ]
+    return cases
+
+
+def report_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestLefschetzOracle:
+    @pytest.mark.parametrize("arr,h", lefschetz_cases())
+    def test_report_matches_reference(self, arr, h):
+        assert report_or_error(lefschetz_inequality_check, arr, h) == \
+            report_or_error(ref_lefschetz, arr, h)

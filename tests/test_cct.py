@@ -787,3 +787,78 @@ def test_generate_does_each_layer_once(width, tmp_path, capsys, monkeypatch):
     # eliminations: one per screw orbit of boundary squares, three per level
     assert len(eliminations) == width - 2
     assert max(eliminations) <= 7
+
+
+# ---------------------------------------------------------------------------
+# The mirror relation as a matrix product: a copy of check_symmetric that
+# applies the reflection by mat_vec.  The library's check must give the
+# same screws, the same records and the same `cct verify` output on the
+# tampered tubes of this file.
+
+
+def ref_check_symmetric(t, record=None):
+    record = TubeRecord() if record is None else record
+    ab = t.abstract
+    P = t.coords
+    while record.screws and record.symmetric_levels <= t.width:
+        start = 12 * record.symmetric_levels
+        level = list(enumerate(ab.vertex_reps[start:start + 12], start))
+        if any(P[ab.vertex_id((w[1], w[0], w[2]))] != mat_vec(S, P[vid])
+               for vid, w in level):
+            record.screws = ()
+            break
+        record.screws = tuple(
+            screw for screw in record.screws
+            if all(P[ab.vertex_id((w[0] - 1, w[1] + 1, w[2]))]
+                   == mat_vec(B_POW[screw.tb], P[vid])
+                   and P[ab.vertex_id((w[0], w[1] - 1, w[2] + 1))]
+                   == mat_vec(B_POW[screw.tc], P[vid])
+                   for vid, w in level))
+        record.symmetric_levels += 1
+    return record.screw
+
+
+def tampered_tubes():
+    ct3 = seed_ct3()
+    bumped = list(ct3.coords)
+    bumped[5] = (bumped[5][0] + 1,) + bumped[5][1:]
+    width4, width5, width12 = generate(4), generate(5), generate(12)
+    tubes = [
+        ct3,
+        GeoCCT(ct3.abstract, tuple(tuple(mat_vec(S, p)) for p in ct3.coords),
+               ct3.kappas),
+        GeoCCT(ct3.abstract, tuple(bumped), ct3.kappas),
+        tamper_vertex(width4, 17, lambda p: (p[0] * 2,) + p[1:]),
+    ]
+    for vid in (0, 5, 17, 43, 70):
+        for change in (lambda p: (p[0] * 2, p[1], p[2], p[3], p[4]),
+                       lambda p: (-p[0], -p[1], -p[2], -p[3], p[4]),
+                       lambda p: (p[0], p[1], -p[2], -p[3], p[4]),
+                       lambda p: (p[0], p[1], p[2], -p[3], p[4]),
+                       lambda p: (p[1], p[0], p[2], p[3], p[4])):
+            tubes.append(tamper_vertex(width5, vid, change))
+    for level, lam, _ in TestCertificateOracles.SCALED_LEVEL_VERDICTS:
+        tubes.append(scale_level(width4, level, lam))
+    for level, lam in ((3, "-1"), (7, "-1"), (5, "9")):
+        tubes.append(scale_level(width12, level, lam))
+    return tubes
+
+
+class TestMirrorOracle:
+    def test_screws_and_records_match_reference(self):
+        for geo in tampered_tubes():
+            got, want = TubeRecord(), TubeRecord()
+            assert check_symmetric(geo, got) == ref_check_symmetric(geo, want)
+            assert (got.screws, got.symmetric_levels) == \
+                (want.screws, want.symmetric_levels)
+
+    def test_verify_output_matches_reference(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "tube.json"
+        for geo in tampered_tubes():
+            path.write_text(json.dumps(geo.to_json()))
+            argv = ["cct", "verify", "--file", str(path)]
+            got = main(argv), capsys.readouterr()
+            with monkeypatch.context() as m:
+                m.setattr(cct_mod, "check_symmetric", ref_check_symmetric)
+                want = main(argv), capsys.readouterr()
+            assert got == want

@@ -719,3 +719,53 @@ class TestSearchOracle:
         c, d, m = case
         assert (raised(lambda: deformation_trace(c, d, m))
                 == raised(lambda: ref_deformation_trace(c, d, m)))
+
+
+# ---------------------------------------------------------------------------
+# One face poset per call: every Morse entry point builds the face poset of
+# its complex at most once and keeps nothing on the complex.
+
+
+class TestOnePosetPerCall:
+    @pytest.fixture
+    def poset_calls(self, monkeypatch):
+        calls = []
+        build = FacePoset.from_simplicial.__func__
+
+        def counted(cls, c):
+            calls.append(c)
+            return build(cls, c)
+
+        monkeypatch.setattr(FacePoset, "from_simplicial", classmethod(counted))
+        return calls
+
+    def entry_points(self):
+        rng = random.Random("one-poset")
+        c = random_subdivided_ball(rng, rounds=1)
+        facet = c.facets[0]
+        sphere = SimplicialComplex(c.num_vertices,
+                                   [facet[:i] + facet[i + 1:] for i in range(4)])
+        m = collapse_search(c)
+        onto, _ = out_j_collapse(c, sphere, 2)
+        target = SimplicialComplex(c.num_vertices, [facet])
+        m_target = collapse_search(c, target=target)
+        return c, [
+            ("collapse_search", lambda: collapse_search(c)),
+            ("collapse_search target", lambda: collapse_search(c, target=target)),
+            ("out_j_collapse", lambda: out_j_collapse(c, sphere, 2)),
+            ("validate_matching", lambda: validate_matching(c, m)),
+            ("validate_matching out_j", lambda: validate_matching(c, onto)),
+            ("critical_faces", lambda: critical_faces(c, m)),
+            ("deformation_trace", lambda: deformation_trace(c, target, m_target)),
+        ]
+
+    def test_at_most_one_poset_and_no_state_kept(self, poset_calls):
+        c, calls = self.entry_points()
+        for name, call in calls:
+            before = dict(vars(c))
+            poset_calls.clear()
+            call()
+            assert [x is c for x in poset_calls] in ([], [True]), name
+            after = vars(c)
+            assert after.keys() == before.keys(), name
+            assert all(after[k] is before[k] for k in before), name
