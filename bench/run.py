@@ -1,11 +1,14 @@
-"""Scaling ladder: best-of-k timings of the tube pipeline and of facet paths.
+"""Scaling ladder: best-of-k timings of the tube pipeline, facet paths,
+arrangement homology and Morse collapses.
 
     python3 bench/run.py --tree parent=../old-checkout --tree change=. \
-        --out BENCH_10.json
+        --out BENCH_11.json
 
 For each source tree, in the order given, one fresh single-threaded
-process imports polyforge from ``<tree>/src`` and times two rungs.  Each
-figure is the best of 3 runs after one untimed warm-up run.
+process imports polyforge from ``<tree>/src`` and times four rungs.  Each
+figure is the best of 3 runs after one untimed warm-up run; the
+arrangements and collapse rungs repeat a figure's runs until they add up
+to at least 1 s.
 
 The ``tube`` rung, for every width n of the ladder (4, 12, 16, 24, 32
 and 64):
@@ -26,6 +29,25 @@ every facet pair of:
 Every paths run gets fresh copies of the complexes, so whatever a complex
 keeps from its first path is paid in every run.
 
+The ``arrangements`` rung:
+
+  * ``r{d}_{n}``: ``gm_betti`` in every degree 0..d-1 (``all_degrees_s``)
+    on n seeded affine hyperplanes of R^d with integer coefficients in
+    [-5, 5], for 6 to 9 planes in R^3 and 5 to 7 in R^4, with the number
+    of flats and the Betti numbers; ``gm_betti_all_s`` times the one-poset
+    ``gm_betti_all`` (null for a tree without it);
+  * ``lefschetz_s``: ``lefschetz_inequality_check`` on the slice inputs
+    of the ``structures`` benchmark workload for seeds 1-5 (10 checks,
+    drawn by ``perfbench/workloads.py`` of this checkout), with the
+    reports' SHA-256.
+
+The ``collapse`` rung, ``collapse_search`` plus ``validate_matching`` on a
+fresh copy of each ball: ``ball1097_s`` on the fixed 1,097-face ball of
+the ``structures`` workload (three stellar rounds of a 3-simplex, then a
+derived subdivision) and ``ball5797_s`` on a 5,797-face ball made like
+criterion 7's (one stellar round of the derived 3-cube, then a derived
+subdivision), with the matchings' SHA-256.
+
 The JSON written holds the machine (platform, processor, CPU count,
 Python), each tree's git SHA, and the timings.  Trees are measured one
 after another on the same machine, so their numbers compare; standard
@@ -37,6 +59,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
+import hashlib
 import io
 import itertools
 import json
@@ -47,24 +70,35 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
+from types import SimpleNamespace
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WIDTHS = (4, 12, 16, 24, 32, 64)
 REPEAT = 3
 SPHERE_PAIRS = 90
+HYPERPLANES = {3: (6, 7, 8, 9), 4: (5, 6, 7)}
+LEFSCHETZ_SEEDS = range(1, 6)
 
 
-def _best(fn, prepare=lambda: None) -> float:
-    """Best of REPEAT timed calls fn(prepare()), after one untimed call;
-    prepare runs untimed before every call."""
+def _best(fn, prepare=lambda: None, min_total: float = 0.0) -> float:
+    """Best of at least REPEAT timed calls fn(prepare()), after one
+    untimed call, repeated until the timed calls add up to min_total
+    seconds; prepare runs untimed before every call."""
     fn(prepare())
-    best = float("inf")
-    for _ in range(REPEAT):
+    best, total, runs = float("inf"), 0.0, 0
+    while runs < REPEAT or total < min_total:
         arg = prepare()
         gc.collect()
         start = time.perf_counter()
         fn(arg)
-        best = min(best, time.perf_counter() - start)
+        elapsed = time.perf_counter() - start
+        best, total, runs = min(best, elapsed), total + elapsed, runs + 1
     return best
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
 
 
 def measure_tube() -> dict:
@@ -150,9 +184,97 @@ def measure_paths() -> dict:
     }
 
 
+def _hyperplanes(ar, d: int, n: int) -> list:
+    """n distinct affine hyperplanes a.x = b of R^d, a and b drawn from
+    [-5, 5] with seed 1, each given by a point and a basis."""
+    rng = random.Random(1)
+    out = []
+    while len(out) < n:
+        a = [rng.randint(-5, 5) for _ in range(d)]
+        b = rng.randint(-5, 5)
+        if not any(a):
+            continue
+        k = next(i for i, x in enumerate(a) if x)
+        offset = [Fraction(0)] * d
+        offset[k] = Fraction(b, a[k])
+        basis = [[Fraction(-a[j], a[k]) if i == k else Fraction(int(i == j))
+                  for i in range(d)] for j in range(d) if j != k]
+        h = ar.AffineSubspace(d, basis, offset)
+        if h not in out:
+            out.append(h)
+    return out
+
+
+def _lefschetz_inputs(ar) -> list:
+    """The (planes, hyperplane) slice inputs of the structures workload."""
+    from polyforge import exactfield, projective
+
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    state = SimpleNamespace(ar=ar, ef=exactfield, k=projective.build_k_configuration())
+    return [planes for seed in LEFSCHETZ_SEEDS
+            for planes in workloads._incidence_pass(state, seed)["planes"]]
+
+
+def measure_arrangements() -> dict:
+    from polyforge import arrangement as ar
+
+    one_poset = getattr(ar, "gm_betti_all", None)
+    results = {}
+    for d, counts in HYPERPLANES.items():
+        for n in counts:
+            arr = _hyperplanes(ar, d, n)
+            results[f"r{d}_{n}"] = {
+                "flats": ar.intersection_poset(arr).size(),
+                "betti": [ar.gm_betti(arr, i) for i in range(d)],
+                "all_degrees_s": _best(
+                    lambda _: [ar.gm_betti(arr, i) for i in range(d)],
+                    min_total=1.0),
+                "gm_betti_all_s": one_poset and _best(
+                    lambda _: one_poset(arr), min_total=1.0),
+            }
+    inputs = _lefschetz_inputs(ar)
+    reports = [ar.lefschetz_inequality_check(arr, h) for arr, h in inputs]
+    results["lefschetz_s"] = _best(
+        lambda _: [ar.lefschetz_inequality_check(arr, h) for arr, h in inputs],
+        min_total=1.0)
+    results["lefschetz_checks"] = len(inputs)
+    results["lefschetz_sha256"] = _digest(reports)
+    return results
+
+
+def measure_collapse() -> dict:
+    from polyforge import complexcore as cc, morse
+
+    balls = {
+        "ball1097": _stellar_rounds(cc.simplex_complex(3), 3, random.Random(
+            "collapse:0")).derived_subdivision(),
+        "ball5797": _stellar_rounds(cc.solid_cube(3).derived_subdivision(), 1,
+                                    random.Random("collapse-rung")).derived_subdivision(),
+    }
+
+    def run(c):
+        m = morse.collapse_search(c)
+        if morse.validate_matching(c, m) is not True:
+            raise RuntimeError("collapse_search returned an invalid matching")
+        return m
+
+    results = {}
+    for name, c in balls.items():
+        fresh = lambda c=c: cc.SimplicialComplex(c.num_vertices, c.facets)
+        results[f"{name}_s"] = _best(run, fresh, min_total=1.0)
+        results[f"{name}_faces"] = sum(len(fs) for fs in c.faces().values())
+        results[f"{name}_sha256"] = _digest(run(fresh()).to_json())
+    return results
+
+
 def measure() -> dict:
     """Time the rungs in this process; polyforge comes from sys.path."""
-    return {"tube": measure_tube(), "paths": measure_paths()}
+    return {"tube": measure_tube(), "paths": measure_paths(),
+            "arrangements": measure_arrangements(), "collapse": measure_collapse()}
 
 
 def _git(tree: str, *args) -> str | None:
@@ -208,8 +330,7 @@ def main() -> int:
         print(json.dumps(measure()))
         return 0
 
-    trees = args.tree or [
-        "change=" + os.path.dirname(os.path.dirname(os.path.abspath(__file__)))]
+    trees = args.tree or ["change=" + ROOT]
     runs = []
     for spec in trees:
         label, sep, tree = spec.partition("=")
@@ -218,7 +339,9 @@ def main() -> int:
         runs.append(run_tree(label, tree))
     doc = {
         "bench": "ladder",
-        "metric": f"best of {REPEAT} wall-clock seconds after one warm-up run",
+        "metric": (f"best of {REPEAT} wall-clock seconds after one warm-up run; "
+                   "arrangements and collapse: best of at least "
+                   f"{REPEAT} runs adding up to 1 s"),
         "machine": {
             "platform": platform.platform(),
             "processor": _processor(),

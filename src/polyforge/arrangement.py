@@ -6,6 +6,9 @@ intersection of arrangement members, ordered by reverse inclusion.  The
 Betti numbers of the complement are then assembled from reduced homology
 ranks of order complexes of lower intervals, one summand per poset node.
 
+The poset keeps its strict order as a table built on first use, and
+`gm_betti_all` reads every Betti degree off one poset.
+
 Everything here is exact rational arithmetic.  Inputs (ints, strings or
 :class:`fractions.Fraction`) are coerced to rational :class:`FieldElem`
 values, so the elimination runs on the package's one exact path; they
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .complexcore import SimplicialComplex
 from .exactfield import (
@@ -97,29 +101,14 @@ class AffineSubspace:
     def contains(self, other: "AffineSubspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        n = self.ambient_dim
-        offset, basis = other._span()
-        for row in self._canon:
-            a, b = row[:n], row[n]
-            if vec_dot(a, offset) != b:
-                return False
-            for v in basis:
-                if vec_dot(a, v):
-                    return False
-        return True
+        return _holds(self._canon, self.ambient_dim, other._span())
 
     def intersect(self, other: "AffineSubspace"):
         """The flat self ∩ other, or None when the intersection is empty."""
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        stacked = [list(r) for r in self._canon] + [list(r) for r in other._canon]
-        if not stacked:
-            return self
-        rref, pivots = _echelon(stacked)
-        if self.ambient_dim in pivots:
-            return None
-        canon = tuple(tuple(rref[i]) for i in range(len(pivots)))
-        return AffineSubspace._from_canon(self.ambient_dim, canon)
+        canon = _canonicalize(self._canon + other._canon)
+        return None if canon is None else AffineSubspace._from_canon(self.ambient_dim, canon)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AffineSubspace):
@@ -149,10 +138,25 @@ def _unit_vectors(n: int) -> list[tuple[FieldElem, ...]]:
     return [tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)]
 
 
-def _canonicalize(aug_rows) -> tuple:
+def _holds(canon, n: int, span) -> bool:
+    """Whether the flat with (offset, basis) `span` satisfies every
+    constraint row a.x = b of `canon`, i.e. lies in that flat."""
+    offset, basis = span
+    for row in canon:
+        a = row[:n]
+        if vec_dot(a, offset) != row[n] or any(vec_dot(a, v) for v in basis):
+            return False
+    return True
+
+
+def _canonicalize(aug_rows):
+    """The nonzero rows of the reduced echelon form of the system [A | b],
+    or None when the system has no solution."""
     if not aug_rows:
         return ()
     rref, pivots = _echelon(aug_rows)
+    if len(aug_rows[0]) - 1 in pivots:
+        return None
     return tuple(tuple(rref[i]) for i in range(len(pivots)))
 
 
@@ -165,6 +169,8 @@ def arrangement_to_json(arr: list[AffineSubspace]) -> dict:
 
 def arrangement_from_json(data: dict) -> list[AffineSubspace]:
     d = int(data["dim"])
+    if not data["subspaces"]:
+        raise ValueError("arrangement must be nonempty")
     return [AffineSubspace.from_json(s, d) for s in data["subspaces"]]
 
 
@@ -182,27 +188,44 @@ class IntersectionPoset:
     def size(self) -> int:
         return len(self.nodes)
 
+    @cached_property
+    def _below(self) -> tuple:
+        """The strict order as a table: _below[j] is the set of i with
+        nodes[i] < nodes[j].  Each flat's span is derived once; a flat
+        strictly contains another iff it contains it and has the larger
+        dimension."""
+        n = self.ambient_dim
+        table = []
+        for t in self.nodes:
+            span = t._span()
+            table.append(frozenset(i for i, s in enumerate(self.nodes)
+                                   if s.dim > t.dim and _holds(s._canon, n, span)))
+        return tuple(table)
+
     def less(self, i: int, j: int) -> bool:
-        a, b = self.nodes[i], self.nodes[j]
-        return a != b and a.contains(b)
+        return i in self._below[j]
 
     def lower_complex(self, i: int) -> SimplicialComplex:
         """Order complex of the flats strictly containing ``nodes[i]``."""
-        below = [j for j in range(len(self.nodes)) if self.less(j, i)]
+        table = self._below
+        below = sorted(table[i])
         reindex = {j: k for k, j in enumerate(below)}
         chains: list[tuple[int, ...]] = []
 
         def extend(chain: list[int]) -> None:
-            nxt = [j for j in below if self.less(chain[-1], j)]
+            nxt = [j for j in below if chain[-1] in table[j]]
             if not nxt:
                 chains.append(tuple(reindex[j] for j in chain))
                 return
             for j in nxt:
                 extend(chain + [j])
 
-        starts = [j for j in below if not any(self.less(o, j) for o in below)]
-        for j in starts:
-            extend([j])
+        # the order is transitive, so whatever lies under a flat of
+        # `below` is in `below` too: the chains start at the flats with
+        # nothing under them
+        for j in below:
+            if not table[j]:
+                extend([j])
         return SimplicialComplex(len(below), chains)
 
 
@@ -213,18 +236,21 @@ def intersection_poset(arr: list[AffineSubspace]) -> IntersectionPoset:
     for s in arr:
         if s.ambient_dim != d:
             raise ValueError("all subspaces must share the ambient dimension")
-    nodes = set(arr)
-    while True:
-        fresh = set()
-        current = list(nodes)
-        for i in range(len(current)):
-            for j in range(i + 1, len(current)):
-                meet = current[i].intersect(current[j])
+    # Every flat is an intersection of members, so it is enough that each
+    # flat meets each member once: a member meets the members after it
+    # (the earlier ones met it already), a new flat meets them all.
+    members = list(dict.fromkeys(arr))
+    nodes = set(members)
+    frontier = [(m, k + 1) for k, m in enumerate(members)]
+    while frontier:
+        fresh = []
+        for flat, start in frontier:
+            for m in members[start:]:
+                meet = flat.intersect(m)
                 if meet is not None and meet not in nodes:
-                    fresh.add(meet)
-        if not fresh:
-            break
-        nodes |= fresh
+                    nodes.add(meet)
+                    fresh.append((meet, 0))
+        frontier = fresh
     ordered = sorted(nodes, key=lambda s: (s.dim, s._canon))
     return IntersectionPoset(d, tuple(ordered))
 
@@ -236,65 +262,78 @@ def betti_reduced_homology(c: SimplicialComplex, k: int) -> int:
     complex, so the empty complex has a single nonzero number, 1 in
     degree −1.
     """
-    if k < -1:
+    betti = _reduced_betti_numbers(c)
+    return betti[k + 1] if -1 <= k < len(betti) - 1 else 0
+
+
+def _boundary_rank(dom: list, cod: list) -> int:
+    """Rank of the boundary map from the chains on `dom` to the chains on
+    `cod`, the faces one dimension down."""
+    if not dom or not cod:
         return 0
+    index = {f: i for i, f in enumerate(cod)}
+    rows = []
+    for f in dom:
+        row = [ZERO] * len(cod)
+        for i in range(len(f)):
+            row[index[f[:i] + f[i + 1:]]] = -ONE if i % 2 else ONE
+        rows.append(row)
+    return mat_rank(rows)
+
+
+def _reduced_betti_numbers(c: SimplicialComplex) -> list:
+    """Reduced rational Betti numbers of ``c`` in degrees −1, 0, ...,
+    dim c, each boundary rank computed once."""
     faces = c.faces()
-
-    def basis(d: int) -> list:
-        if d == -1:
-            return [()]
-        return sorted(faces.get(d, ()))
-
-    def rank_boundary(d: int) -> int:
-        if d <= -1:
-            return 0
-        dom, cod = basis(d), basis(d - 1)
-        if not dom or not cod:
-            return 0
-        index = {f: i for i, f in enumerate(cod)}
-        rows = []
-        for f in dom:
-            row = [ZERO] * len(cod)
-            for i in range(len(f)):
-                row[index[f[:i] + f[i + 1:]]] = -ONE if i % 2 else ONE
-            rows.append(row)
-        return mat_rank(rows)
-
-    return len(basis(k)) - rank_boundary(k) - rank_boundary(k + 1)
+    bases = [[()]] + [sorted(faces[d]) for d in range(max(faces, default=-1) + 1)]
+    # ranks[k + 1] is the rank of the boundary out of degree k
+    ranks = [0] + [_boundary_rank(bases[k], bases[k - 1])
+                   for k in range(1, len(bases))] + [0]
+    return [len(b) - ranks[k] - ranks[k + 1] for k, b in enumerate(bases)]
 
 
-def gm_betti(arr: list[AffineSubspace], i: int) -> int:
-    """i-th rational Betti number of the complement R^d minus the union.
+def _poset_betti(poset: IntersectionPoset) -> list:
+    """Betti numbers b_0, ..., b_{d−1} of the complement (b_0 alone when
+    d = 0), one lower complex per node; every higher degree is 0."""
+    d = poset.ambient_dim
+    betti = [1] + [0] * (d - 1)
+    for idx, s in enumerate(poset.nodes):
+        for k, b in enumerate(_reduced_betti_numbers(poset.lower_complex(idx)), -1):
+            # k >= -1, so the degree is at most d - 1 - dim s
+            i = d - 2 - k - s.dim
+            if i >= 0:
+                betti[i] += b
+    return betti
+
+
+def gm_betti_all(arr: list[AffineSubspace]) -> list:
+    """Every Betti number b_0, ..., b_{d−1} of the complement R^d minus
+    the union, from one intersection poset; degrees d and up are 0.
 
     Degree 0 counts the ambient component itself, so a connected
     complement reports 1 there; higher degrees are the poset sum of
     lower-interval homology ranks.
     """
+    return _poset_betti(intersection_poset(arr))
+
+
+def gm_betti(arr: list[AffineSubspace], i: int) -> int:
+    """i-th rational Betti number of the complement R^d minus the union,
+    entry i of ``gm_betti_all(arr)``."""
     if i < 0:
         raise ValueError("degree must be nonnegative")
-    poset = intersection_poset(arr)
-    d = poset.ambient_dim
-    total = 1 if i == 0 else 0
-    for idx, s in enumerate(poset.nodes):
-        total += betti_reduced_homology(poset.lower_complex(idx), d - 2 - i - s.dim)
-    return total
+    betti = gm_betti_all(arr)
+    return betti[i] if i < len(betti) else 0
 
 
 def _slice_into(h: AffineSubspace, s: AffineSubspace):
     """Rewrite the flat s ∩ H in the (d−1)-chart of the hyperplane H."""
     n = h.ambient_dim
     offset, basis = h._span()
-    rows, rhs = [], []
-    for row in s._canon:
-        a, b = row[:n], row[n]
-        rows.append([vec_dot(a, v) for v in basis])
-        rhs.append(b - vec_dot(a, offset))
-    aug = [r + [v] for r, v in zip(rows, rhs)]
-    rref, pivots = _echelon(aug)
-    if len(basis) in pivots:
-        return None
-    canon = tuple(tuple(rref[i]) for i in range(len(pivots)))
-    return AffineSubspace._from_canon(len(basis), canon)
+    aug = [[vec_dot(row[:n], v) for v in basis] + [row[n] - vec_dot(row[:n], offset)]
+           for row in s._canon]
+    canon = _canonicalize(aug)
+    return None if canon is None else AffineSubspace._from_canon(len(basis), canon)
 
 
 def lefschetz_inequality_check(arr: list[AffineSubspace], hyperplane: AffineSubspace) -> dict:
@@ -331,12 +370,12 @@ def lefschetz_inequality_check(arr: list[AffineSubspace], hyperplane: AffineSubs
         if cut is not None:
             sliced_arr.append(cut)
 
-    ambient = [gm_betti(arr, i) for i in range(d)]
+    ambient = _poset_betti(poset)
     if sliced_arr:
         sliced_poset = intersection_poset(sliced_arr)
         if sliced_poset.size() != len(sliced_of):
             raise ValueError("not in general position: sliced poset is not a truncation")
-        sliced = [gm_betti(sliced_arr, i) for i in range(d - 1)] + [0]
+        sliced = _poset_betti(sliced_poset)[:d - 1] + [0]
         sliced_nodes = sliced_poset.size()
     else:
         sliced = [1] + [0] * (d - 1)

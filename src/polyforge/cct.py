@@ -27,7 +27,6 @@ from .exactfield import (
     mat_rank,
     mat_solve,
     mat_vec,
-    reflection_e4,
     rotation_12,
     rotation_34,
     vec_dot,
@@ -40,7 +39,6 @@ def _fe(a, b=0, den=1):
 
 R12 = rotation_12()
 R34 = rotation_34()
-S_MIRROR = reflection_e4()
 B_STEP = mat_mul(R34, R12)
 B_POW = [mat_pow(B_STEP, j) for j in range(12)]
 A_TWIST = B_POW[8]
@@ -559,6 +557,11 @@ def _origin_in_hull2(pts) -> bool:
     return False
 
 
+def _mirror(p: tuple) -> tuple:
+    """p under the mirror reflection_e4(), which negates coordinate 3 only."""
+    return (p[0], p[1], p[2], -p[3], p[4])
+
+
 def check_symmetric(t: GeoCCT, record: TubeRecord | None = None) -> Screw | None:
     """Mirror relation plus one of the two consistent screw conventions.
 
@@ -573,7 +576,7 @@ def check_symmetric(t: GeoCCT, record: TubeRecord | None = None) -> Screw | None
     while record.screws and record.symmetric_levels <= t.width:
         start = 12 * record.symmetric_levels
         level = list(enumerate(ab.vertex_reps[start:start + 12], start))
-        if any(P[ab.vertex_id((w[1], w[0], w[2]))] != mat_vec(S_MIRROR, P[vid])
+        if any(P[ab.vertex_id((w[1], w[0], w[2]))] != _mirror(P[vid])
                for vid, w in level):
             record.screws = ()
             break

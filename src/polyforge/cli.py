@@ -260,7 +260,7 @@ def _cmd_morse_collapse(args) -> int:
 def _cmd_morse_validate(args) -> int:
     c = _load_complex(args.complex)
     matching = _load_document(args.matching, morse_mod.MorseMatching.from_json,
-                              "a matching document", (KeyError, TypeError))
+                              "a matching document")
     ok = morse_mod.validate_matching(c, matching)
     print(f"matching with {len(matching.pairs)} pairs: "
           f"{'valid' if ok else 'invalid'}")

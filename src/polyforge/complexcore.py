@@ -506,18 +506,19 @@ class FacePoset:
                       else {k: i for i, k in enumerate(self.elements)})
         if len(self.index) != n:
             raise ValueError("face keys are not unique")
-        self.up = [[] for _ in range(n)]
-        self.down = [[] for _ in range(n)]
+        up = self.up = [[] for _ in range(n)]
+        down = self.down = [[] for _ in range(n)]
+        dims = self.dims
         for (i, j) in self.covers:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError("cover index out of range")
-            if self.dims[j] != self.dims[i] + 1:
+            if dims[j] != dims[i] + 1:
                 raise ValueError(
                     f"cover {self.elements[i]} < {self.elements[j]} skips a dimension")
-            self.up[i].append(j)
-            self.down[j].append(i)
-        for i, d in enumerate(self.dims):
-            if d > 0 and not self.down[i]:
+            up[i].append(j)
+            down[j].append(i)
+        for i, d in enumerate(dims):
+            if d > 0 and not down[i]:
                 raise ValueError(
                     f"element {self.elements[i]} of dimension {d} covers nothing")
 
@@ -532,11 +533,15 @@ class FacePoset:
             faces += sorted(layers[d])
             dims += [d] * len(layers[d])
         index = {f: i for i, f in enumerate(faces)}
+        # the facets of f dropping f[0], f[1], ... in turn (combinations
+        # drops the last vertex first): the order the covers go into the
+        # set fixes the order it iterates in, and so that of up and down
         covers = set()
-        for f in faces:
-            if len(f) >= 2:
-                for v in f:
-                    covers.add((index[tuple(x for x in f if x != v)], index[f]))
+        add_all, position = covers.update, index.__getitem__
+        for j in range(len(layers.get(0, ())), len(faces)):
+            f = faces[j]
+            add_all(zip(map(position, reversed(list(
+                itertools.combinations(f, len(f) - 1)))), itertools.repeat(j)))
         return cls(faces, dims, covers, index)
 
     @classmethod

@@ -47,7 +47,15 @@ class MorseMatching:
 
     @classmethod
     def from_json(cls, data: dict) -> "MorseMatching":
-        return cls(tuple((tuple(a), tuple(b)) for a, b in data["pairs"]))
+        """ValueError names the first pair that is not two faces (lists of
+        vertices)."""
+        pairs = []
+        for pair in data["pairs"]:
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and all(isinstance(f, (list, tuple)) for f in pair)):
+                raise ValueError(f"pair {pair!r} is not two faces")
+            pairs.append((tuple(pair[0]), tuple(pair[1])))
+        return cls(tuple(pairs))
 
 
 def _poset_of(c) -> FacePoset:

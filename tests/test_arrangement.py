@@ -17,6 +17,7 @@ from polyforge.arrangement import (
     arrangement_to_json,
     betti_reduced_homology,
     gm_betti,
+    gm_betti_all,
     intersection_poset,
     lefschetz_inequality_check,
 )
@@ -83,6 +84,10 @@ class TestAffineSubspace:
         assert data["dim"] == 3
         back = arrangement_from_json(data)
         assert back == [s, t]
+
+    def test_empty_arrangement_json_rejected(self):
+        with pytest.raises(ValueError, match="arrangement must be nonempty"):
+            arrangement_from_json({"dim": 2, "subspaces": []})
 
     def test_containment_tests_the_dot_product(self):
         # the plane x + y = 0 holds the line along (1, -1, 0), although the
@@ -455,6 +460,8 @@ class TestPosetOracle:
         d = arr[0].ambient_dim
         want = [ref_gm_betti(arr, i) for i in range(d + 2)]
         assert [gm_betti(arr, i) for i in range(d + 2)] == want
+        assert gm_betti_all(arr) == want[:d]
+        assert want[d:] == [0, 0]
 
     @pytest.mark.parametrize("name,arr", [
         (name, arr) for name, arr in ORACLE_ARRANGEMENTS

@@ -259,6 +259,23 @@ class TestMorseCommands:
                      "--matching", bad]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("pairs,named", [
+        ("x", "'x'"),
+        ([[[0]]], "[[0]]"),
+        ([[[0], [0, 1], [1]]], "[[0], [0, 1], [1]]"),
+        ([[[0], [0, 1]], [[1], 5]], "[[1], 5]"),
+    ])
+    def test_validate_malformed_pair_is_usage_error(self, tmp_path, capsys,
+                                                    pairs, named):
+        c_file = write_json(tmp_path / "c.json", simplex_complex(2).to_json())
+        bad = write_json(tmp_path / "bad.json", {"pairs": pairs})
+        assert main(["morse", "validate", "--complex", c_file,
+                     "--matching", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"{bad} is not a matching document: "
+                                f"pair {named} is not two faces\n")
+        assert captured.out == ""
+
 
 class TestArrangementCommand:
     def test_codim_two_plane_betti_one(self, tmp_path, capsys):
@@ -291,6 +308,14 @@ class TestArrangementCommand:
             assert rc == 0
             out = capsys.readouterr().out
             assert f"b_{i} = {expect}" in out
+
+    def test_empty_arrangement_is_usage_error(self, tmp_path, capsys):
+        a_file = write_json(tmp_path / "arr.json", {"dim": 2, "subspaces": []})
+        assert main(["arr", "betti", "--file", a_file, "--i", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"{a_file} is not an arrangement document: "
+                                "arrangement must be nonempty\n")
+        assert captured.out == ""
 
     def test_zero_denominator_is_usage_error(self, tmp_path, capsys):
         arr = {
