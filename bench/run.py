@@ -4,11 +4,15 @@ arrangement homology and Morse collapses.
     python3 bench/run.py --tree parent=../old-checkout --tree change=. \
         --out BENCH_11.json
 
-For each source tree, in the order given, one fresh single-threaded
-process imports polyforge from ``<tree>/src`` and times four rungs.  Each
-figure is the best of 3 runs after one untimed warm-up run; the
-arrangements and collapse rungs repeat a figure's runs until they add up
-to at least 1 s.
+The ladder runs in 3 rounds.  In each round every rung runs once per
+source tree, in one fresh single-threaded process that imports polyforge
+from ``<tree>/src``; the trees take turns to go first from rung to rung
+and from round to round, so that a slow phase of the host falls on both.
+Within a process each figure is the best of 3 runs after one untimed
+warm-up run (the arrangements and collapse rungs repeat their runs until
+they add up to at least 1 s), and the JSON keeps each figure's smallest
+value over the rounds.  Every value that is not a time must repeat
+exactly from round to round.
 
 The ``tube`` rung, for every width n of the ladder (4, 12, 16, 24, 32
 and 64):
@@ -49,9 +53,7 @@ criterion 7's (one stellar round of the derived 3-cube, then a derived
 subdivision), with the matchings' SHA-256.
 
 The JSON written holds the machine (platform, processor, CPU count,
-Python), each tree's git SHA, and the timings.  Trees are measured one
-after another on the same machine, so their numbers compare; standard
-library only.
+Python), each tree's git SHA, and the timings; standard library only.
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ from types import SimpleNamespace
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WIDTHS = (4, 12, 16, 24, 32, 64)
 REPEAT = 3
+ROUNDS = 3
 SPHERE_PAIRS = 90
 HYPERPLANES = {3: (6, 7, 8, 9), 4: (5, 6, 7)}
 LEFSCHETZ_SEEDS = range(1, 6)
@@ -271,10 +274,8 @@ def measure_collapse() -> dict:
     return results
 
 
-def measure() -> dict:
-    """Time the rungs in this process; polyforge comes from sys.path."""
-    return {"tube": measure_tube(), "paths": measure_paths(),
-            "arrangements": measure_arrangements(), "collapse": measure_collapse()}
+RUNGS = {"tube": measure_tube, "paths": measure_paths,
+         "arrangements": measure_arrangements, "collapse": measure_collapse}
 
 
 def _git(tree: str, *args) -> str | None:
@@ -297,24 +298,28 @@ def _processor() -> str:
     return platform.processor() or platform.machine()
 
 
-def run_tree(label: str, tree: str) -> dict:
+def run_rung(label: str, tree: str, rung: str) -> dict:
+    """One rung of one tree, timed in a fresh process."""
     src = os.path.join(os.path.abspath(tree), "src")
-    if not os.path.isfile(os.path.join(src, "polyforge", "__init__.py")):
-        raise SystemExit(f"{tree}: no polyforge source tree under src/")
     env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0",
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     env.pop("POLYFORGE_BUDGET", None)
-    cmd = [sys.executable, os.path.abspath(__file__), "--measure"]
+    cmd = [sys.executable, os.path.abspath(__file__), "--measure", rung]
     out = subprocess.run(cmd, env=env, capture_output=True, text=True)
     if out.returncode != 0:
         raise SystemExit(f"{label}: measuring process failed\n{out.stderr}")
-    status = _git(tree, "status", "--porcelain", "--untracked-files=no")
-    return {
-        "label": label,
-        "git_sha": _git(tree, "rev-parse", "HEAD"),
-        "dirty": bool(status) if status is not None else None,
-        "results": json.loads(out.stdout),
-    }
+    return json.loads(out.stdout)
+
+
+def _fold(best, new, where: str):
+    """The smaller of two timings; any other value must be equal."""
+    if isinstance(best, dict):
+        return {k: _fold(best[k], new[k], f"{where}.{k}") for k in best}
+    if isinstance(best, float):
+        return min(best, new)
+    if best != new:
+        raise SystemExit(f"{where} differs between rounds: {best!r} and {new!r}")
+    return best
 
 
 def main() -> int:
@@ -323,25 +328,42 @@ def main() -> int:
                         help="a source tree to measure (repeatable; default: "
                              "this checkout, labelled 'change')")
     parser.add_argument("--out", help="write the JSON here (default: stdout)")
-    parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--measure", choices=RUNGS, help=argparse.SUPPRESS)
     args = parser.parse_args()
 
     if args.measure:
-        print(json.dumps(measure()))
+        print(json.dumps(RUNGS[args.measure]()))
         return 0
 
-    trees = args.tree or ["change=" + ROOT]
-    runs = []
-    for spec in trees:
+    trees = []
+    for spec in args.tree or ["change=" + ROOT]:
         label, sep, tree = spec.partition("=")
         if not sep or not label or not tree:
             parser.error(f"--tree takes LABEL=DIR, got {spec!r}")
-        runs.append(run_tree(label, tree))
+        if not os.path.isfile(os.path.join(tree, "src", "polyforge", "__init__.py")):
+            parser.error(f"{tree}: no polyforge source tree under src/")
+        trees.append((label, tree))
+    results = {label: {} for label, _ in trees}
+    for r in range(ROUNDS):
+        for k, rung in enumerate(RUNGS):
+            for label, tree in trees if (r + k) % 2 == 0 else trees[::-1]:
+                got = run_rung(label, tree, rung)
+                done = results[label]
+                done[rung] = _fold(done[rung], got, f"{label}.{rung}") if rung in done else got
+    runs = []
+    for label, tree in trees:
+        status = _git(tree, "status", "--porcelain", "--untracked-files=no")
+        runs.append({
+            "label": label,
+            "git_sha": _git(tree, "rev-parse", "HEAD"),
+            "dirty": bool(status) if status is not None else None,
+            "results": results[label],
+        })
     doc = {
         "bench": "ladder",
-        "metric": (f"best of {REPEAT} wall-clock seconds after one warm-up run; "
-                   "arrangements and collapse: best of at least "
-                   f"{REPEAT} runs adding up to 1 s"),
+        "metric": (f"smallest over {ROUNDS} rounds of the best of {REPEAT} "
+                   "wall-clock seconds after one warm-up run; arrangements and "
+                   f"collapse: best of at least {REPEAT} runs adding up to 1 s"),
         "machine": {
             "platform": platform.platform(),
             "processor": _processor(),
