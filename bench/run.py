@@ -1,8 +1,8 @@
 """Scaling ladder: best-of-k timings of the tube pipeline, facet paths,
-arrangement homology and Morse collapses.
+arrangement homology, Morse collapses and the exact field kernels.
 
     python3 bench/run.py --tree parent=../old-checkout --tree change=. \
-        --out BENCH_11.json
+        --out BENCH_12.json
 
 The ladder runs in 3 rounds.  In each round every rung runs once per
 source tree, in one fresh single-threaded process that imports polyforge
@@ -51,6 +51,18 @@ the ``structures`` workload (three stellar rounds of a 3-simplex, then a
 derived subdivision) and ``ball5797_s`` on a 5,797-face ball made like
 criterion 7's (one stellar round of the derived 3-cube, then a derived
 subdivision), with the matchings' SHA-256.
+
+The ``kernels`` rung, each figure repeated until its runs add up to 1 s:
+
+  * ``mul_ns``, ``inverse_ns`` and ``sign_ns``: nanoseconds per
+    ``FieldElem`` multiplication, inverse and sign on fixed elements with
+    all four coordinates nonzero;
+  * ``rank_8x5_us`` and ``nullspace_8x5_us``: microseconds per
+    ``mat_rank`` and ``mat_nullspace`` of a fixed 8x5 ``FieldElem``
+    matrix of rank 3, with both answers;
+  * ``rank_sparse_90x60_ms``: milliseconds per ``mat_rank`` of a seeded
+    90x60 matrix of ``FieldElem`` entries, one in ten of them +-1 and the
+    rest zero, with its rank.
 
 The JSON written holds the machine (platform, processor, CPU count,
 Python), each tree's git SHA, and the timings; standard library only.
@@ -274,8 +286,54 @@ def measure_collapse() -> dict:
     return results
 
 
+def _kernel_inputs(ef):
+    """(x, y, the 8x5 matrix, the sparse 90x60 matrix) of the kernels rung.
+    Each row of the 8x5 matrix is a rational combination of three fixed
+    rows with irrational entries."""
+    fe = ef.FieldElem
+    x = fe(Fraction(3, 7), -2, Fraction(5, 3), 1)
+    y = fe(-1, Fraction(1, 2), 4, Fraction(-2, 5))
+    base = [[fe(i - 2 * j, Fraction(j, i + 1), (i * j) % 3 - 1, Fraction(1, j + 2))
+             for j in range(5)] for i in range(3)]
+    coeffs = [[fe(Fraction((i * i + 3 * k) % 7 - 3, k + 1)) for k in range(3)]
+              for i in range(8)]
+    m8x5 = [[ef.vec_dot(tuple(c), tuple(row[j] for row in base)) for j in range(5)]
+            for c in coeffs]
+    rng = random.Random("kernels-rung")
+    sparse = [[fe(rng.choice((-1, 1))) if rng.random() < 0.1 else ef.ZERO
+               for _ in range(60)] for _ in range(90)]
+    return x, y, m8x5, sparse
+
+
+def _per_call(fn, calls: int) -> float:
+    """Best seconds per call of `calls` back-to-back calls of fn()."""
+    def run(_):
+        for _ in range(calls):
+            fn()
+    return _best(run, min_total=1.0) / calls
+
+
+def measure_kernels() -> dict:
+    from polyforge import exactfield as ef
+
+    x, y, m8x5, sparse = _kernel_inputs(ef)
+    return {
+        "mul_ns": _per_call(lambda: x * y, 10_000) * 1e9,
+        "inverse_ns": _per_call(x.inverse, 10_000) * 1e9,
+        "sign_ns": _per_call(x.sign, 10_000) * 1e9,
+        "rank_8x5_us": _per_call(lambda: ef.mat_rank(m8x5), 200) * 1e6,
+        "rank_8x5": ef.mat_rank(m8x5),
+        "nullspace_8x5_us": _per_call(lambda: ef.mat_nullspace(m8x5), 200) * 1e6,
+        "nullity_8x5": len(ef.mat_nullspace(m8x5)),
+        "rank_sparse_90x60_ms": _per_call(lambda: ef.mat_rank(sparse), 5) * 1e3,
+        "rank_sparse_90x60": ef.mat_rank(sparse),
+    }
+
+
 RUNGS = {"tube": measure_tube, "paths": measure_paths,
-         "arrangements": measure_arrangements, "collapse": measure_collapse}
+         "arrangements": measure_arrangements, "collapse": measure_collapse,
+         "kernels": measure_kernels}
+
 
 
 def _git(tree: str, *args) -> str | None:

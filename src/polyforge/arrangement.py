@@ -9,10 +9,10 @@ ranks of order complexes of lower intervals, one summand per poset node.
 The poset keeps its strict order as a table built on first use, and
 `gm_betti_all` reads every Betti degree off one poset.
 
-Everything here is exact rational arithmetic.  Inputs (ints, strings or
-:class:`fractions.Fraction`) are coerced to rational :class:`FieldElem`
-values, so the elimination runs on the package's one exact path; they
-come back as Fractions only from ``span_form`` and ``to_json``.
+Everything here is exact rational arithmetic.  Coordinates are coerced
+by :func:`exactfield.as_vector` and must be rational, so the elimination
+runs on the package's one exact path; they come back as Fractions only
+from ``span_form`` and ``to_json``.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .exactfield import (
     ZERO,
     FieldElem,
     _echelon,
+    as_vector,
     mat_nullspace,
     mat_rank,
     mat_solve,
@@ -34,16 +35,12 @@ from .exactfield import (
 )
 
 
-def _rat(x) -> FieldElem:
-    if isinstance(x, (int, str, Fraction)):
-        return FieldElem(x)
-    raise TypeError(f"expected a rational, got {type(x).__name__}")
-
-
 def _rat_vec(v, n: int) -> list[FieldElem]:
-    out = [_rat(x) for x in v]
+    out = as_vector(v)
     if len(out) != n:
         raise ValueError(f"expected a vector of length {n}, got {len(out)}")
+    if not all(x.is_rational() for x in out):
+        raise TypeError("expected rational coordinates, got an irrational value")
     return out
 
 

@@ -19,7 +19,7 @@ from .complexcore import CubicalComplex
 from .exactfield import (
     ZERO,
     FieldElem,
-    as_field,
+    as_vector,
     mat_det,
     mat_mul,
     mat_nullspace,
@@ -142,7 +142,7 @@ class CliffordParams:
 
 
 def clifford_params(p) -> CliffordParams:
-    y = [as_field(x) for x in p[:4]]
+    y = as_vector(p[:4])
     denom = y[0] * y[0] + y[1] * y[1] + y[2] * y[2] + y[3] * y[3]
     if not denom:
         raise ValueError("projection undefined on the polar axis")

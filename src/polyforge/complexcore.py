@@ -311,7 +311,11 @@ class SimplicialComplex:
 
     @classmethod
     def from_json(cls, data: dict) -> "SimplicialComplex":
-        return cls(data["vertices"], [tuple(f) for f in data["facets"]])
+        n, facets = data["vertices"], [tuple(f) for f in data["facets"]]
+        for v in itertools.chain([n], *facets):
+            if type(v) is not int:  # a float, string or boolean is malformed
+                raise TypeError(f"vertex ids and the vertex count must be integers, got {v!r}")
+        return cls(n, facets)
 
     def __repr__(self):
         return f"SimplicialComplex(n={self.num_vertices}, facets={len(self.facets)}, dim={self.dim})"

@@ -7,13 +7,15 @@ equal stored integers, and the arithmetic never builds a Fraction; the
 coefficients are handed out as Fractions only at the public surface.  All
 comparisons go through an exact sign routine on the integers, so no
 floating point is ever consulted for a decision.  Floats are available
-only as a convenience embedding for display.
+only as a convenience embedding for display; `as_field` is the package's
+one rule for which Python values count as exact numbers.
 
 The module also carries the small amount of exact linear algebra the rest
 of the package needs, over FieldElem entries: vectors, matrices,
 Gauss-Jordan elimination with one inverse per pivot (rank, determinant,
 nullspace, solving), and a phase-1 simplex for feasibility questions over
-the field.
+the field.  The public kernels coerce their input once, on the copy they
+make anyway, so every inner loop runs on FieldElem only.
 """
 
 from __future__ import annotations
@@ -337,8 +339,25 @@ def _coerce(x):
 
 
 def as_field(x) -> FieldElem:
-    """x itself when it is a FieldElem, else FieldElem(x)."""
-    return x if isinstance(x, FieldElem) else FieldElem(x)
+    """x as a FieldElem.  A FieldElem, an int, a Fraction or a rational
+    string such as "3/7" is an exact number (a malformed string raises
+    Fraction's ValueError); any other type, floats included, is a
+    TypeError naming the type."""
+    if type(x) is FieldElem:
+        return x
+    if isinstance(x, str):
+        n, q = _parse_rational(x)
+        return _elem(n, 0, 0, 0, q)
+    y = _coerce(x)
+    if y is NotImplemented:
+        raise TypeError("expected a FieldElem, int, Fraction or rational "
+                        f"string, got {type(x).__name__}")
+    return y
+
+
+def as_vector(v) -> list:
+    """The entries of v as a list of FieldElem, each coerced by as_field."""
+    return [x if type(x) is FieldElem else as_field(x) for x in v]
 
 
 ZERO = FieldElem(0)
@@ -353,14 +372,14 @@ def vec_dot(u: Vec, v: Vec) -> FieldElem:
     """Sum of products, normalised once.
 
     The products' numerators are summed over one running denominator and
-    the sum is reduced by a single gcd at the end.  Entries that are not
-    FieldElem (ints, Fractions) take the operator path.
+    the sum is reduced by a single gcd at the end.  Vectors with entries
+    that are not FieldElem are coerced by as_vector first.
     """
     sa = sb = sc = sd = 0
     sq = 1
     for x, y in zip(u, v, strict=True):
         if type(x) is not FieldElem or type(y) is not FieldElem:
-            return _dot_by_operators(u, v)
+            return vec_dot(as_vector(u), as_vector(v))
         a1, b1, c1, d1, q1 = x._n
         a2, b2, c2, d2, q2 = y._n
         if not (a1 or b1 or c1 or d1) or not (a2 or b2 or c2 or d2):
@@ -389,29 +408,17 @@ def vec_dot(u: Vec, v: Vec) -> FieldElem:
     return _elem(sa, sb, sc, sd, sq)
 
 
-def _dot_by_operators(u, v) -> FieldElem:
-    acc = ZERO
-    for a, b in zip(u, v, strict=True):
-        acc = acc + a * b
-    return acc
-
-
-def _sub_multiple(xs: list, f, ys: list) -> list:
-    """The row update ``[x - f*y if y else x for x, y in zip(xs, ys)]``.
+def _sub_multiple(xs: list, f: FieldElem, ys: list) -> list:
+    """The row update ``[x - f*y if y else x for x, y in zip(xs, ys)]``
+    on FieldElem rows.
 
     Each entry is one integer expression reduced by one gcd, instead of a
-    normalised product and a normalised difference.  Entries that are not
-    FieldElem take the operator path.
+    normalised product and a normalised difference.
     """
-    if type(f) is not FieldElem:
-        return [x - f * y if y else x for x, y in zip(xs, ys)]
     fa, fb, fc, fd, fq = f._n
     out = []
     append = out.append
     for x, y in zip(xs, ys):
-        if type(x) is not FieldElem or type(y) is not FieldElem:
-            append(x - f * y if y else x)
-            continue
         ya, yb, yc, yd, yq = y._n
         if not (ya or yb or yc or yd):
             append(x)
@@ -428,10 +435,6 @@ def _sub_multiple(xs: list, f, ys: list) -> list:
             append(_elem(xa * q - pa * xq, xb * q - pb * xq,
                          xc * q - pc * xq, xd * q - pd * xq, xq * q))
     return out
-
-
-def vec_is_zero(u: Vec) -> bool:
-    return all(a.is_zero() for a in u)
 
 
 def mat_identity(n: int) -> Mat:
@@ -455,8 +458,8 @@ def mat_pow(m: Mat, k: int) -> Mat:
 
 
 def _echelon(rows: Mat):
-    """Row-reduce a copy of `rows`; returns (rref rows, pivot columns)."""
-    work = [list(r) for r in rows]
+    """Row-reduce an as_vector copy of `rows`: (rref rows, pivot columns)."""
+    work = [as_vector(r) for r in rows]
     nrows = len(work)
     ncols = len(work[0]) if nrows else 0
     pivots = []
@@ -494,7 +497,7 @@ def mat_rref(m: Mat):
 
 def mat_det(m: Mat) -> FieldElem:
     n = len(m)
-    work = [list(r) for r in m]
+    work = [as_vector(r) for r in m]
     det = ONE
     sign_flip = 1
     for col in range(n):
@@ -587,8 +590,8 @@ def lp_feasible(eq_rows: Sequence[Sequence[FieldElem]], rhs: Sequence[FieldElem]
     # tableau rows: [A | I | b] with b >= 0, artificial basis
     tab = []
     for row, b in zip(eq_rows, rhs, strict=True):
-        r = list(row)
-        bb = b
+        r = as_vector(row)
+        bb = as_field(b)
         if bb.sign() < 0:
             r = [-x for x in r]
             bb = -bb
@@ -653,7 +656,7 @@ def in_convex_hull(point: Vec, points: Sequence[Vec]) -> bool:
 def in_cone(point: Vec, rays: Sequence[Vec]) -> bool:
     """Is `point` a nonnegative combination of `rays`?  Exact."""
     if not rays:
-        return vec_is_zero(point)
+        return not any(as_vector(point))
     dim = len(point)
     rows = [[r[i] for r in rays] for i in range(dim)]
     return lp_feasible(rows, list(point))

@@ -22,6 +22,7 @@ from .exactfield import (
     ONE,
     ZERO,
     as_field,
+    as_vector,
     in_convex_hull,
     mat_nullspace,
     mat_rank,
@@ -65,7 +66,7 @@ __all__ = [
 
 
 def _coerce_point(p):
-    pt = tuple(as_field(x) for x in p)
+    pt = tuple(as_vector(p))
     if not pt:
         raise ValueError("empty coordinate tuple")
     return pt
@@ -266,13 +267,14 @@ def evaluate_slp(prog: IncidenceProgram, inputs, base=None) -> dict:
 
 
 class _ProgramBuilder:
-    """Accumulates steps with memoization of repeated joins/meets."""
+    """Accumulates steps, memoizing repeated joins/meets, and named marks."""
 
     def __init__(self, inputs, base=()):
         self.inputs = tuple(inputs)
         self.base = tuple(base)
         self.steps = []
         self.outputs = []
+        self.names = []
         self._memo = {}
 
     def _emit(self, op, args):
@@ -290,14 +292,19 @@ class _ProgramBuilder:
     def meet(self, *args):
         return self._emit("meet", args)
 
-    def mark(self, sid):
+    def mark(self, sid, name=None):
         self.outputs.append(sid)
+        self.names.append(sid if name is None else name)
         return sid
 
     def build(self) -> IncidenceProgram:
         return IncidenceProgram(
             self.inputs, self.base, tuple(self.steps), tuple(self.outputs)
         )
+
+    def derivation(self) -> "FrameDerivation":
+        """The built program, its inputs as base and its marks as derived."""
+        return FrameDerivation(self.inputs, tuple(self.names), self.build())
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +382,14 @@ def gadget_div() -> IncidenceProgram:
     return _gadget(_emit_div)
 
 
+def _rational_coeffs(coeffs) -> list:
+    """Polynomial coefficients, each a rational exact number, as Fractions."""
+    xs = as_vector(coeffs)
+    if not all(x.is_rational() for x in xs):
+        raise TypeError("polynomial coefficients must be rational")
+    return [x.a for x in xs]
+
+
 def poly_eval(coeffs, x):
     """Evaluate a polynomial given by ascending coefficients, exactly."""
     x = as_field(x)
@@ -418,7 +433,7 @@ def compile_polynomial(coeffs) -> IncidenceProgram:
     The output point is (p(x), 0, 1) for input point (x, 0, 1); a root
     of the polynomial therefore lands exactly on the origin.
     """
-    coeffs = [Fraction(c) for c in coeffs]
+    coeffs = _rational_coeffs(coeffs)
     if not coeffs:
         raise ValueError("empty coefficient list")
     b = _ProgramBuilder(("x",), BASE_FRAME)
@@ -549,8 +564,11 @@ class PPConfig:
     def from_json(cls, data: dict) -> "PPConfig":
         if data.get("kind") != "ppconfig":
             raise ValueError("not a point configuration document")
+        dim = data["ambient_dim"]
+        if type(dim) is not int:
+            raise TypeError(f"ambient_dim must be an integer, got {dim!r}")
         return cls(
-            ambient_dim=int(data["ambient_dim"]),
+            ambient_dim=dim,
             polytope_vertices=tuple(
                 tuple(FieldElem.from_json(x) for x in p)
                 for p in data["polytope_vertices"]
@@ -760,6 +778,14 @@ class FrameDerivation:
         )
 
 
+def _derive(derivation: FrameDerivation, inputs: dict, chart=lambda p: p) -> dict:
+    """The input points followed by every derived point, evaluated from
+    them and passed through `chart`."""
+    evaluated = evaluate_slp(derivation.program, inputs)
+    names = zip(derivation.derived, derivation.program.outputs)
+    return {**inputs, **{name: chart(evaluated[sid]) for name, sid in names}}
+
+
 def frame_replay(points, derivation: FrameDerivation) -> bool:
     """Re-derive every derived point from the base and compare exactly.
 
@@ -783,12 +809,6 @@ def _q3_build():
     val = {"p": ONE, "m": -ONE}
     corner_names = [f"c{a}{b}{c}" for a in signs for b in signs for c in signs]
     b = _ProgramBuilder(tuple(corner_names) + ("ctr",))
-    derived, outputs = [], []
-
-    def mark(name, sid):
-        derived.append(name)
-        outputs.append(sid)
-        return sid
 
     # face centers from the facet diagonals
     face = {}
@@ -798,7 +818,7 @@ def _q3_build():
         for s in signs:
             d1 = b.join(make(s, "p", "p"), make(s, "m", "m"))
             d2 = b.join(make(s, "p", "m"), make(s, "m", "p"))
-            face[axis + s] = mark(f"f{axis}{s}", b.meet(d1, d2))
+            face[axis + s] = b.mark(b.meet(d1, d2), f"f{axis}{s}")
 
     plane = {
         "x": b.join("ctr", face["yp"], face["zp"]),
@@ -816,21 +836,15 @@ def _q3_build():
                 for sf in signs:
                     coords[free] = sf
                     ends.append(f"c{coords['x']}{coords['y']}{coords['z']}")
-                sid = b.meet(b.join(*ends), plane[free])
-                mark(f"m{a1}{s1}{a2}{s2}", sid)
+                b.mark(b.meet(b.join(*ends), plane[free]), f"m{a1}{s1}{a2}{s2}")
 
-    program = IncidenceProgram(b.inputs, (), tuple(b.steps), tuple(outputs))
-    derivation = FrameDerivation(b.inputs, tuple(derived), program)
-
+    derivation = b.derivation()
     points = {"ctr": _coerce_point((0, 0, 0, 1))}
     for a in signs:
         for bb in signs:
             for c in signs:
                 points[f"c{a}{bb}{c}"] = (val[a], val[bb], val[c], ONE)
-    evaluated = evaluate_slp(program, points)
-    for name, sid in zip(derived, outputs):
-        points[name] = evaluated[sid]
-    return points, derivation
+    return _derive(derivation, points), derivation
 
 
 def derive_q3():
@@ -861,7 +875,7 @@ def coor_config(zeta, coeffs, lo, hi) -> CoorConfig:
     Root isolation beyond degree four is the caller's responsibility.
     """
     zeta = as_field(zeta)
-    coeffs = [Fraction(c) for c in coeffs]
+    coeffs = _rational_coeffs(coeffs)
     stripped = list(coeffs)
     while stripped and stripped[-1] == 0:
         stripped.pop()
@@ -887,27 +901,21 @@ def coor_config(zeta, coeffs, lo, hi) -> CoorConfig:
 
     lattice_names = tuple(f"q{i}{j}" for i in (0, 1, 2) for j in (0, 1, 2))
     b = _ProgramBuilder(("zeta",) + lattice_names)
-    derived, outputs = [], []
     infx = b.meet(b.join("q00", "q10"), b.join("q01", "q11"))
     infy = b.meet(b.join("q00", "q01"), b.join("q10", "q11"))
     fr = {"O": "q00", "X1": "q10", "A": "q01", "INFX": infx, "INFY": infy}
     final = _emit_horner(b, coeffs, "zeta", fr)
     for i, (op, _) in enumerate(b.steps):
         if op == "meet":
-            sid = f"s{i}"
-            derived.append(sid)
-            outputs.append(sid)
-    program = IncidenceProgram(b.inputs, (), tuple(b.steps), tuple(outputs))
-    derivation = FrameDerivation(b.inputs, tuple(derived), program)
+            b.mark(f"s{i}")
+    derivation = b.derivation()
 
     points = {"zeta": (zeta, ZERO, ONE)}
     for i in (0, 1, 2):
         for j in (0, 1, 2):
             points[f"q{i}{j}"] = _coerce_point((i, j, 1))
-    evaluated = evaluate_slp(program, points)
-    for name, sid in zip(derived, outputs):
-        points[name] = evaluated[sid]
-    if not proj_equal(evaluated[final], _coerce_point((0, 0, 1))):
+    points = _derive(derivation, points)
+    if not proj_equal(points[final], _coerce_point((0, 0, 1))):
         raise ValueError("evaluation did not land on the origin")
 
     certificate = {
@@ -970,12 +978,6 @@ def _chart(p):
 
 def _k_derivation():
     b = _ProgramBuilder(tuple(n for n, _ in _K_BASE) + (_K_SEED[0],))
-    derived, outputs = [], []
-
-    def mark(name, sid):
-        derived.append(name)
-        outputs.append(sid)
-        return sid
 
     others = {1: (2, 3), 2: (1, 3), 3: (1, 2)}
 
@@ -984,7 +986,7 @@ def _k_derivation():
     mid = {}
     for i, j in ((2, 3), (1, 3), (1, 2)):
         sid = b.meet(b.join(f"x{i}p", f"x{j}m"), b.join(f"x{i}m", f"x{j}p"))
-        mid[(i, j)] = mark(f"mid{i}{j}", sid)
+        mid[(i, j)] = b.mark(sid, f"mid{i}{j}")
     ym = {}
     partner = {1: ((1, 2), "y2p"), 2: ((1, 2), "y1p"), 3: ((1, 3), "y1p")}
     for k in (1, 2, 3):
@@ -993,15 +995,15 @@ def _k_derivation():
             b.join(f"x{k}p", f"x{k}m", f"y{k}p"),
             b.join(mid[edge], anchor),
         )
-        ym[k] = mark(f"y{k}m", sid)
+        ym[k] = b.mark(sid, f"y{k}m")
     # the diagonal planes of a single family all share that family's
     # axis direction, so the center needs planes from both families
-    center = mark(
-        "center",
+    center = b.mark(
         b.meet(
             b.join("y1p", ym[1], mid[(2, 3)]),
             b.join("x2p", "x2m", mid[(1, 3)]),
         ),
+        "center",
     )
 
     # stage two: companions over the antipodal triangle corners
@@ -1011,14 +1013,14 @@ def _k_derivation():
     plane_ym = b.join(ym[1], ym[2], ym[3])
     far = {}
     for k in (1, 2, 3):
-        far[("x", k, "p")] = mark(
-            f"far_x{k}p", b.meet(plane_xp, b.join(center, f"x{k}m")))
-        far[("x", k, "m")] = mark(
-            f"far_x{k}m", b.meet(plane_xm, b.join(center, f"x{k}p")))
-        far[("y", k, "p")] = mark(
-            f"far_y{k}p", b.meet(plane_yp, b.join(center, ym[k])))
-        far[("y", k, "m")] = mark(
-            f"far_y{k}m", b.meet(plane_ym, b.join(center, f"y{k}p")))
+        far[("x", k, "p")] = b.mark(
+            b.meet(plane_xp, b.join(center, f"x{k}m")), f"far_x{k}p")
+        far[("x", k, "m")] = b.mark(
+            b.meet(plane_xm, b.join(center, f"x{k}p")), f"far_x{k}m")
+        far[("y", k, "p")] = b.mark(
+            b.meet(plane_yp, b.join(center, ym[k])), f"far_y{k}p")
+        far[("y", k, "m")] = b.mark(
+            b.meet(plane_ym, b.join(center, f"y{k}p")), f"far_y{k}m")
 
     # stage three: the inner dodecagon ring at height one
     psi_idx = {(1, "p"): 6, (1, "m"): 0, (2, "p"): 10,
@@ -1032,7 +1034,7 @@ def _k_derivation():
                 b.join(f"x{k}{s}", far[("x", k, s)]),
                 b.join(f"x{i}{s}", f"x{j}{s}"),
             )
-            mark(f"ring1_{psi_idx[(k, s)]}", sid)
+            b.mark(sid, f"ring1_{psi_idx[(k, s)]}")
     for k in (1, 2, 3):
         i, j = others[k]
         for s in ("p", "m"):
@@ -1041,27 +1043,27 @@ def _k_derivation():
                 b.join(near, far[("y", k, s)]),
                 b.join(far[("y", i, s)], far[("y", j, s)]),
             )
-            mark(f"ring1_{opsit_idx[(k, s)]}", sid)
+            b.mark(sid, f"ring1_{opsit_idx[(k, s)]}")
 
     # stage four: the square of ring-zero points over triangle corner one,
     # grown from the single seeded point
     xline = b.join("x1p", "x1m")
     yline = b.join("y1p", ym[1])
-    sq_center = mark("sq1_center", b.meet(xline, yline))
-    cross_pp = mark(
-        "cross12_pp", b.meet(b.join("x1p", "y2p"), b.join("x2p", "y1p")))
-    cross_pm = mark(
-        "cross12_pm", b.meet(b.join("x1p", ym[2]), b.join("x2p", ym[1])))
+    sq_center = b.mark(b.meet(xline, yline), "sq1_center")
+    cross_pp = b.mark(
+        b.meet(b.join("x1p", "y2p"), b.join("x2p", "y1p")), "cross12_pp")
+    cross_pm = b.mark(
+        b.meet(b.join("x1p", ym[2]), b.join("x2p", ym[1])), "cross12_pm")
     square_plane = b.join("x1p", "x1m", "y1p", ym[1])
     diag_x = b.meet(b.join(sq_center, mid[(1, 2)], cross_pp), square_plane)
     diag_y = b.meet(b.join(sq_center, mid[(1, 2)], cross_pm), square_plane)
     seed = _K_SEED[0]
-    ycut_a = mark("ycut_a", b.meet(b.join(seed, "x1m"), yline))
-    sq_mp = mark("sq1_mp", b.meet(b.join(ycut_a, "x1p"), diag_y))
-    xcut_a = mark("xcut_a", b.meet(b.join(seed, ym[1]), xline))
-    sq_pm = mark("sq1_pm", b.meet(b.join(xcut_a, "y1p"), diag_y))
-    ycut_b = mark("ycut_b", b.meet(b.join(sq_pm, "x1m"), yline))
-    ring0_3 = mark("ring0_3", b.meet(b.join(ycut_b, "x1p"), diag_x))
+    ycut_a = b.mark(b.meet(b.join(seed, "x1m"), yline), "ycut_a")
+    sq_mp = b.mark(b.meet(b.join(ycut_a, "x1p"), diag_y), "sq1_mp")
+    xcut_a = b.mark(b.meet(b.join(seed, ym[1]), xline), "xcut_a")
+    sq_pm = b.mark(b.meet(b.join(xcut_a, "y1p"), diag_y), "sq1_pm")
+    ycut_b = b.mark(b.meet(b.join(sq_pm, "x1m"), yline), "ycut_b")
+    ring0_3 = b.mark(b.meet(b.join(ycut_b, "x1p"), diag_x), "ring0_3")
 
     # stage five: transfer the square points to the other corners along
     # shared directions at infinity; every transfer is then a clean
@@ -1080,7 +1082,7 @@ def _k_derivation():
     for k in (2, 3):
         fam = b.join(f"x{k}p", f"x{k}m", f"y{k}p", ym[k])
         for s, src in (("p", seed), ("m", ring0_3)):
-            mark(f"ring0_{diag_idx[(k, s)]}", b.meet(fam, b.join(src, inf_t[k])))
+            b.mark(b.meet(fam, b.join(src, inf_t[k])), f"ring0_{diag_idx[(k, s)]}")
     # the companion family over corner k lies along the altitude
     # direction of the corner whose axis runs the same way
     anti_dir = {1: 1, 2: 3, 3: 2}
@@ -1093,28 +1095,21 @@ def _k_derivation():
         )
         for tag, src in (("pm", sq_pm), ("mp", sq_mp)):
             sid = b.meet(fam, b.join(src, inf_alt[anti_dir[k]]))
-            mark(f"ring0_{anti_idx[(k, tag)]}", sid)
+            b.mark(sid, f"ring0_{anti_idx[(k, tag)]}")
 
     # stage six: the four shared directions at infinity
-    mark("inf_t12", inf_t[2])
-    mark("inf_t23", b.meet(b.join("x3p", "x2p"), b.join("x3m", "x2m")))
-    mark("inf_x", b.meet(xline, b.join("x2p", "x2m")))
-    mark("inf_y", b.meet(yline, b.join("y2p", ym[2])))
+    b.mark(inf_t[2], "inf_t12")
+    b.mark(b.meet(b.join("x3p", "x2p"), b.join("x3m", "x2m")), "inf_t23")
+    b.mark(b.meet(xline, b.join("x2p", "x2m")), "inf_x")
+    b.mark(b.meet(yline, b.join("y2p", ym[2])), "inf_y")
 
-    program = IncidenceProgram(b.inputs, (), tuple(b.steps), tuple(outputs))
-    return FrameDerivation(b.inputs, tuple(derived), program)
+    return b.derivation()
 
 
 @functools.cache
 def _k_build():
     derivation = _k_derivation()
-    program = derivation.program
-    inputs = dict(_K_BASE)
-    inputs[_K_SEED[0]] = _K_SEED[1]
-    evaluated = evaluate_slp(program, inputs)
-    points = dict(inputs)
-    for name, sid in zip(derivation.derived, program.outputs):
-        points[name] = _chart(evaluated[sid])
+    points = _derive(derivation, dict(_K_BASE + (_K_SEED,)), _chart)
 
     # the square parameter is the positive root of the pinning polynomial,
     # certified by the rank drop of six ring points
@@ -1122,12 +1117,8 @@ def _k_build():
         raise RuntimeError("square parameter fails its pinning polynomial")
     rank_here = mat_rank([points[n] for n in _K_SIX])
     alt = Fraction(1, 2)
-    alt_inputs = dict(_K_BASE)
-    alt_inputs[_K_SEED[0]] = _coerce_point((alt, alt, -2, 0, 1))
-    alt_eval = evaluate_slp(program, alt_inputs)
-    alt_points = dict(alt_inputs)
-    for name, sid in zip(derivation.derived, program.outputs):
-        alt_points[name] = _chart(alt_eval[sid])
+    alt_seed = (_K_SEED[0], _coerce_point((alt, alt, -2, 0, 1)))
+    alt_points = _derive(derivation, dict(_K_BASE + (alt_seed,)), _chart)
     rank_alt = mat_rank([alt_points[n] for n in _K_SIX])
     if rank_here != 4 or rank_alt != 5:
         raise RuntimeError("coplanarity certificate failed")

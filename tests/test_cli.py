@@ -108,6 +108,27 @@ class TestExitDiscipline:
         assert "unrecognized arguments" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("doc", [
+        {"vertices": 3, "facets": [[0, 1.5], [1.5, 2]]},
+        {"vertices": 3.5, "facets": [[0, 1], [1, 2]]},
+        {"vertices": 3, "facets": [[0, True], [1, 2]]},
+        {"vertices": True, "facets": [[0]]},
+        {"vertices": "3", "facets": [[0, 1], [1, 2]]},
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["hirsch", "segment", "--from", "0,1", "--to", "1,2", "--complex"],
+        ["hirsch", "diameter", "--complex"],
+        ["morse", "collapse", "--complex"],
+    ])
+    def test_non_integer_vertex_id_is_usage_error(self, tmp_path, capsys,
+                                                  argv, doc):
+        c_file = write_json(tmp_path / "c.json", doc)
+        assert main(argv + [c_file]) == 2
+        captured = capsys.readouterr()
+        assert "is not a complex document" in captured.err
+        assert "must be integers" in captured.err
+        assert captured.out == ""
+
     def test_cli_import_leaves_networkx_unloaded(self):
         src = str(Path(polyforge.__file__).parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -557,6 +578,27 @@ class TestProjCommands:
         assert main(["proj", "lawrence", "--config", c_file]) == 2
         captured = capsys.readouterr()
         assert "not a point configuration document" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("dim", ["x", 2.5, None, True])
+    def test_lawrence_malformed_ambient_dim_is_usage_error(self, tmp_path,
+                                                          capsys, dim):
+        cfg = {
+            "format": "polyforge/1",
+            "kind": "ppconfig",
+            "ambient_dim": dim,
+            "polytope_vertices": [
+                [FieldElem(x).to_json(), FieldElem(y).to_json()]
+                for x, y in ((0, 0), (1, 0), (0, 1))
+            ],
+            "free_points": [],
+            "metadata": None,
+        }
+        c_file = write_json(tmp_path / "pp.json", cfg)
+        assert main(["proj", "lawrence", "--config", c_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"{c_file} is not a point configuration document: "
+                                f"ambient_dim must be an integer, got {dim!r}\n")
         assert captured.out == ""
 
     @pytest.mark.parametrize("kind", ["lawrence", None, "slp"])

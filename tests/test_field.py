@@ -13,8 +13,11 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from polyforge.arrangement import AffineSubspace
 from polyforge.exactfield import (
     FieldElem,
+    as_field,
+    as_vector,
     in_cone,
     in_convex_hull,
     lp_feasible,
@@ -25,12 +28,14 @@ from polyforge.exactfield import (
     mat_mul,
     mat_nullspace,
     mat_rank,
+    mat_rref,
     mat_solve,
     mat_vec,
     rotation_12,
     rotation_34,
     vec_dot,
 )
+from polyforge.projective import PPConfig, flat_span
 
 SQRT2 = sympy.sqrt(2)
 SQRT3 = sympy.sqrt(3)
@@ -817,3 +822,140 @@ class TestKernelsAgainstPerOperationCode:
             mat_solve([[one]], [one, one])
         with pytest.raises(ValueError):
             lp_feasible([[one]], [one, one])
+
+
+# ---------------------------------------------------------------------------
+# The coercion boundary: the kernels take FieldElem, int, Fraction (and, via
+# as_field, rational strings) in any mix, pivots included, and agree with
+# the reference eliminations on the coerced input; floats are refused at
+# every public entry.
+
+
+def plain_forms(x: FieldElem):
+    """x itself, or for a rational x its Fraction and, when integral, int."""
+    if not x.is_rational():
+        return st.just(x)
+    f = x.a
+    forms = [st.just(x), st.just(f)]
+    if f.denominator == 1:
+        forms.append(st.just(int(f)))
+    return st.one_of(forms)
+
+
+@st.composite
+def mixed_matrices(draw, max_rows=4, max_cols=5, square=False):
+    """(m, the same matrix with entries drawn by plain_forms)."""
+    if square:
+        n = draw(st.integers(1, max_rows))
+        m = draw(kernel_matrices(n, n).filter(lambda m: len(m) == len(m[0])))
+    else:
+        m = draw(kernel_matrices(max_rows, max_cols))
+    return m, [[draw(plain_forms(x)) for x in row] for row in m]
+
+
+def all_field(rows) -> bool:
+    return all(type(x) is FieldElem for row in rows for x in row)
+
+
+class TestMixedInputAgainstReference:
+    @given(mixed_matrices(max_rows=2))
+    @settings(max_examples=60, deadline=None)
+    def test_vec_dot(self, pair):
+        m, mixed = pair
+        u, v = tuple(m[0]), tuple(m[-1])
+        got = vec_dot(tuple(mixed[0]), tuple(mixed[-1]))
+        assert type(got) is FieldElem
+        assert got._n == ref_vec_dot(u, v)._n
+
+    @given(mixed_matrices())
+    @settings(max_examples=80, deadline=None)
+    def test_rank_rref_nullspace_solve(self, pair):
+        m, mixed = pair
+        assert mat_rank(mixed) == ref_mat_rank(m)
+        rref, pivots = mat_rref(mixed)
+        want_rref, want_pivots = ref_echelon(m)
+        assert pivots == want_pivots
+        assert all_field(rref)
+        assert [[x._n for x in r] for r in rref] == [[x._n for x in r] for r in want_rref]
+        got = mat_nullspace(mixed)
+        want = ref_mat_nullspace(m)
+        assert all_field(got)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            same_vec(g, w)
+        rhs = [sum((x for x in row), FieldElem(0)) for row in m]
+        mixed_rhs = [x.a if x.is_rational() else x for x in rhs]
+        same_vec(mat_solve(mixed, mixed_rhs), ref_mat_solve(m, rhs))
+
+    @given(mixed_matrices(square=True))
+    @settings(max_examples=60, deadline=None)
+    def test_det(self, pair):
+        m, mixed = pair
+        got = mat_det(mixed)
+        assert type(got) is FieldElem
+        assert got._n == ref_mat_det(m)._n
+
+    @given(mixed_matrices(max_rows=3, max_cols=4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_lp_feasible(self, pair, data):
+        rows, mixed = pair
+        rhs = [data.draw(kernel_elems()) for _ in rows]
+        mixed_rhs = [data.draw(plain_forms(x)) for x in rhs]
+        assert lp_feasible(mixed, mixed_rhs) == ref_lp_feasible(rows, rhs)
+
+    def test_int_and_fraction_pivots(self):
+        assert mat_rank([[1, 2], [3, 4]]) == 2
+        assert mat_det([[1, 2], [3, 4]]) == FieldElem(-2)
+        assert mat_nullspace([[Fraction(1, 2), 1]]) == [(FieldElem(-2), FieldElem(1))]
+        assert lp_feasible([[1, 1]], [1]) is True
+        assert in_cone((0, Fraction(0)), []) and not in_cone((0, 1), [])
+        assert in_convex_hull((Fraction(1, 2), 1), [(0, 1), (1, 1)])
+        rref, pivots = mat_rref([[2, 4], [0, 0], [1, 3]])
+        assert pivots == [0, 1] and all_field(rref)
+
+
+class TestCoercionPolicy:
+    def test_exact_numbers(self):
+        assert as_field("3/7") == FieldElem(Fraction(3, 7))
+        assert as_field("-6/4")._n == (-3, 0, 0, 0, 2)
+        assert as_field(Fraction(5, 10))._n == (1, 0, 0, 0, 2)
+        assert as_field(7)._n == (7, 0, 0, 0, 1)
+        x = FieldElem(1, 2)
+        assert as_field(x) is x
+        assert as_vector((1, "1/2", x)) == [FieldElem(1), FieldElem(Fraction(1, 2)), x]
+        with pytest.raises(ValueError):
+            as_field("sqrt2")
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, complex(1), None, [1]])
+    def test_other_types_name_their_type(self, value):
+        with pytest.raises(TypeError, match=type(value).__name__):
+            as_field(value)
+
+    @pytest.mark.parametrize("call", [
+        lambda: as_vector([1, 0.5]),
+        lambda: vec_dot((FieldElem(1),), (1.5,)),
+        lambda: mat_rank([[1.5, 1]]),
+        lambda: mat_rref([[FieldElem(1), 0.5]]),
+        lambda: mat_nullspace([[1, 0.5]]),
+        lambda: mat_solve([[1]], [0.5]),
+        lambda: mat_det([[0.5]]),
+        lambda: lp_feasible([[1, 1]], [0.5]),
+        lambda: in_cone((0.0, 0), []),
+        lambda: in_convex_hull((0.5,), [(0,), (1,)]),
+        lambda: AffineSubspace(2, [], [0.5, 0]),
+        lambda: AffineSubspace(2, [[1.0, 0]], [0, 0]),
+        lambda: flat_span([(0.5, 0, 1)]),
+        lambda: PPConfig(ambient_dim=2, polytope_vertices=((0.5, 0),),
+                         free_points=()),
+    ])
+    def test_floats_are_refused(self, call):
+        with pytest.raises(TypeError, match="float"):
+            call()
+
+    def test_affine_subspace_takes_rational_field_elements(self):
+        h = AffineSubspace(2, [[FieldElem(1), Fraction(1, 2)]], [FieldElem(3), "1/3"])
+        assert h == AffineSubspace(2, [["1", "1/2"]], ["3", "1/3"])
+        with pytest.raises(TypeError, match="rational"):
+            AffineSubspace(2, [], [FieldElem.sqrt2(), 0])
+        with pytest.raises(ValueError, match="length 2"):
+            AffineSubspace(2, [], [FieldElem(1)])

@@ -1,0 +1,72 @@
+"""Byte-identical documents for every document command.
+
+Each case runs one command in process on fixed inputs, with ``--out``,
+and compares the SHA-256 of the written document with the digest stored
+in ``tests/golden/<case>.sha256``.  The tube bundles are pinned in
+``test_cct.py`` and the kappa table in ``test_cli.py``.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from polyforge.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# the derived subdivision of the boundary of the tetrahedron (a flag
+# 2-sphere) and of the solid tetrahedron (a 3-ball)
+SPHERE = {"vertices": 14, "facets": [
+    [0, 4, 10], [0, 4, 11], [0, 5, 10], [0, 5, 12], [0, 6, 11], [0, 6, 12],
+    [1, 4, 10], [1, 4, 11], [1, 7, 10], [1, 7, 13], [1, 8, 11], [1, 8, 13],
+    [2, 5, 10], [2, 5, 12], [2, 7, 10], [2, 7, 13], [2, 9, 12], [2, 9, 13],
+    [3, 6, 11], [3, 6, 12], [3, 8, 11], [3, 8, 13], [3, 9, 12], [3, 9, 13]]}
+BALL = {"vertices": 15, "facets": [f + [14] for f in SPHERE["facets"]]}
+
+# two lines and a point in the plane, with rational offsets
+ARRANGEMENT = {"dim": 2, "subspaces": [
+    {"basis": [["1", "1/2"]], "offset": ["0", "1/3"]},
+    {"basis": [["0", "1"]], "offset": ["-2/5", "0"]},
+    {"basis": [], "offset": ["3", "7/2"]}]}
+
+PPCONFIG = {
+    "format": "polyforge/1", "kind": "ppconfig", "ambient_dim": 2,
+    "polytope_vertices": [
+        [{"a": x, "b": "0", "c": "0", "d": "0"},
+         {"a": y, "b": "0", "c": "0", "d": "0"}]
+        for x, y in (("0", "0"), ("2", "0"), ("0", "1/2"), ("3/2", "1"))],
+    "free_points": [
+        [{"a": "5", "b": "0", "c": "0", "d": "0"},
+         {"a": "-1/3", "b": "0", "c": "0", "d": "0"}]],
+    "metadata": None,
+}
+
+INPUTS = {"sphere.json": SPHERE, "ball.json": BALL,
+          "arr.json": ARRANGEMENT, "pp.json": PPCONFIG}
+
+CASES = {
+    "hirsch_segment": ["hirsch", "segment", "--complex", "sphere.json",
+                       "--from", "0,4,10", "--to", "3,9,13"],
+    "hirsch_diameter": ["hirsch", "diameter", "--complex", "sphere.json"],
+    "morse_collapse": ["morse", "collapse", "--complex", "ball.json"],
+    "arr_betti": ["arr", "betti", "--file", "arr.json", "--i", "1"],
+    "proj_staudt": ["proj", "staudt", "--poly", "x^3 - 3x + 1/2"],
+    "proj_lawrence": ["proj", "lawrence", "--config", "pp.json"],
+    "proj_kconfig": ["proj", "k-config", "--verify"],
+    "proj_pcctp": ["proj", "pcctp", "--n", "5"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_document_matches_golden_digest(case, tmp_path, capsys):
+    for name, doc in INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    argv = [str(tmp_path / a) if a in INPUTS else a for a in CASES[case]]
+    out_file = tmp_path / f"{case}.json"
+    assert main(argv + ["--out", str(out_file)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
+    want = (GOLDEN_DIR / f"{case}.sha256").read_text().split()[0]
+    assert digest == want
