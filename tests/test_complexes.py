@@ -5,7 +5,9 @@ counting in face lattices, Euler characteristics of spheres) before the
 implementation existed.  The property tests at the end compare the
 graph questions (1-skeleton, dual graph, flagness, normality) and the
 incidence questions (maximal facets, faces, links, stars) with networkx
-and with brute-force facet scans on random complexes.
+and with brute-force facet scans on random complexes.  The last tests
+compare every derived subdivision with copies of the flag walkers the
+library used before it built order complexes from cover lists.
 """
 
 import itertools
@@ -280,6 +282,7 @@ class TestFacePosetOracle:
             assert got.up == want.up and got.down == want.down
 
 
+
 # ---------------------------------------------------------------------------
 # oracle properties on random complexes
 
@@ -410,3 +413,82 @@ class TestOracleProperties:
         lk, old = c.link(probe)
         assert old == sorted({v for r in residues for v in r})
         assert {tuple(old[v] for v in f) for f in lk.facets} == set(residues)
+
+
+# ---------------------------------------------------------------------------
+# derived subdivisions against the flag walkers they replaced
+
+def ref_simplicial_subdivision(c):
+    """The derived subdivision with one flag per ordering of each facet's
+    vertices, new vertex i being the i-th face in (size, lex) order."""
+    all_faces = sorted((f for fs in c.faces().values() for f in fs),
+                       key=lambda t: (len(t), t))
+    index = {f: i for i, f in enumerate(all_faces)}
+    flags = [tuple(index[tuple(sorted(perm[:k + 1]))] for k in range(len(perm)))
+             for f in c.facets for perm in itertools.permutations(f)]
+    return SimplicialComplex(len(all_faces), flags)
+
+
+def ref_cubical_subdivision(q):
+    """The derived subdivision with one flag per corner and axis order of
+    each generating cube, each face found from corner bit patterns."""
+    face_list = sorted(q.faces().values(), key=lambda t: (t[0], tuple(sorted(t[1]))))
+    index = {frozenset(c): i for i, (d, c) in enumerate(face_list)}
+    flags = []
+    for dim, corners in q.cubes:
+        for corner_pos in range(1 << dim):
+            for axis_order in itertools.permutations(range(dim)):
+                flag = []
+                for k in range(dim + 1):
+                    sub = []
+                    for pattern in range(1 << k):
+                        pos = corner_pos
+                        for t, a in enumerate(axis_order[:k]):
+                            if (pattern >> t) & 1:
+                                pos |= 1 << a
+                            else:
+                                pos &= ~(1 << a)
+                        sub.append(corners[pos])
+                    flag.append(index[frozenset(sub)])
+                flags.append(tuple(flag))
+    return SimplicialComplex(len(face_list), flags)
+
+
+def same_complex(got, want):
+    assert (got.num_vertices, got.facets) == (want.num_vertices, want.facets)
+
+
+class TestSubdivisionOracle:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_benchmark_balls(self, seed):
+        for c in benchmark_balls(seed):
+            same_complex(c.derived_subdivision(), ref_simplicial_subdivision(c))
+
+    @settings(max_examples=60, deadline=None)
+    @given(any_complex)
+    def test_random_complexes(self, c):
+        same_complex(c.derived_subdivision(), ref_simplicial_subdivision(c))
+
+    def test_non_pure_complex(self):
+        c = SimplicialComplex(7, [(0, 1, 2), (2, 3), (3, 4, 5, 6), (1, 3), (6,)])
+        assert not c.is_pure()
+        same_complex(c.derived_subdivision(), ref_simplicial_subdivision(c))
+        same_complex(SimplicialComplex(0, []).derived_subdivision(),
+                     ref_simplicial_subdivision(SimplicialComplex(0, [])))
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_solid_cubes(self, k):
+        q = solid_cube(k)
+        same_complex(q.derived_subdivision(), ref_cubical_subdivision(q))
+
+    def test_tube_cells(self):
+        from polyforge.cct import AbstractCCT
+        q = AbstractCCT(4).cubes
+        same_complex(q.derived_subdivision(), ref_cubical_subdivision(q))
+
+    def test_generating_face_and_isolated_vertex(self):
+        # a square 0-1-2-3 (bit order), one of its edges and a corner given
+        # again as generating cubes, a pendant edge and an isolated vertex
+        q = CubicalComplex(7, [(2, (0, 1, 2, 3)), (1, (0, 1)), (0, (3,)),
+                               (1, (3, 4)), (0, (6,))])
+        same_complex(q.derived_subdivision(), ref_cubical_subdivision(q))
