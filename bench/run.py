@@ -50,7 +50,9 @@ fresh copy of each ball: ``ball1097_s`` on the fixed 1,097-face ball of
 the ``structures`` workload (three stellar rounds of a 3-simplex, then a
 derived subdivision) and ``ball5797_s`` on a 5,797-face ball made like
 criterion 7's (one stellar round of the derived 3-cube, then a derived
-subdivision), with the matchings' SHA-256.
+subdivision), with the matchings' SHA-256; ``subdivide_s`` times
+``derived_subdivision`` of fresh copies of the two balls' source
+complexes and of ``solid_cube(4)``, with the subdivisions' SHA-256.
 
 The ``kernels`` rung, each figure repeated until its runs add up to 1 s:
 
@@ -264,12 +266,13 @@ def measure_arrangements() -> dict:
 def measure_collapse() -> dict:
     from polyforge import complexcore as cc, morse
 
-    balls = {
-        "ball1097": _stellar_rounds(cc.simplex_complex(3), 3, random.Random(
-            "collapse:0")).derived_subdivision(),
-        "ball5797": _stellar_rounds(cc.solid_cube(3).derived_subdivision(), 1,
-                                    random.Random("collapse-rung")).derived_subdivision(),
-    }
+    sources = [
+        _stellar_rounds(cc.simplex_complex(3), 3, random.Random("collapse:0")),
+        _stellar_rounds(cc.solid_cube(3).derived_subdivision(), 1,
+                        random.Random("collapse-rung")),
+    ]
+    balls = {"ball1097": sources[0].derived_subdivision(),
+             "ball5797": sources[1].derived_subdivision()}
 
     def run(c):
         m = morse.collapse_search(c)
@@ -283,6 +286,15 @@ def measure_collapse() -> dict:
         results[f"{name}_s"] = _best(run, fresh, min_total=1.0)
         results[f"{name}_faces"] = sum(len(fs) for fs in c.faces().values())
         results[f"{name}_sha256"] = _digest(run(fresh()).to_json())
+
+    def fresh_sources():
+        return [cc.SimplicialComplex(c.num_vertices, c.facets) for c in sources] \
+            + [cc.solid_cube(4)]
+
+    results["subdivide_s"] = _best(
+        lambda cs: [c.derived_subdivision() for c in cs], fresh_sources, min_total=1.0)
+    results["subdivide_sha256"] = _digest(
+        [c.derived_subdivision().to_json() for c in fresh_sources()])
     return results
 
 

@@ -6,7 +6,8 @@ intersection of arrangement members, ordered by reverse inclusion.  The
 Betti numbers of the complement are then assembled from reduced homology
 ranks of order complexes of lower intervals, one summand per poset node.
 
-The poset keeps its strict order as a table built on first use, and
+The poset keeps its strict order and its covers as tables built on first
+use, each lower complex is `complexcore.order_complex` on the covers, and
 `gm_betti_all` reads every Betti degree off one poset.
 
 Everything here is exact rational arithmetic.  Coordinates are coerced
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .complexcore import SimplicialComplex
+from .complexcore import SimplicialComplex, order_complex
 from .exactfield import (
     ONE,
     ZERO,
@@ -165,7 +166,9 @@ def arrangement_to_json(arr: list[AffineSubspace]) -> dict:
 
 
 def arrangement_from_json(data: dict) -> list[AffineSubspace]:
-    d = int(data["dim"])
+    d = data["dim"]
+    if type(d) is not int:  # a float, string or boolean is malformed
+        raise TypeError(f"dim must be an integer, got {d!r}")
     if not data["subspaces"]:
         raise ValueError("arrangement must be nonempty")
     return [AffineSubspace.from_json(s, d) for s in data["subspaces"]]
@@ -202,28 +205,16 @@ class IntersectionPoset:
     def less(self, i: int, j: int) -> bool:
         return i in self._below[j]
 
+    @cached_property
+    def _covers(self) -> tuple:
+        """_covers[j] is the set of i covered by j: below j, and below no
+        other flat below j."""
+        table = self._below
+        return tuple(t.difference(*(table[k] for k in t)) for t in table)
+
     def lower_complex(self, i: int) -> SimplicialComplex:
         """Order complex of the flats strictly containing ``nodes[i]``."""
-        table = self._below
-        below = sorted(table[i])
-        reindex = {j: k for k, j in enumerate(below)}
-        chains: list[tuple[int, ...]] = []
-
-        def extend(chain: list[int]) -> None:
-            nxt = [j for j in below if chain[-1] in table[j]]
-            if not nxt:
-                chains.append(tuple(reindex[j] for j in chain))
-                return
-            for j in nxt:
-                extend(chain + [j])
-
-        # the order is transitive, so whatever lies under a flat of
-        # `below` is in `below` too: the chains start at the flats with
-        # nothing under them
-        for j in below:
-            if not table[j]:
-                extend([j])
-        return SimplicialComplex(len(below), chains)
+        return order_complex(sorted(self._below[i]), self._covers)
 
 
 def intersection_poset(arr: list[AffineSubspace]) -> IntersectionPoset:

@@ -98,6 +98,24 @@ class _LinkIndex:
         return g
 
 
+def order_complex(ids, down) -> "SimplicialComplex":
+    """The order complex of the poset elements `ids`, where down[j] lists
+    the elements j covers and every element below one of `ids` is one of
+    them.  Vertex k of the result is ids[k].  Its facets are the maximal
+    chains: one depth-first walk from each maximal element down the cover
+    lists gives a facet whenever it reaches a minimal element."""
+    pos = {j: k for k, j in enumerate(ids)}
+    covered = set().union(*(down[j] for j in pos))
+    stack = [(j, (k,)) for j, k in pos.items() if j not in covered]
+    chains = []
+    while stack:
+        j, chain = stack.pop()
+        if not down[j]:
+            chains.append(chain)
+        stack.extend((i, chain + (pos[i],)) for i in down[j])
+    return SimplicialComplex(len(pos), chains)
+
+
 class SimplicialComplex:
     """A finite abstract simplicial complex given by its facets."""
 
@@ -269,24 +287,10 @@ class SimplicialComplex:
         return True
 
     def derived_subdivision(self) -> "SimplicialComplex":
-        """Order complex of the face poset (barycentric subdivision).
-
-        New vertex i corresponds to the i-th face in (dimension, lex)
-        order; facets are the maximal flags, one per ordering of each
-        facet's vertices.
-        """
-        all_faces = sorted(
-            (f for fs in self.faces().values() for f in fs),
-            key=lambda t: (len(t), t),
-        )
-        index = {f: i for i, f in enumerate(all_faces)}
-        new_facets = []
-        for f in self.facets:
-            for perm in itertools.permutations(f):
-                flag = tuple(index[tuple(sorted(perm[: k + 1]))]
-                             for k in range(len(perm)))
-                new_facets.append(flag)
-        return SimplicialComplex(len(all_faces), new_facets)
+        """Order complex of the face poset (barycentric subdivision): new
+        vertex i is the i-th face in (dimension, lex) order."""
+        p = FacePoset.from_simplicial(self)
+        return order_complex(range(p.size()), p.down)
 
     def stellar_subdivision(self, face) -> "SimplicialComplex":
         """Star the complex at a face: cone a new vertex over the
@@ -436,33 +440,10 @@ class CubicalComplex:
         return CubicalComplex(len(old_ids), relabeled), old_ids
 
     def derived_subdivision(self) -> SimplicialComplex:
-        """Order complex of the face poset: one vertex per face, one
-        facet per flag of each maximal cube."""
-        face_list = sorted(self.faces().values(),
-                           key=lambda t: (t[0], tuple(sorted(t[1]))))
-        index = {frozenset(c): i for i, (d, c) in enumerate(face_list)}
-        new_facets = []
-        for dim, corners in self.cubes:
-            if dim == 0:
-                new_facets.append((index[frozenset(corners)],))
-                continue
-            for corner_pos in range(1 << dim):
-                for axis_order in itertools.permutations(range(dim)):
-                    flag = []
-                    for k in range(dim + 1):
-                        free = axis_order[:k]
-                        sub = []
-                        for pattern in range(1 << k):
-                            pos = corner_pos
-                            for t, a in enumerate(free):
-                                if (pattern >> t) & 1:
-                                    pos |= 1 << a
-                                else:
-                                    pos &= ~(1 << a)
-                            sub.append(corners[pos])
-                        flag.append(index[frozenset(sub)])
-                    new_facets.append(tuple(flag))
-        return SimplicialComplex(len(face_list), new_facets)
+        """Order complex of the face poset: new vertex i is the i-th face
+        in (dimension, sorted corners) order."""
+        p = FacePoset.from_cubical(self)
+        return order_complex(range(p.size()), p.down)
 
     def to_json(self) -> dict:
         return {"vertices": self.num_vertices,

@@ -108,7 +108,8 @@ class FieldElem:
 
     ``_n`` holds the integers (a, b, c, d, q) of the value
     (a + b*sqrt2 + c*sqrt3 + d*sqrt6) / q, with q > 0 and
-    gcd(a, b, c, d, q) = 1.
+    gcd(a, b, c, d, q) = 1.  The constructor takes the coefficients a, b,
+    c and d, each an exact number by `as_field`'s rule and rational.
     """
 
     __slots__ = ("_n",)
@@ -117,11 +118,17 @@ class FieldElem:
         if type(a) is int and type(b) is int and type(c) is int and type(d) is int:
             self._n = (a, b, c, d, 1)
             return
-        fs = (Fraction(a), Fraction(b), Fraction(c), Fraction(d))
-        q = math.lcm(*(f.denominator for f in fs))
+        ns = []
+        for x in (a, b, c, d):
+            n = as_field(x)._n
+            if n[1] or n[2] or n[3]:
+                raise TypeError("expected a rational coefficient, got an "
+                                f"irrational {type(x).__name__}")
+            ns.append(n)
+        q = math.lcm(*(n[4] for n in ns))
         # q is the least common denominator of reduced fractions, so the
         # scaled numerators share no factor with it
-        self._n = tuple(f.numerator * (q // f.denominator) for f in fs) + (q,)
+        self._n = tuple(n[0] * (q // n[4]) for n in ns) + (q,)
 
     a = _coefficient(0, "1")
     b = _coefficient(1, "sqrt2")
@@ -457,6 +464,16 @@ def mat_pow(m: Mat, k: int) -> Mat:
     return out
 
 
+def _pivot(work: Mat, r: int, col: int) -> None:
+    """Scale row r of `work` so that its entry in column col is one, and
+    clear column col from every other row."""
+    inv = work[r][col].inverse()
+    prow = work[r] = [x * inv if x else x for x in work[r]]
+    for i, row in enumerate(work):
+        if i != r and row[col]:
+            work[i] = _sub_multiple(row, row[col], prow)
+
+
 def _echelon(rows: Mat):
     """Row-reduce an as_vector copy of `rows`: (rref rows, pivot columns)."""
     work = [as_vector(r) for r in rows]
@@ -473,11 +490,7 @@ def _echelon(rows: Mat):
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = work[r][col].inverse()
-        prow = work[r] = [x * inv if x else x for x in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][col]:
-                work[i] = _sub_multiple(work[i], work[i][col], prow)
+        _pivot(work, r, col)
         pivots.append(col)
         r += 1
         if r == nrows:
@@ -600,17 +613,19 @@ def lp_feasible(eq_rows: Sequence[Sequence[FieldElem]], rhs: Sequence[FieldElem]
         tab[i][n + i] = ONE
     basis = list(range(n, n + m))
     # objective: minimize sum of artificials; reduced cost row is the
-    # artificial costs minus the sum of the tableau rows
+    # artificial costs minus the sum of the tableau rows.  It goes last
+    # in the tableau, so that each pivot updates it with the other rows.
     cost = [ZERO] * (n + m + 1)
     for i in range(m):
         cost = [c - t for c, t in zip(cost, tab[i])]
     for j in range(n, n + m):
         cost[j] = cost[j] + ONE
+    tab.append(cost)
 
     while True:
         enter = None
         for j in range(n + m):
-            if cost[j].sign() < 0:
+            if tab[m][j].sign() < 0:
                 enter = j
                 break
         if enter is None:
@@ -629,17 +644,11 @@ def lp_feasible(eq_rows: Sequence[Sequence[FieldElem]], rhs: Sequence[FieldElem]
             # phase-1 objective is bounded below by zero, so this cannot
             # happen; guard anyway
             raise ArithmeticError("unbounded phase-1 simplex")
-        inv = tab[leave][enter].inverse()
-        prow = tab[leave] = [x * inv for x in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter]:
-                tab[i] = _sub_multiple(tab[i], tab[i][enter], prow)
-        if cost[enter]:
-            cost = _sub_multiple(cost, cost[enter], prow)
+        _pivot(tab, leave, enter)
         basis[leave] = enter
 
-    # optimum of the artificial objective is -cost[-1]
-    return cost[-1].is_zero()
+    # optimum of the artificial objective is -tab[m][-1]
+    return tab[m][-1].is_zero()
 
 
 def in_convex_hull(point: Vec, points: Sequence[Vec]) -> bool:

@@ -354,6 +354,18 @@ class TestArrangementCommand:
         assert captured.out == ""
 
 
+    @pytest.mark.parametrize("dim,point", [(2.7, ["0", "0"]), (True, ["0"]),
+                                           ("2", ["0", "0"]), (None, [])])
+    def test_malformed_dim_is_usage_error(self, tmp_path, capsys, dim, point):
+        arr = {"dim": dim, "subspaces": [{"basis": [], "offset": point}]}
+        a_file = write_json(tmp_path / "arr.json", arr)
+        assert main(["arr", "betti", "--file", a_file, "--i", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"{a_file} is not an arrangement document: "
+                                f"dim must be an integer, got {dim!r}\n")
+        assert captured.out == ""
+
+
 class TestCctCommands:
     def test_kappa_matches_golden_file(self, capsys):
         assert main(["cct", "kappa", "--upto", "10"]) == 0

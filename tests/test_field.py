@@ -7,6 +7,7 @@ arithmetic cannot hide behind the code under test.
 
 import itertools
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -925,11 +926,19 @@ class TestCoercionPolicy:
         assert as_vector((1, "1/2", x)) == [FieldElem(1), FieldElem(Fraction(1, 2)), x]
         with pytest.raises(ValueError):
             as_field("sqrt2")
+        # the constructor takes each coefficient by the same rule
+        assert FieldElem(Fraction(1, 2), "1/3", 0, -1)._n == (3, 2, 0, -6, 6)
+        assert FieldElem("-6/4", FieldElem(Fraction(1, 6)))._n == (-9, 1, 0, 0, 6)
+        with pytest.raises(TypeError, match="irrational FieldElem"):
+            FieldElem(1, FieldElem.sqrt2())
 
-    @pytest.mark.parametrize("value", [1.5, 2.0, complex(1), None, [1]])
+    @pytest.mark.parametrize("value", [1.5, 2.0, complex(1), None, [1], 0.1,
+                                       Decimal("0.1")])
     def test_other_types_name_their_type(self, value):
-        with pytest.raises(TypeError, match=type(value).__name__):
-            as_field(value)
+        for call in (as_field, FieldElem, lambda x: FieldElem(1, x),
+                     lambda x: FieldElem(0, 0, 0, x)):
+            with pytest.raises(TypeError, match=type(value).__name__):
+                call(value)
 
     @pytest.mark.parametrize("call", [
         lambda: as_vector([1, 0.5]),
