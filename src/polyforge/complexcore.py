@@ -5,7 +5,9 @@ vertex ids; a cube of dimension k is a tuple of 2^k corner ids indexed so
 that bit j of the corner position gives the coordinate along axis j.
 Cubes shared between neighbours are identified by their corner sets.
 Graphs are adjacency maps (dict or list of neighbour sets); `bfs` answers
-their distance and connectivity questions.
+their distance and connectivity questions.  `order_complex` builds the
+order complex of a poset from its cover lists; derived subdivisions are
+order complexes of face posets.
 """
 
 from __future__ import annotations
