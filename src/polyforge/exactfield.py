@@ -118,13 +118,9 @@ class FieldElem:
         if type(a) is int and type(b) is int and type(c) is int and type(d) is int:
             self._n = (a, b, c, d, 1)
             return
-        ns = []
-        for x in (a, b, c, d):
-            n = as_field(x)._n
-            if n[1] or n[2] or n[3]:
-                raise TypeError("expected a rational coefficient, got an "
-                                f"irrational {type(x).__name__}")
-            ns.append(n)
+        ns = [as_field(x)._n for x in (a, b, c, d)]
+        if any(n[1] or n[2] or n[3] for n in ns):
+            raise TypeError("expected rational coefficients, got an irrational FieldElem")
         q = math.lcm(*(n[4] for n in ns))
         # q is the least common denominator of reduced fractions, so the
         # scaled numerators share no factor with it
@@ -613,8 +609,8 @@ def lp_feasible(eq_rows: Sequence[Sequence[FieldElem]], rhs: Sequence[FieldElem]
         tab[i][n + i] = ONE
     basis = list(range(n, n + m))
     # objective: minimize sum of artificials; reduced cost row is the
-    # artificial costs minus the sum of the tableau rows.  It goes last
-    # in the tableau, so that each pivot updates it with the other rows.
+    # artificial costs minus the sum of the tableau rows, and goes last
+    # in the tableau, so that each pivot updates it
     cost = [ZERO] * (n + m + 1)
     for i in range(m):
         cost = [c - t for c, t in zip(cost, tab[i])]
