@@ -579,6 +579,54 @@ def rotation_34() -> Mat:
     return m
 
 
+def _half_mix(x: FieldElem, y: FieldElem, sx: int, sy: int) -> FieldElem:
+    """(sx*x + sy*sqrt3*y) / 2 for signs sx, sy in {1, -1}: sqrt3 times
+    (a + b*sqrt2 + c*sqrt3 + d*sqrt6) / q has numerators (3c, 3d, a, b)."""
+    a1, b1, c1, d1, q1 = x._n
+    a2, b2, c2, d2, q2 = y._n
+    if q1 != q2:
+        a1, b1, c1, d1 = a1 * q2, b1 * q2, c1 * q2, d1 * q2
+        a2, b2, c2, d2 = a2 * q1, b2 * q1, c2 * q1, d2 * q1
+        q1 *= q2
+    t = 3 * sy
+    return _elem(sx * a1 + t * c2, sx * b1 + t * d2,
+                 sx * c1 + sy * a2, sx * d1 + sy * b2, 2 * q1)
+
+
+def rotate(p: Vec, quarter: int, sixth: int) -> Vec:
+    """``rotation_12()**quarter * rotation_34()**sixth * p`` for a 5-vector
+    p, computed on the stored integers; powers count modulo the orders 4
+    and 6, so negative powers are inverses.
+
+    Both factors are block rotations that fix coordinate 5, and they
+    commute.  A quarter turn permutes and negates coordinates 1-2,
+    (x1, x2) -> (-x2, x1).  A sixth turn mixes coordinates 3-4 as
+    (x3, x4) -> ((x3 - sqrt3*x4)/2, (x4 + sqrt3*x3)/2); its powers are
+    entries (+-x +- sqrt3*y)/2, or +-x for a half turn, and each mixed
+    entry is one integer expression reduced by one gcd.  Entries that are
+    not FieldElem are coerced by as_vector first.
+    """
+    x1, x2, x3, x4, x5 = p
+    if not (type(x1) is type(x2) is type(x3) is type(x4) is type(x5) is FieldElem):
+        x1, x2, x3, x4, x5 = as_vector(p)
+    quarter %= 4
+    if quarter == 1:
+        x1, x2 = -x2, x1
+    elif quarter == 2:
+        x1, x2 = -x1, -x2
+    elif quarter == 3:
+        x1, x2 = x2, -x1
+    # the sixth turn to the power 3 + r is minus its power r
+    h, r = (1, sixth % 6) if sixth % 6 < 3 else (-1, sixth % 6 - 3)
+    if r == 1:
+        x3, x4 = _half_mix(x3, x4, h, -h), _half_mix(x4, x3, h, h)
+    elif r == 2:
+        x3, x4 = _half_mix(x3, x4, -h, -h), _half_mix(x4, x3, -h, h)
+    elif h < 0:
+        x3, x4 = -x3, -x4
+    return (x1, x2, x3, x4, x5)
+
+
 def reflection_e4() -> Mat:
     """Reflection negating the fourth coordinate of R^5."""
     m = mat_identity(5)

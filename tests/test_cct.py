@@ -55,6 +55,7 @@ from polyforge.exactfield import (
     mat_solve,
     mat_vec,
     reflection_e4,
+    rotate,
     rotation_12,
     rotation_34,
 )
@@ -726,6 +727,13 @@ class TestIncrementalRecord:
             first = geo.coords[12 * level]
             for j, e in enumerate(screw.powers):
                 assert geo.coords[12 * level + j] == mat_vec(B_POW[e], first)
+
+    def test_rotate_is_the_screw_power(self):
+        # B^e = R12^e R34^e, since the two block rotations commute
+        geo = generate(4)
+        for p in geo.coords + geo.kappas:
+            for e in range(-12, 12):
+                assert rotate(p, e, e) == tuple(mat_vec(B_POW[e % 12], p))
 
     def test_non_representative_tamper_is_a_symmetry_violation(self):
         geo = generate(5)

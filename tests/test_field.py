@@ -28,10 +28,12 @@ from polyforge.exactfield import (
     mat_identity,
     mat_mul,
     mat_nullspace,
+    mat_pow,
     mat_rank,
     mat_rref,
     mat_solve,
     mat_vec,
+    rotate,
     rotation_12,
     rotation_34,
     vec_dot,
@@ -234,6 +236,48 @@ class TestMatrices:
         for v in basis:
             for row in rows:
                 assert vec_dot(tuple(row), v).is_zero()
+
+
+# rotation_12()**q * rotation_34()**s for q in 0..3 and s in 0..5: the
+# matrix oracle of the block-rotation kernel.
+ROTATION_POWERS = {
+    (q, s): mat_mul(mat_pow(rotation_12(), q), mat_pow(rotation_34(), s))
+    for q in range(4) for s in range(6)}
+
+nonzero_rationals = rationals.filter(bool)
+full_elems = st.builds(FieldElem, nonzero_rationals, nonzero_rationals,
+                       nonzero_rationals, nonzero_rationals)
+
+
+class TestRotateAgainstMatrices:
+    """rotate(p, q, s) is the matrix product on p, entry for entry."""
+
+    @given(st.lists(full_elems, min_size=5, max_size=5).map(tuple))
+    @settings(max_examples=40, deadline=None)
+    def test_every_power_pair(self, p):
+        for q in range(-12, 12):
+            for s in range(-12, 12):
+                want = mat_vec(ROTATION_POWERS[(q % 4, s % 6)], p)
+                got = rotate(p, q, s)
+                assert type(got) is tuple
+                assert [x._n for x in got] == [x._n for x in want], (q, s)
+
+    @given(st.lists(full_elems, min_size=5, max_size=5).map(tuple))
+    @settings(max_examples=40, deadline=None)
+    def test_chain_pairs(self, p):
+        # the screw images the chain iteration takes: R12*R34, R12*R34^5
+        # and R12^2
+        for q, s in ((1, 1), (1, 5), (2, 0)):
+            want = mat_vec(mat_mul(mat_pow(rotation_12(), q),
+                                   mat_pow(rotation_34(), s)), p)
+            assert [x._n for x in rotate(p, q, s)] == [x._n for x in want]
+
+    def test_mixed_entries_coerced(self):
+        p = (1, Fraction(-2, 3), "5/7", FieldElem(1, 2, 3, 4), Fraction(1, 2))
+        want = mat_vec(ROTATION_POWERS[(1, 1)], p)
+        got = rotate(p, 1, 1)
+        assert all(type(x) is FieldElem for x in got)
+        assert [x._n for x in got] == [x._n for x in want]
 
 
 class TestVectors:
