@@ -26,7 +26,7 @@ from .exactfield import (
     mat_pow,
     mat_rank,
     mat_solve,
-    mat_vec,
+    rotate,
     rotation_12,
     rotation_34,
     vec_dot,
@@ -41,10 +41,7 @@ R12 = rotation_12()
 R34 = rotation_34()
 B_STEP = mat_mul(R34, R12)
 B_POW = [mat_pow(B_STEP, j) for j in range(12)]
-A_TWIST = B_POW[8]
 R12_SQ = mat_mul(R12, R12)
-_R12_R34 = mat_mul(R12, R34)
-_R12_R34_INV = mat_mul(R12, mat_pow(R34, 5))
 
 
 @dataclass(frozen=True)
@@ -106,8 +103,8 @@ def mu(a, b):
 def iterate(a, b):
     """Next chain point: mix a with the two screwed images of b."""
     w = mu(a, b)
-    rb = mat_vec(_R12_R34, b)
-    rb2 = mat_vec(_R12_R34_INV, b)
+    rb = rotate(b, 1, 1)
+    rb2 = rotate(b, 1, -1)
     half = _fe(1, 0, 2)
     out = [w * ai + (1 - w) * (half * (x + y)) for ai, x, y in zip(a, rb, rb2)]
     if not out[4]:
@@ -124,7 +121,7 @@ def kappa_chain(n: int) -> list:
     if n >= 1:
         chain.append(KAPPA1)
     while len(chain) <= n:
-        chain.append(tuple(mat_vec(R12_SQ, iterate(chain[-2], chain[-1]))))
+        chain.append(rotate(iterate(chain[-2], chain[-1]), 2, 0))
     return chain
 
 
@@ -360,9 +357,9 @@ def _points_from_json(points, what: str) -> tuple:
 
 def _level_coords(ab: AbstractCCT, level: int, kappa) -> tuple:
     """The 12 vertices of one level: screw images of its squeeze point."""
-    return tuple(
-        tuple(mat_vec(B_POW[(8 * w[0] + w[2] + 5 * level) % 12], kappa))
-        for w in ab.vertex_reps[12 * level:12 * level + 12])
+    powers = (8 * w[0] + w[2] + 5 * level
+              for w in ab.vertex_reps[12 * level:12 * level + 12])
+    return tuple(rotate(kappa, e, e) for e in powers)
 
 
 def seed_ct1() -> GeoCCT:
@@ -466,7 +463,7 @@ def extend(t: GeoCCT, record: TubeRecord | None = None) -> GeoCCT:
             raise ValueError("predicate failure: slope")
         if not _oriented_core(t, screw):
             raise ValueError("predicate failure: orientation")
-    nxt = tuple(mat_vec(R12_SQ, iterate(t.kappas[k - 1], t.kappas[k])))
+    nxt = rotate(iterate(t.kappas[k - 1], t.kappas[k]), 2, 0)
     ab = AbstractCCT(k + 1)
     geo = GeoCCT(ab, t.coords + _level_coords(ab, k + 1, nxt), t.kappas + (nxt,))
     if geo.width >= 3:
@@ -583,9 +580,9 @@ def check_symmetric(t: GeoCCT, record: TubeRecord | None = None) -> Screw | None
         record.screws = tuple(
             screw for screw in record.screws
             if all(P[ab.vertex_id((w[0] - 1, w[1] + 1, w[2]))]
-                   == mat_vec(B_POW[screw.tb], P[vid])
+                   == rotate(P[vid], screw.tb, screw.tb)
                    and P[ab.vertex_id((w[0], w[1] - 1, w[2] + 1))]
-                   == mat_vec(B_POW[screw.tc], P[vid])
+                   == rotate(P[vid], screw.tc, screw.tc)
                    for vid, w in level))
         record.symmetric_levels += 1
     return record.screw
@@ -701,7 +698,7 @@ def _slope_core(t: GeoCCT) -> bool:
     k = ab.width
     top = range(12 * k, 12 * (k + 1))
     sv = min(top, key=lambda i: t.coords[i])
-    image = tuple(mat_vec(A_TWIST, t.coords[sv]))
+    image = rotate(t.coords[sv], 8, 8)
     try:
         tv = t.coords.index(image)
     except ValueError:
@@ -802,7 +799,7 @@ def _oriented_core(t: GeoCCT, screw: Screw) -> bool:
         raise ValueError("chord endpoints are collinear")
     # the chord's top vertex pulled back by the screw power e of each
     # vertex of a level: B^-e p0 and, as its pi0 part, B^-e p1
-    pulled = [mat_vec(B_POW[-e % 12], t.coords[v]) for e in screw.powers]
+    pulled = [rotate(t.coords[v], -e, -e) for e in screw.powers]
     normals = [None] * 3
     crossings = 0
     for i, cyc in enumerate(ab.boundary_squares()):
@@ -889,7 +886,7 @@ def check_convex_position(t: GeoCCT, screw: Screw | None = None) -> dict:
 def _carry(n, e: int) -> tuple:
     if e == 0:
         return n
-    m = mat_vec(B_POW[e], n)
+    m = rotate(n, e, e)
     scale = abs(next(x for x in reversed(m) if x))
     return m if scale == 1 else tuple(x / scale for x in m)
 
