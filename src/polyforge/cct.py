@@ -328,7 +328,9 @@ class GeoCCT:
 
     @classmethod
     def from_json(cls, data: dict) -> "GeoCCT":
-        width = int(data["width"])
+        width = data["width"]
+        if type(width) is not int:  # a float, string or boolean is malformed
+            raise TypeError(f"width must be an integer, got {width!r}")
         if width < 1:
             raise ValueError(f"width must be at least 1, got {width}")
         ab = AbstractCCT(width)

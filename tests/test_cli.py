@@ -402,6 +402,17 @@ class TestCctCommands:
         assert "width must be at least 1" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("width", [4.9, 4.0, "4", True, None])
+    def test_verify_malformed_width_is_usage_error(self, tmp_path, capsys, width):
+        doc = generate(4).to_json()
+        doc["width"] = width
+        bad = write_json(tmp_path / "bad.json", doc)
+        assert main(["cct", "verify", "--file", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"{bad} is malformed: "
+                                f"width must be an integer, got {width!r}\n")
+        assert captured.out == ""
+
     def test_verify_detects_tampering(self, tmp_path, capsys):
         geo = generate(3)
         doc = geo.to_json()
