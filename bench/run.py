@@ -8,10 +8,10 @@ The ladder runs in 3 rounds.  In each round every rung runs once per
 source tree, in one fresh single-threaded process that imports polyforge
 from ``<tree>/src``; the trees take turns to go first from rung to rung
 and from round to round, so that a slow phase of the host falls on both.
-Within a process each figure is the best of 3 runs after one untimed
-warm-up run (the arrangements and collapse rungs repeat their runs until
-they add up to at least 1 s), and the JSON keeps each figure's smallest
-value over the rounds.  Every value that is not a time must repeat
+Within a process each figure is the best of at least 3 runs after one
+untimed warm-up run (every rung but paths repeats its runs until they
+add up to at least 1 s), and the JSON keeps each figure's smallest value
+over the rounds.  Every value that is not a time must repeat
 exactly from round to round.
 
 The ``tube`` rung, for every width n of the ladder (4, 12, 16, 24, 32
@@ -64,7 +64,10 @@ The ``kernels`` rung, each figure repeated until its runs add up to 1 s:
     matrix of rank 3, with both answers;
   * ``rank_sparse_90x60_ms``: milliseconds per ``mat_rank`` of a seeded
     90x60 matrix of ``FieldElem`` entries, one in ten of them +-1 and the
-    rest zero, with its rank.
+    rest zero, with its rank;
+  * ``screw_ns``: nanoseconds per screw image B^5 p of vertex 30 of the
+    width-4 tube by ``rotate(p, 5, 5)`` (null for a tree without it), and
+    ``mat_vec_ns`` for the same image by ``mat_vec(cct.B_POW[5], p)``.
 
 The JSON written holds the machine (platform, processor, CPU count,
 Python), each tree's git SHA, and the timings; standard library only.
@@ -133,10 +136,10 @@ def measure_tube() -> dict:
         for n in WIDTHS:
             gen_argv = ["cct", "generate", "--n", str(n), "--out", bundle]
             results[str(n)] = {
-                "generate_s": _best(lambda _: cct.generate(n)),
-                "cct_generate_s": _best(lambda _: run_cli(gen_argv)),
+                "generate_s": _best(lambda _: cct.generate(n), min_total=1.0),
+                "cct_generate_s": _best(lambda _: run_cli(gen_argv), min_total=1.0),
                 "verify_s": _best(lambda _: run_cli(
-                    ["cct", "verify", "--file", bundle])),
+                    ["cct", "verify", "--file", bundle]), min_total=1.0),
                 "bundle_bytes": os.path.getsize(bundle),
             }
     return results
@@ -326,9 +329,11 @@ def _per_call(fn, calls: int) -> float:
 
 
 def measure_kernels() -> dict:
-    from polyforge import exactfield as ef
+    from polyforge import cct, exactfield as ef
 
     x, y, m8x5, sparse = _kernel_inputs(ef)
+    p = cct.generate(4).coords[30]
+    rotate = getattr(ef, "rotate", None)
     return {
         "mul_ns": _per_call(lambda: x * y, 10_000) * 1e9,
         "inverse_ns": _per_call(x.inverse, 10_000) * 1e9,
@@ -339,6 +344,8 @@ def measure_kernels() -> dict:
         "nullity_8x5": len(ef.mat_nullspace(m8x5)),
         "rank_sparse_90x60_ms": _per_call(lambda: ef.mat_rank(sparse), 5) * 1e3,
         "rank_sparse_90x60": ef.mat_rank(sparse),
+        "screw_ns": rotate and _per_call(lambda: rotate(p, 5, 5), 10_000) * 1e9,
+        "mat_vec_ns": _per_call(lambda: ef.mat_vec(cct.B_POW[5], p), 1_000) * 1e9,
     }
 
 
@@ -431,9 +438,9 @@ def main() -> int:
         })
     doc = {
         "bench": "ladder",
-        "metric": (f"smallest over {ROUNDS} rounds of the best of {REPEAT} "
-                   "wall-clock seconds after one warm-up run; arrangements and "
-                   f"collapse: best of at least {REPEAT} runs adding up to 1 s"),
+        "metric": (f"smallest over {ROUNDS} rounds of the best of at least "
+                   f"{REPEAT} wall-clock seconds after one warm-up run, runs "
+                   "adding up to at least 1 s on every rung but paths"),
         "machine": {
             "platform": platform.platform(),
             "processor": _processor(),
