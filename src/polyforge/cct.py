@@ -6,6 +6,12 @@ geometric side assigns each vertex a point of the upper half sphere in
 gnomonic 5-coordinates (last coordinate 1), built from a chain of squeeze
 points and the order-12 screw motion.  All predicates reduce to exact sign
 tests; floats appear only in reports.
+
+The screw motion B = R34 R12 is block diagonal: a quarter turn of
+coordinates 1-2, a sixth turn of coordinates 3-4, coordinate 5 fixed.
+The blocks commute, so B^e = R12^e R34^e, and every screw image is taken
+as ``exactfield.rotate(p, e, e)`` on the stored integers; the matrices
+B_POW and R12_SQ remain as the reference the tests compare against.
 """
 
 from __future__ import annotations

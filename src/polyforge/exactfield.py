@@ -617,7 +617,8 @@ def rotate(p: Vec, quarter: int, sixth: int) -> Vec:
     elif quarter == 3:
         x1, x2 = x2, -x1
     # the sixth turn to the power 3 + r is minus its power r
-    h, r = (1, sixth % 6) if sixth % 6 < 3 else (-1, sixth % 6 - 3)
+    half_turn, r = divmod(sixth % 6, 3)
+    h = -1 if half_turn else 1
     if r == 1:
         x3, x4 = _half_mix(x3, x4, h, -h), _half_mix(x4, x3, h, h)
     elif r == 2:
