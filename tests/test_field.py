@@ -255,22 +255,14 @@ class TestRotateAgainstMatrices:
     @given(st.lists(full_elems, min_size=5, max_size=5).map(tuple))
     @settings(max_examples=40, deadline=None)
     def test_every_power_pair(self, p):
+        # negative powers included, and the pairs (1, 1), (1, -1) and
+        # (2, 0) that the chain iteration takes
         for q in range(-12, 12):
             for s in range(-12, 12):
                 want = mat_vec(ROTATION_POWERS[(q % 4, s % 6)], p)
                 got = rotate(p, q, s)
                 assert type(got) is tuple
                 assert [x._n for x in got] == [x._n for x in want], (q, s)
-
-    @given(st.lists(full_elems, min_size=5, max_size=5).map(tuple))
-    @settings(max_examples=40, deadline=None)
-    def test_chain_pairs(self, p):
-        # the screw images the chain iteration takes: R12*R34, R12*R34^5
-        # and R12^2
-        for q, s in ((1, 1), (1, 5), (2, 0)):
-            want = mat_vec(mat_mul(mat_pow(rotation_12(), q),
-                                   mat_pow(rotation_34(), s)), p)
-            assert [x._n for x in rotate(p, q, s)] == [x._n for x in want]
 
     def test_mixed_entries_coerced(self):
         p = (1, Fraction(-2, 3), "5/7", FieldElem(1, 2, 3, 4), Fraction(1, 2))
