@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 
 def _canon_face(face) -> tuple:
@@ -466,48 +466,48 @@ def solid_cube(k: int) -> CubicalComplex:
 
 @dataclass
 class FacePoset:
-    """A graded poset of cells, recorded by covering relations.
+    """A graded poset of cells, recorded by its cover lists.
 
-    elements[i] is a hashable key, dims[i] its dimension, and covers
-    holds pairs (i, j) meaning element i is covered by element j.  The
-    constructor checks the covers and indexes them: index maps a key to
-    its id, and up[i] and down[i] list the ids covering and covered by
-    element i.  The two constructors from complexes list the elements in
-    (dimension, key) order; from_simplicial passes the key-to-id index
-    it built as `known_index`, so that it is not built twice.
+    elements[i] is a hashable key, dims[i] its dimension, and down[j]
+    lists the ids of the elements j covers.  The constructor checks the
+    covers and indexes them: index maps a key to its id, and up[i] lists
+    the ids covering element i.  Both lists are stored in ascending id
+    order, whatever order the covers came in.  The two constructors from
+    complexes list the elements in (dimension, key) order, so for a
+    simplex f with id j, down[j][m] is f with vertex f[len(f)-1-m]
+    dropped.
     """
 
     elements: list
     dims: list
-    covers: set
+    down: list
     index: dict = field(init=False, repr=False, compare=False)
     up: list = field(init=False, repr=False, compare=False)
-    down: list = field(init=False, repr=False, compare=False)
-    known_index: InitVar[dict | None] = None
 
-    def __post_init__(self, known_index):
-        if len(self.elements) != len(self.dims):
-            raise ValueError("elements and dims must align")
+    def __post_init__(self):
         n = len(self.elements)
-        self.index = (known_index if known_index is not None
-                      else {k: i for i, k in enumerate(self.elements)})
+        if len(self.dims) != n or len(self.down) != n:
+            raise ValueError("elements, dims and down must align")
+        self.index = {k: i for i, k in enumerate(self.elements)}
         if len(self.index) != n:
             raise ValueError("face keys are not unique")
-        up = self.up = [[] for _ in range(n)]
-        down = self.down = [[] for _ in range(n)]
         dims = self.dims
-        for (i, j) in self.covers:
-            if not (0 <= i < n and 0 <= j < n):
+        up = self.up = [[] for _ in range(n)]
+        down = self.down = [sorted(covered) for covered in self.down]
+        for j, covered in enumerate(down):
+            if not covered:
+                if dims[j] > 0:
+                    raise ValueError(
+                        f"element {self.elements[j]} of dimension {dims[j]} covers nothing")
+                continue
+            if covered[0] < 0 or covered[-1] >= n:
                 raise ValueError("cover index out of range")
-            if dims[j] != dims[i] + 1:
-                raise ValueError(
-                    f"cover {self.elements[i]} < {self.elements[j]} skips a dimension")
-            up[i].append(j)
-            down[j].append(i)
-        for i, d in enumerate(dims):
-            if d > 0 and not down[i]:
-                raise ValueError(
-                    f"element {self.elements[i]} of dimension {d} covers nothing")
+            d = dims[j] - 1
+            for i in covered:
+                if dims[i] != d:
+                    raise ValueError(
+                        f"cover {self.elements[i]} < {self.elements[j]} skips a dimension")
+                up[i].append(j)
 
     def size(self) -> int:
         return len(self.elements)
@@ -519,30 +519,20 @@ class FacePoset:
         for d in sorted(layers):
             faces += sorted(layers[d])
             dims += [d] * len(layers[d])
-        index = {f: i for i, f in enumerate(faces)}
-        # the facets of f dropping f[0], f[1], ... in turn (combinations
-        # drops the last vertex first): the order the covers go into the
-        # set fixes the order it iterates in, and so that of up and down
-        covers = set()
-        add_all, position = covers.update, index.__getitem__
-        for j in range(len(layers.get(0, ())), len(faces)):
-            f = faces[j]
-            add_all(zip(map(position, reversed(list(
-                itertools.combinations(f, len(f) - 1)))), itertools.repeat(j)))
-        return cls(faces, dims, covers, index)
+        position = {f: i for i, f in enumerate(faces)}.__getitem__
+        vertices = len(layers.get(0, ()))
+        # combinations lists the facets of a sorted face in ascending order
+        down = [[]] * vertices + [
+            list(map(position, itertools.combinations(f, len(f) - 1)))
+            for f in faces[vertices:]]
+        return cls(faces, dims, down)
 
     @classmethod
     def from_cubical(cls, c: CubicalComplex) -> "FacePoset":
         face_list = sorted(c.faces().values(),
                            key=lambda t: (t[0], tuple(sorted(t[1]))))
         index = {frozenset(corners): i for i, (d, corners) in enumerate(face_list)}
-        covers = set()
-        for dim, corners in c.faces().values():
-            if dim == 0:
-                continue
-            i_self = index[frozenset(corners)]
-            for fdim, sub in _cube_faces(dim, corners):
-                if fdim == dim - 1:
-                    covers.add((index[frozenset(sub)], i_self))
+        down = [[index[frozenset(sub)] for fdim, sub in _cube_faces(dim, corners)
+                 if fdim == dim - 1] for dim, corners in face_list]
         elements = [tuple(sorted(corners)) for d, corners in face_list]
-        return cls(elements, [d for d, _ in face_list], covers)
+        return cls(elements, [d for d, _ in face_list], down)

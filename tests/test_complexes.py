@@ -215,47 +215,88 @@ class TestFacePoset:
         for i, d in enumerate(p.dims):
             by_dim.setdefault(d, []).append(i)
         for t in by_dim[2]:
-            assert sum(1 for (a, b) in p.covers if b == t) == 3
+            assert len(p.down[t]) == 3
 
     def test_from_cubical(self):
         p = FacePoset.from_cubical(solid_cube(3))
         assert p.size() == 8 + 12 + 6 + 1
         top = p.dims.index(3)
-        assert sum(1 for (a, b) in p.covers if b == top) == 6
+        assert len(p.down[top]) == 6
 
     def test_explicit_validation(self):
         # cover skipping a dimension is rejected
-        with pytest.raises(ValueError):
-            FacePoset(["a", "b"], [0, 2], {(0, 1)})
+        with pytest.raises(ValueError, match="skips a dimension"):
+            FacePoset(["a", "b"], [0, 2], [[], [0]])
 
     def test_duplicate_keys_rejected(self):
         with pytest.raises(ValueError, match="not unique"):
-            FacePoset(["a", "a"], [0, 0], set())
+            FacePoset(["a", "a"], [0, 0], [[], []])
+
+    @pytest.mark.parametrize("elements,dims,down,message", [
+        (["a", "b"], [0, 1], [[]], "must align"),
+        (["a", "b"], [0], [[], [0]], "must align"),
+        (["a", "b"], [0, 1], [[], [2]], "out of range"),
+        (["a", "b"], [0, 1], [[], [-1]], "out of range"),
+        (["a", "b"], [0, 1], [[], []], "covers nothing"),
+        (["a", "b"], [0, 0], [[1], []], "skips a dimension"),
+    ])
+    def test_malformed_covers_rejected(self, elements, dims, down, message):
+        with pytest.raises(ValueError, match=message):
+            FacePoset(elements, dims, down)
 
     @pytest.mark.parametrize("p", [FacePoset.from_simplicial(boundary_sphere(3)),
                                    FacePoset.from_cubical(solid_cube(3))])
-    def test_index_and_cover_lists_agree_with_covers(self, p):
+    def test_index_and_cover_lists_agree(self, p):
         assert p.index == {k: i for i, k in enumerate(p.elements)}
+        # up is the transpose of down, and every cover is a face of
+        # its coface one dimension down
         assert sorted((i, j) for i, ups in enumerate(p.up) for j in ups) \
-            == sorted(p.covers)
-        assert sorted((i, j) for j, downs in enumerate(p.down) for i in downs) \
-            == sorted(p.covers)
+            == sorted((i, j) for j, downs in enumerate(p.down) for i in downs)
+        for j, downs in enumerate(p.down):
+            for i in downs:
+                assert set(p.elements[i]) < set(p.elements[j])
+                assert p.dims[i] == p.dims[j] - 1
         # ids follow (dimension, key) order
         assert list(p.elements) == sorted(
             p.elements, key=lambda k: (p.dims[p.index[k]], k))
 
+    def test_cover_lists_sorted_whatever_order_given(self):
+        p = FacePoset(["a", "b", "c", "ab", "ac", "bc", "abc"],
+                      [0, 0, 0, 1, 1, 1, 2],
+                      [[], [], [], [1, 0], [2, 0], [2, 1], [5, 3, 4]])
+        assert p.down == [[], [], [], [0, 1], [0, 2], [1, 2], [3, 4, 5]]
+        assert p.up == [[3, 4], [3, 5], [4, 5], [6], [6], [6], []]
+        assert p == FacePoset(p.elements, p.dims, [[], [], [], [0, 1], [0, 2],
+                                                   [1, 2], [3, 4, 5]])
+
+    @pytest.mark.parametrize("c", [boundary_sphere(3), octahedron(),
+                                   simplex_complex(3).derived_subdivision(),
+                                   SimplicialComplex(5, [(0, 1, 2), (2, 3), (4,)])])
+    def test_cover_lists_ascend_and_drop_from_the_end(self, c):
+        p = FacePoset.from_simplicial(c)
+        for lists in (p.up, p.down):
+            assert all(ids == sorted(ids) for ids in lists)
+        for j, f in enumerate(p.elements):
+            assert len(p.down[j]) == (len(f) if len(f) > 1 else 0)
+            for m, i in enumerate(p.down[j]):
+                k = len(f) - 1 - m
+                assert p.elements[i] == f[:k] + f[k + 1:]
+
+    def test_cubical_cover_lists_ascend(self):
+        p = FacePoset.from_cubical(solid_cube(3))
+        for lists in (p.up, p.down):
+            assert all(ids == sorted(ids) for ids in lists)
+
 
 def ref_from_simplicial(c):
-    """The face poset with one global (size, key) sort of all faces."""
+    """The face poset with one global (size, key) sort of all faces, and
+    each face's covers derived by dropping its vertices in turn."""
     faces = sorted((f for fs in c.faces().values() for f in fs),
                    key=lambda t: (len(t), t))
     index = {f: i for i, f in enumerate(faces)}
-    covers = set()
-    for f in faces:
-        if len(f) >= 2:
-            for v in f:
-                covers.add((index[tuple(x for x in f if x != v)], index[f]))
-    return FacePoset(list(faces), [len(f) - 1 for f in faces], covers)
+    down = [[index[tuple(x for x in f if x != v)] for v in f] if len(f) >= 2 else []
+            for f in faces]
+    return FacePoset(list(faces), [len(f) - 1 for f in faces], down)
 
 
 def benchmark_balls(seed):
@@ -276,7 +317,6 @@ class TestFacePosetOracle:
             got, want = FacePoset.from_simplicial(c), ref_from_simplicial(c)
             assert got == want
             assert got.elements == want.elements and got.dims == want.dims
-            assert got.covers == want.covers
             assert list(got.index.items()) == list(want.index.items())
             # the cover lists in the same order, not only the same sets
             assert got.up == want.up and got.down == want.down

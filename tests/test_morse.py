@@ -364,8 +364,9 @@ class RefDiagram:
         self.dims = list(poset.dims)
         n = len(self.key_of)
         self.up = [set() for _ in range(n)]
-        for i, j in poset.covers:
-            self.up[i].add(j)
+        for j, covered in enumerate(poset.down):
+            for i in covered:
+                self.up[i].add(j)
         self.above = [None] * n
         for i in sorted(range(n), key=lambda t: -self.dims[t]):
             acc = set()
