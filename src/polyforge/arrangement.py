@@ -7,8 +7,10 @@ Betti numbers of the complement are then assembled from reduced homology
 ranks of order complexes of lower intervals, one summand per poset node.
 
 The poset keeps its strict order and its covers as tables built on first
-use, each lower complex is `complexcore.order_complex` on the covers, and
-`gm_betti_all` reads every Betti degree off one poset.
+use, each lower complex is `complexcore.order_complex` on the covers, its
+boundary matrices are read off the cover lists of its
+`complexcore.FacePoset`, and `gm_betti_all` reads every Betti degree off
+one poset.
 
 Everything here is exact rational arithmetic.  Coordinates are coerced
 by :func:`exactfield.as_vector` and must be rational, so the elimination
@@ -18,11 +20,12 @@ from ``span_form`` and ``to_json``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .complexcore import SimplicialComplex, order_complex
+from .complexcore import FacePoset, SimplicialComplex, order_complex
 from .exactfield import (
     ONE,
     ZERO,
@@ -254,30 +257,31 @@ def betti_reduced_homology(c: SimplicialComplex, k: int) -> int:
     return betti[k + 1] if -1 <= k < len(betti) - 1 else 0
 
 
-def _boundary_rank(dom: list, cod: list) -> int:
-    """Rank of the boundary map from the chains on `dom` to the chains on
-    `cod`, the faces one dimension down."""
-    if not dom or not cod:
-        return 0
-    index = {f: i for i, f in enumerate(cod)}
-    rows = []
-    for f in dom:
-        row = [ZERO] * len(cod)
-        for i in range(len(f)):
-            row[index[f[:i] + f[i + 1:]]] = -ONE if i % 2 else ONE
-        rows.append(row)
-    return mat_rank(rows)
-
-
 def _reduced_betti_numbers(c: SimplicialComplex) -> list:
     """Reduced rational Betti numbers of ``c`` in degrees −1, 0, ...,
-    dim c, each boundary rank computed once."""
-    faces = c.faces()
-    bases = [[()]] + [sorted(faces[d]) for d in range(max(faces, default=-1) + 1)]
+    dim c, each boundary rank computed once.
+
+    The chains of degree k are the ids of dimension k in the face poset
+    of ``c``, one contiguous range.  Row j of the boundary out of degree
+    k is read off down[j]: its entry m is the face with vertex k − m
+    dropped, with sign (−1)^(k − m).  A vertex bounds the empty face."""
+    p = FacePoset.from_simplicial(c)
+    # the ids of dimension k run from start[k] up to start[k + 1]
+    start = [bisect_left(p.dims, k) for k in range(c.dim + 2)]
     # ranks[k + 1] is the rank of the boundary out of degree k
-    ranks = [0] + [_boundary_rank(bases[k], bases[k - 1])
-                   for k in range(1, len(bases))] + [0]
-    return [len(b) - ranks[k] - ranks[k + 1] for k, b in enumerate(bases)]
+    ranks = [0, min(1, p.size())]
+    for k in range(1, len(start) - 1):
+        first, width = start[k - 1], start[k] - start[k - 1]
+        rows = []
+        for j in range(start[k], start[k + 1]):
+            row = [ZERO] * width
+            for m, i in enumerate(p.down[j]):
+                row[i - first] = -ONE if (k - m) % 2 else ONE
+            rows.append(row)
+        ranks.append(mat_rank(rows))
+    ranks.append(0)
+    sizes = [1] + [b - a for a, b in zip(start, start[1:])]
+    return [n - ranks[k] - ranks[k + 1] for k, n in enumerate(sizes)]
 
 
 def _poset_betti(poset: IntersectionPoset) -> list:
