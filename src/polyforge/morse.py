@@ -48,11 +48,12 @@ class MorseMatching:
     @classmethod
     def from_json(cls, data: dict) -> "MorseMatching":
         """ValueError names the first pair that is not two faces (lists of
-        vertices)."""
+        integer vertex ids; a boolean is not one)."""
         pairs = []
         for pair in data["pairs"]:
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                    and all(isinstance(f, (list, tuple)) for f in pair)):
+                    and all(isinstance(f, (list, tuple))
+                            and all(type(v) is int for v in f) for f in pair)):
                 raise ValueError(f"pair {pair!r} is not two faces")
             pairs.append((tuple(pair[0]), tuple(pair[1])))
         return cls(tuple(pairs))

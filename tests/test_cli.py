@@ -285,6 +285,9 @@ class TestMorseCommands:
         ([[[0]]], "[[0]]"),
         ([[[0], [0, 1], [1]]], "[[0], [0, 1], [1]]"),
         ([[[0], [0, 1]], [[1], 5]], "[[1], 5]"),
+        ([[[[0]], [[0], [1]]]], "[[[0]], [[0], [1]]]"),
+        ([[[True], [0, 1]]], "[[True], [0, 1]]"),
+        ([[[0], [0, "1"]]], "[[0], [0, '1']]"),
     ])
     def test_validate_malformed_pair_is_usage_error(self, tmp_path, capsys,
                                                     pairs, named):
@@ -353,6 +356,20 @@ class TestArrangementCommand:
                                 "it has a zero denominator\n")
         assert captured.out == ""
 
+
+    @pytest.mark.parametrize("entry,kind", [(True, "bool"), (False, "bool"),
+                                            (0.5, "float")])
+    def test_offset_that_is_not_exact_is_usage_error(self, tmp_path, capsys,
+                                                      entry, kind):
+        # JSON true once read as 1: the offset (1, 0) printed b_1 = 1
+        arr = {"dim": 2, "subspaces": [{"basis": [], "offset": [entry, "0"]}]}
+        a_file = write_json(tmp_path / "arr.json", arr)
+        assert main(["arr", "betti", "--file", a_file, "--i", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"{a_file} is not an arrangement document: expected a FieldElem, "
+            f"int, Fraction or rational string, got {kind}\n")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("dim,point", [(2.7, ["0", "0"]), (True, ["0"]),
                                            ("2", ["0", "0"]), (None, [])])
