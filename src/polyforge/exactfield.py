@@ -63,10 +63,12 @@ _CANONICAL_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
 def _parse_rational(x) -> tuple:
     """(numerator, positive denominator) of a JSON coefficient, not
     necessarily in lowest terms.  The form ``str(Fraction)`` writes is
-    read with int(); anything else goes through Fraction(), so the inputs
-    accepted and the errors raised are Fraction's."""
+    read with int(), a bool or a float is a TypeError, and anything else
+    goes through Fraction(), whose inputs and errors it shares."""
     m = _CANONICAL_RATIONAL(x) if type(x) is str else None
     if m is None:
+        if isinstance(x, (bool, float)):
+            raise TypeError(f"expected an exact number, got {type(x).__name__}")
         f = Fraction(x)
         return f.numerator, f.denominator
     n, q = m.groups()
@@ -344,14 +346,14 @@ def _coerce(x):
 def as_field(x) -> FieldElem:
     """x as a FieldElem.  A FieldElem, an int, a Fraction or a rational
     string such as "3/7" is an exact number (a malformed string raises
-    Fraction's ValueError); any other type, floats included, is a
-    TypeError naming the type."""
+    Fraction's ValueError); any other type, floats and booleans included,
+    is a TypeError naming the type."""
     if type(x) is FieldElem:
         return x
     if isinstance(x, str):
         n, q = _parse_rational(x)
         return _elem(n, 0, 0, 0, q)
-    y = _coerce(x)
+    y = _coerce(x) if type(x) is not bool else NotImplemented
     if y is NotImplemented:
         raise TypeError("expected a FieldElem, int, Fraction or rational "
                         f"string, got {type(x).__name__}")

@@ -969,12 +969,22 @@ class TestCoercionPolicy:
             FieldElem(1, FieldElem.sqrt2())
 
     @pytest.mark.parametrize("value", [1.5, 2.0, complex(1), None, [1], 0.1,
-                                       Decimal("0.1")])
+                                       Decimal("0.1"), True, False])
     def test_other_types_name_their_type(self, value):
         for call in (as_field, FieldElem, lambda x: FieldElem(1, x),
                      lambda x: FieldElem(0, 0, 0, x)):
             with pytest.raises(TypeError, match=type(value).__name__):
                 call(value)
+
+    @pytest.mark.parametrize("value", [True, False, 0.5, 1.0])
+    def test_json_coefficients_are_not_booleans_or_floats(self, value):
+        # JSON true would otherwise read as 1, and 0.5 as 1/2
+        for key in "abcd":
+            data = {"a": "1", "b": "0", "c": "0", "d": "0", key: value}
+            with pytest.raises(TypeError, match=type(value).__name__):
+                FieldElem.from_json(data)
+        assert FieldElem.from_json({"a": 2, "b": "0", "c": "0", "d": "1/2"}) \
+            == FieldElem(2, 0, 0, Fraction(1, 2))
 
     @pytest.mark.parametrize("call", [
         lambda: as_vector([1, 0.5]),
