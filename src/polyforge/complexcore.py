@@ -298,6 +298,8 @@ class SimplicialComplex:
         """Star the complex at a face: cone a new vertex over the
         boundary of its star."""
         t = _canon_face(face)
+        if not t:
+            raise ValueError("cannot star the empty face")
         ids = self._facets_containing(t)
         if not ids:
             raise ValueError(f"{face} is not a face of the complex")

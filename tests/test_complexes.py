@@ -130,6 +130,11 @@ class TestSubdivisions:
         with pytest.raises(ValueError):
             c.stellar_subdivision((0, 4))
 
+    def test_stellar_subdivision_of_the_empty_face_is_refused(self):
+        # every facet contains the empty face, which has no vertex to cone
+        with pytest.raises(ValueError, match="empty face"):
+            boundary_sphere(3).stellar_subdivision(())
+
     def test_derived_subdivision_of_solid_cube(self):
         q = solid_cube(3)
         sd = q.derived_subdivision()
