@@ -50,7 +50,9 @@ fresh copy of each ball: ``ball1097_s`` on the fixed 1,097-face ball of
 the ``structures`` workload (three stellar rounds of a 3-simplex, then a
 derived subdivision) and ``ball5797_s`` on a 5,797-face ball made like
 criterion 7's (one stellar round of the derived 3-cube, then a derived
-subdivision), with the matchings' SHA-256; ``subdivide_s`` times
+subdivision), with the matchings' SHA-256; ``ball1097_poset_ms`` and
+``ball5797_poset_ms`` time ``FacePoset.from_simplicial`` on fresh copies
+of the two balls, in milliseconds; ``subdivide_s`` times
 ``derived_subdivision`` of fresh copies of the two balls' source
 complexes and of ``solid_cube(4)``, with the subdivisions' SHA-256.
 
@@ -287,6 +289,8 @@ def measure_collapse() -> dict:
     for name, c in balls.items():
         fresh = lambda c=c: cc.SimplicialComplex(c.num_vertices, c.facets)
         results[f"{name}_s"] = _best(run, fresh, min_total=1.0)
+        results[f"{name}_poset_ms"] = 1e3 * _best(
+            cc.FacePoset.from_simplicial, fresh, min_total=1.0)
         results[f"{name}_faces"] = sum(len(fs) for fs in c.faces().values())
         results[f"{name}_sha256"] = _digest(run(fresh()).to_json())
 
