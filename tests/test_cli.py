@@ -356,12 +356,11 @@ class TestArrangementCommand:
                                 "it has a zero denominator\n")
         assert captured.out == ""
 
-
     @pytest.mark.parametrize("entry,kind", [(True, "bool"), (False, "bool"),
                                             (0.5, "float")])
     def test_offset_that_is_not_exact_is_usage_error(self, tmp_path, capsys,
                                                       entry, kind):
-        # JSON true once read as 1: the offset (1, 0) printed b_1 = 1
+        # Python's True == 1, but a JSON boolean is not a coordinate
         arr = {"dim": 2, "subspaces": [{"basis": [], "offset": [entry, "0"]}]}
         a_file = write_json(tmp_path / "arr.json", arr)
         assert main(["arr", "betti", "--file", a_file, "--i", "1"]) == 2
@@ -370,6 +369,7 @@ class TestArrangementCommand:
             f"{a_file} is not an arrangement document: expected a FieldElem, "
             f"int, Fraction or rational string, got {kind}\n")
         assert captured.out == ""
+
 
     @pytest.mark.parametrize("dim,point", [(2.7, ["0", "0"]), (True, ["0"]),
                                            ("2", ["0", "0"]), (None, [])])
