@@ -424,10 +424,28 @@ def random_hyperplanes(rng, count, d, coeff):
     return out
 
 
+def nested_r3():
+    """A plane, a line inside it, a line crossing it at a point of that
+    line, and a point on both: the crossing point lies in three members."""
+    return [
+        AffineSubspace(3, [[1, 0, 0], [0, 1, 0]], [0, 0, 0]),
+        AffineSubspace(3, [[1, 0, 0]], [0, 0, 0]),
+        AffineSubspace(3, [[0, 1, 1]], [0, 0, 0]),
+        AffineSubspace(3, [], [2, 0, 0]),
+    ]
+
+
 def oracle_arrangements():
     """(name, arrangement): seeded points in R^2, lines and planes in R^3,
-    hyperplanes in R^4 and codimension-2 flats in R^4."""
-    out = []
+    hyperplanes in R^4 and codimension-2 flats in R^4; a nested
+    arrangement in R^3 in both member orders, and lines of R^2 with one
+    line given twice."""
+    out = [
+        ("nested-r3", nested_r3()),
+        ("nested-r3-reversed", nested_r3()[::-1]),
+        ("lines-r2-repeated", [line2(1, 0, 0), line2(0, 1, 0), line2(2, 0, 0),
+                               line2(1, 1, 1)]),
+    ]
     for seed in range(3):
         rng = random.Random(f"arrangement-oracle:{seed}")
         out += [
@@ -454,6 +472,8 @@ class TestPosetOracle:
         n = len(nodes)
         assert [[poset.less(i, j) for j in range(n)] for i in range(n)] == \
             [[ref_less(nodes, i, j) for j in range(n)] for i in range(n)]
+        assert [[nodes[i].contains(nodes[j]) for j in range(n)] for i in range(n)] == \
+            [[ref_contains(nodes[i], nodes[j]) for j in range(n)] for i in range(n)]
         for i in range(n):
             got, want = poset.lower_complex(i), ref_lower_complex(nodes, i)
             assert (got.num_vertices, got.facets) == (want.num_vertices, want.facets)
@@ -462,6 +482,18 @@ class TestPosetOracle:
         assert [gm_betti(arr, i) for i in range(d + 2)] == want
         assert gm_betti_all(arr) == want[:d]
         assert want[d:] == [0, 0]
+
+    def test_member_order_changes_nothing(self):
+        # the nested arrangement and the plane y = z, which holds both
+        # lines and the point, in all 120 member orders
+        members = nested_r3() + [AffineSubspace(3, [[1, 0, 0], [0, 1, 1]], [0, 0, 0])]
+        nodes = ref_nodes(members)
+        n = len(nodes)
+        want = [[ref_less(nodes, i, j) for j in range(n)] for i in range(n)]
+        for arr in itertools.permutations(members):
+            poset = intersection_poset(list(arr))
+            assert poset.nodes == nodes
+            assert [[poset.less(i, j) for j in range(n)] for i in range(n)] == want
 
     @pytest.mark.parametrize("name,arr", [
         (name, arr) for name, arr in ORACLE_ARRANGEMENTS
