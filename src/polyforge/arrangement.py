@@ -100,9 +100,8 @@ class AffineSubspace:
         return [x.a for x in offset], [tuple(x.a for x in v) for v in basis]
 
     def contains(self, other: "AffineSubspace") -> bool:
-        if other.ambient_dim != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return _holds(self._canon, self.ambient_dim, other._span())
+        """Whether other lies in self: meeting them changes nothing."""
+        return other.intersect(self) == other
 
     def intersect(self, other: "AffineSubspace"):
         """The flat self ∩ other, or None when the intersection is empty."""
@@ -139,17 +138,6 @@ def _unit_vectors(n: int) -> list[tuple[FieldElem, ...]]:
     return [tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)]
 
 
-def _holds(canon, n: int, span) -> bool:
-    """Whether the flat with (offset, basis) `span` satisfies every
-    constraint row a.x = b of `canon`, i.e. lies in that flat."""
-    offset, basis = span
-    for row in canon:
-        a = row[:n]
-        if vec_dot(a, offset) != row[n] or any(vec_dot(a, v) for v in basis):
-            return False
-    return True
-
-
 def _canonicalize(aug_rows):
     """The nonzero rows of the reduced echelon form of the system [A | b],
     or None when the system has no solution."""
@@ -182,11 +170,14 @@ class IntersectionPoset:
     """Nonempty intersections of an arrangement, by reverse inclusion.
 
     ``nodes[i] < nodes[j]`` in the poset iff the flat ``nodes[i]``
-    strictly contains the flat ``nodes[j]``.
+    strictly contains the flat ``nodes[j]``.  ``supports[i]`` is the
+    bitmask of the distinct members, in order of first appearance, that
+    contain ``nodes[i]``.
     """
 
     ambient_dim: int
     nodes: tuple[AffineSubspace, ...]
+    supports: tuple[int, ...]
 
     def size(self) -> int:
         return len(self.nodes)
@@ -194,16 +185,12 @@ class IntersectionPoset:
     @cached_property
     def _below(self) -> tuple:
         """The strict order as a table: _below[j] is the set of i with
-        nodes[i] < nodes[j].  Each flat's span is derived once; a flat
-        strictly contains another iff it contains it and has the larger
-        dimension."""
-        n = self.ambient_dim
-        table = []
-        for t in self.nodes:
-            span = t._span()
-            table.append(frozenset(i for i, s in enumerate(self.nodes)
-                                   if s.dim > t.dim and _holds(s._canon, n, span)))
-        return tuple(table)
+        nodes[i] < nodes[j].  Every flat is the intersection of the
+        members that contain it, so a flat strictly contains another iff
+        its support is a proper subset of the other's."""
+        sup = self.supports
+        return tuple(frozenset(i for i, s in enumerate(sup) if s & t == s != t)
+                     for t in sup)
 
     def less(self, i: int, j: int) -> bool:
         return i in self._below[j]
@@ -229,21 +216,28 @@ def intersection_poset(arr: list[AffineSubspace]) -> IntersectionPoset:
             raise ValueError("all subspaces must share the ambient dimension")
     # Every flat is an intersection of members, so it is enough that each
     # flat meets each member once: a member meets the members after it
-    # (the earlier ones met it already), a new flat meets them all.
+    # (the earlier ones met it already), a new flat meets them all.  The
+    # same meets give each flat's support: member k contains the flat iff
+    # the meet is the flat, and a later member k inside an earlier one is
+    # the one containment a member's round sees from the other side.
     members = list(dict.fromkeys(arr))
-    nodes = set(members)
+    support = {m: 1 << k for k, m in enumerate(members)}
     frontier = [(m, k + 1) for k, m in enumerate(members)]
     while frontier:
         fresh = []
         for flat, start in frontier:
-            for m in members[start:]:
-                meet = flat.intersect(m)
-                if meet is not None and meet not in nodes:
-                    nodes.add(meet)
+            for k in range(start, len(members)):
+                meet = flat.intersect(members[k])
+                if meet == flat:
+                    support[flat] |= 1 << k
+                elif meet == members[k]:
+                    support[meet] |= support[flat]
+                elif meet is not None and meet not in support:
+                    support[meet] = 0
                     fresh.append((meet, 0))
         frontier = fresh
-    ordered = sorted(nodes, key=lambda s: (s.dim, s._canon))
-    return IntersectionPoset(d, tuple(ordered))
+    ordered = sorted(support, key=lambda s: (s.dim, s._canon))
+    return IntersectionPoset(d, tuple(ordered), tuple(support[s] for s in ordered))
 
 
 def betti_reduced_homology(c: SimplicialComplex, k: int) -> int:

@@ -474,6 +474,9 @@ class TestPosetOracle:
             [[ref_less(nodes, i, j) for j in range(n)] for i in range(n)]
         assert [[nodes[i].contains(nodes[j]) for j in range(n)] for i in range(n)] == \
             [[ref_contains(nodes[i], nodes[j]) for j in range(n)] for i in range(n)]
+        members = list(dict.fromkeys(arr))
+        assert list(poset.supports) == [
+            sum(1 << k for k, m in enumerate(members) if ref_contains(m, s)) for s in nodes]
         for i in range(n):
             got, want = poset.lower_complex(i), ref_lower_complex(nodes, i)
             assert (got.num_vertices, got.facets) == (want.num_vertices, want.facets)
