@@ -898,21 +898,3 @@ def _carry(n, e: int) -> tuple:
     scale = abs(next(x for x in reversed(m) if x))
     return m if scale == 1 else tuple(x / scale for x in m)
 
-
-def cctp(n: int) -> dict:
-    """Vertex data, certificates, and the counting bound for one polytope."""
-    if n < 1:
-        raise ValueError("width must be at least 1")
-    geo = generate(n)
-    cert = check_convex_position(geo) if n >= 3 else {}
-    return {
-        "width": n,
-        "vertices": list(geo.coords),
-        "layers": list(geo.abstract.layers),
-        "kappas": list(geo.kappas),
-        "facet_normals": cert,
-        "f0": len(geo.coords),
-        "realization_space_bound": 4 * 24,
-        "realization_space_bound_note":
-            "four times the vertex count of the width-1 seed",
-    }

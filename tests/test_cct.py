@@ -30,7 +30,6 @@ from polyforge.cct import (
     check_slope_obtuse,
     check_symmetric,
     check_transversal,
-    cctp,
     certify_facet,
     clifford_lambda,
     clifford_lambda_exact,
@@ -382,24 +381,6 @@ class TestGenerate:
         assert data["format"] == "polyforge/1"
         back = GeoCCT.from_json(data)
         assert back == geo
-
-
-class TestCCTP:
-    def test_narrow(self):
-        report = cctp(1)
-        assert len(report["vertices"]) == 24
-        assert report["realization_space_bound"] == 96
-        assert report["facet_normals"] == {}
-
-    def test_width_three(self):
-        report = cctp(3)
-        assert len(report["vertices"]) == 48
-        assert len(report["facet_normals"]) == 12
-        assert report["realization_space_bound"] == 4 * 24
-
-    def test_invalid_width(self):
-        with pytest.raises(ValueError):
-            cctp(0)
 
 
 # ---------------------------------------------------------------------------
