@@ -334,9 +334,11 @@ class FieldElem:
 
 
 def _coerce(x):
+    """x as a FieldElem when it is an int or a Fraction, else NotImplemented;
+    a bool is not a number here, so operators with one raise TypeError."""
     if type(x) is FieldElem:
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and type(x) is not bool:
         return _wrap((int(x), 0, 0, 0, 1))
     if isinstance(x, Fraction):
         return _wrap((x.numerator, 0, 0, 0, x.denominator))
@@ -353,7 +355,7 @@ def as_field(x) -> FieldElem:
     if isinstance(x, str):
         n, q = _parse_rational(x)
         return _elem(n, 0, 0, 0, q)
-    y = _coerce(x) if type(x) is not bool else NotImplemented
+    y = _coerce(x)
     if y is NotImplemented:
         raise TypeError("expected a FieldElem, int, Fraction or rational "
                         f"string, got {type(x).__name__}")

@@ -7,6 +7,7 @@ arithmetic cannot hide behind the code under test.
 
 import itertools
 import math
+import operator
 from decimal import Decimal
 from fractions import Fraction
 
@@ -975,6 +976,17 @@ class TestCoercionPolicy:
                      lambda x: FieldElem(0, 0, 0, x)):
             with pytest.raises(TypeError, match=type(value).__name__):
                 call(value)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                    operator.truediv, operator.lt, operator.le,
+                                    operator.gt, operator.ge])
+    def test_booleans_are_not_operands(self, op):
+        # as_field refuses a bool, and so does every operator, from either side
+        for a, b in [(FieldElem(1), True), (True, FieldElem(1)),
+                     (FieldElem(3), False), (False, FieldElem(3))]:
+            with pytest.raises(TypeError):
+                op(a, b)
+        assert (FieldElem(1) == True) is False and (False == FieldElem(0)) is False
 
     @pytest.mark.parametrize("value", [True, False, 0.5, 1.0])
     def test_json_coefficients_are_not_booleans_or_floats(self, value):
