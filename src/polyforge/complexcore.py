@@ -509,7 +509,12 @@ class FacePoset:
                 if dims[i] != d:
                     raise ValueError(
                         f"cover {self.elements[i]} < {self.elements[j]} skips a dimension")
-                up[i].append(j)
+                # j only grows, so a repeated cover id finds j already last
+                ups = up[i]
+                if ups and ups[-1] == j:
+                    raise ValueError(
+                        f"cover {self.elements[i]} < {self.elements[j]} is listed twice")
+                ups.append(j)
 
     def size(self) -> int:
         return len(self.elements)

@@ -244,6 +244,7 @@ class TestFacePoset:
         (["a", "b"], [0, 1], [[], [-1]], "out of range"),
         (["a", "b"], [0, 1], [[], []], "covers nothing"),
         (["a", "b"], [0, 0], [[1], []], "skips a dimension"),
+        (["a", "b", "ab"], [0, 0, 1], [[], [], [1, 0, 0]], "listed twice"),
     ])
     def test_malformed_covers_rejected(self, elements, dims, down, message):
         with pytest.raises(ValueError, match=message):
