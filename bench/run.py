@@ -37,9 +37,13 @@ The ``arrangements`` rung:
 
   * ``r{d}_{n}``: ``gm_betti`` in every degree 0..d-1 (``all_degrees_s``)
     on n seeded affine hyperplanes of R^d with integer coefficients in
-    [-5, 5], for 6 to 9 planes in R^3 and 5 to 7 in R^4, with the number
-    of flats and the Betti numbers; ``gm_betti_all_s`` times the one-poset
-    ``gm_betti_all`` (null for a tree without it);
+    [-5, 5], for 6 to 9 planes in R^3 and 5, 6, 7, 11 and 16 in R^4, with
+    the number of flats and the Betti numbers; ``gm_betti_all_s`` times
+    the one-poset ``gm_betti_all`` (null for a tree without it).  Each
+    ``gm_betti`` call builds the whole poset, and at r4_16 four of them
+    per run would add minutes to the ladder, so past ALL_DEGREES_MAX
+    planes ``all_degrees_s`` is null and the Betti numbers come from
+    ``gm_betti_all``;
   * ``lefschetz_s``: ``lefschetz_inequality_check`` on the slice inputs
     of the ``structures`` benchmark workload for seeds 1-5 (10 checks,
     drawn by ``perfbench/workloads.py`` of this checkout), with the
@@ -99,7 +103,8 @@ WIDTHS = (4, 12, 16, 24, 32, 64)
 REPEAT = 3
 ROUNDS = 3
 SPHERE_PAIRS = 90
-HYPERPLANES = {3: (6, 7, 8, 9), 4: (5, 6, 7)}
+HYPERPLANES = {3: (6, 7, 8, 9), 4: (5, 6, 7, 11, 16)}
+ALL_DEGREES_MAX = 11
 LEFSCHETZ_SEEDS = range(1, 6)
 
 
@@ -249,12 +254,12 @@ def measure_arrangements() -> dict:
     for d, counts in HYPERPLANES.items():
         for n in counts:
             arr = _hyperplanes(ar, d, n)
+            every_degree = lambda _: [ar.gm_betti(arr, i) for i in range(d)]
+            small = n <= ALL_DEGREES_MAX
             results[f"r{d}_{n}"] = {
                 "flats": ar.intersection_poset(arr).size(),
-                "betti": [ar.gm_betti(arr, i) for i in range(d)],
-                "all_degrees_s": _best(
-                    lambda _: [ar.gm_betti(arr, i) for i in range(d)],
-                    min_total=1.0),
+                "betti": every_degree(None) if small else one_poset(arr),
+                "all_degrees_s": _best(every_degree, min_total=1.0) if small else None,
                 "gm_betti_all_s": one_poset and _best(
                     lambda _: one_poset(arr), min_total=1.0),
             }
