@@ -6,6 +6,10 @@ intersection of arrangement members, ordered by reverse inclusion.  The
 Betti numbers of the complement are then assembled from reduced homology
 ranks of order complexes of lower intervals, one summand per poset node.
 
+A flat is the meet of the members containing it, so its support (the
+bitmask of those members) fixes it: the closure records supports from the
+meets it takes, and the order is a subset test on them, not elimination.
+
 The poset keeps its strict order and its covers as tables built on first
 use, each lower complex is `complexcore.order_complex` on the covers, its
 boundary matrices are read off the cover lists of its
