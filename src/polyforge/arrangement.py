@@ -221,9 +221,9 @@ def intersection_poset(arr: list[AffineSubspace]) -> IntersectionPoset:
     # Every flat is an intersection of members, so it is enough that each
     # flat meets each member once: a member meets the members after it
     # (the earlier ones met it already), a new flat meets them all.  The
-    # same meets give each flat's support: member k contains the flat iff
-    # the meet is the flat, and a later member k inside an earlier one is
-    # the one containment a member's round sees from the other side.
+    # same meets record each flat's support: member k contains the flat iff
+    # the meet is the flat; a member's round that meets a later member k
+    # inside it gets member k back, the one containment k's side never sees.
     members = list(dict.fromkeys(arr))
     support = {m: 1 << k for k, m in enumerate(members)}
     frontier = [(m, k + 1) for k, m in enumerate(members)]
