@@ -4,6 +4,9 @@ Every command runs in process through main(argv), so exit codes and
 stdout are checked directly.
 """
 
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -12,9 +15,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polyforge
 from polyforge import cct as cct_mod
+from polyforge import cli
 from polyforge.cli import main
 from polyforge.cct import generate
 from polyforge.complexcore import SimplicialComplex, boundary_sphere, simplex_complex
@@ -679,3 +685,212 @@ class TestProjCommands:
         out = capsys.readouterr().out
         assert "69" in out
         assert "201" in out
+
+
+# ---------------------------------------------------------------------------
+# oracles: the parser, the emitter and the coefficient decoder against the
+# behaviour they replaced
+
+
+def ref_build_parser():
+    """The full argparse tree as cli._build_parser made it with every
+    command registered, kept here as the oracle for its usage lines, help
+    texts and errors."""
+    from polyforge import cli
+
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", metavar="FILE",
+                        help="write the JSON artifact here")
+
+    parser = argparse.ArgumentParser(
+        prog="polyforge",
+        description="exact certificates for paths, collapses, "
+                    "arrangements, tubes, and incidence constructions")
+    groups = parser.add_subparsers(dest="group")
+
+    hirsch = groups.add_parser("hirsch").add_subparsers(dest="command")
+    seg = hirsch.add_parser("segment", parents=[common])
+    seg.add_argument("--complex", required=True)
+    seg.add_argument("--from", dest="from_facet", required=True)
+    seg.add_argument("--to", dest="to_facet", required=True)
+    seg.set_defaults(handler=cli._cmd_hirsch_segment)
+    dia = hirsch.add_parser("diameter", parents=[common])
+    dia.add_argument("--complex", required=True)
+    dia.set_defaults(handler=cli._cmd_hirsch_diameter)
+
+    morse = groups.add_parser("morse").add_subparsers(dest="command")
+    col = morse.add_parser("collapse", parents=[common])
+    col.add_argument("--complex", required=True)
+    col.add_argument("--target")
+    col.add_argument("--out-j", dest="out_j", type=int, default=None)
+    col.add_argument("--seed", type=int, default=0,
+                     help="seed for randomized search restarts")
+    col.add_argument("--budget", type=cli._int_at_least(0), default=None,
+                     help="search node budget (default POLYFORGE_BUDGET "
+                          f"or {cli.DEFAULT_BUDGET})")
+    col.set_defaults(handler=cli._cmd_morse_collapse)
+    val = morse.add_parser("validate")
+    val.add_argument("--complex", required=True)
+    val.add_argument("--matching", required=True)
+    val.set_defaults(handler=cli._cmd_morse_validate)
+
+    arr = groups.add_parser("arr").add_subparsers(dest="command")
+    betti = arr.add_parser("betti", parents=[common])
+    betti.add_argument("--file", required=True)
+    betti.add_argument("--i", type=cli._int_at_least(0), required=True)
+    betti.set_defaults(handler=cli._cmd_arr_betti)
+
+    cct = groups.add_parser("cct").add_subparsers(dest="command")
+    gen = cct.add_parser("generate", parents=[common])
+    gen.add_argument("--n", type=cli._int_at_least(1), required=True)
+    gen.set_defaults(handler=cli._cmd_cct_generate)
+    ver = cct.add_parser("verify")
+    ver.add_argument("--file", required=True)
+    ver.set_defaults(handler=cli._cmd_cct_verify)
+    kap = cct.add_parser("kappa")
+    kap.add_argument("--upto", type=cli._int_at_least(0), required=True)
+    kap.set_defaults(handler=cli._cmd_cct_kappa)
+
+    proj = groups.add_parser("proj").add_subparsers(dest="command")
+    sta = proj.add_parser("staudt")
+    sta.add_argument("--poly", required=True)
+    sta.add_argument("--at")
+    sta.add_argument("--out", "--emit", dest="out", metavar="FILE",
+                     help="write the program here")
+    sta.set_defaults(handler=cli._cmd_proj_staudt)
+    law = proj.add_parser("lawrence", parents=[common])
+    law.add_argument("--config", required=True)
+    law.set_defaults(handler=cli._cmd_proj_lawrence)
+    kcfg = proj.add_parser("k-config", parents=[common])
+    kcfg.add_argument("--verify", action="store_true")
+    kcfg.set_defaults(handler=cli._cmd_proj_kconfig)
+    pcc = proj.add_parser("pcctp", parents=[common])
+    pcc.add_argument("--n", type=cli._int_at_least(1), required=True)
+    pcc.set_defaults(handler=cli._cmd_proj_pcctp)
+
+    return parser
+
+
+def ref_main(argv) -> int:
+    """cli.main on the reference parser."""
+    from polyforge import cli
+
+    parser = ref_build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return 0 if exc.code in (0, None) else 2
+    if not hasattr(args, "handler"):
+        parser.print_usage(sys.stderr)
+        return 2
+    try:
+        return args.handler(args)
+    except cli._UsageError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"FAIL: {exc}")
+        return 1
+
+
+# (group, command): (its required flags with values, a malformed tail)
+COMMAND_ARGV = {
+    ("hirsch", "segment"): (["--complex", "c.json", "--from", "0,1",
+                             "--to", "1,2"], ["--complex"]),
+    ("hirsch", "diameter"): (["--complex", "c.json"], ["--complex"]),
+    ("morse", "collapse"): (["--complex", "c.json"], ["--seed", "x"]),
+    ("morse", "validate"): (["--complex", "c.json", "--matching", "m.json"],
+                            ["--matching"]),
+    ("arr", "betti"): (["--file", "a.json", "--i", "0"], ["--i", "x"]),
+    ("cct", "generate"): (["--n", "3"], ["--n", "x"]),
+    ("cct", "verify"): (["--file", "t.json"], ["--file"]),
+    ("cct", "kappa"): (["--upto", "1"], ["--upto", "-1"]),
+    ("proj", "staudt"): (["--poly", "x-1"], ["--emit"]),
+    ("proj", "lawrence"): (["--config", "p.json"], ["--config"]),
+    ("proj", "k-config"): ([], ["--verify=yes"]),
+    ("proj", "pcctp"): (["--n", "2"], ["--n", "2.5"]),
+}
+
+
+def _argv_corpus():
+    cases = [[], ["-h"], ["--help"], ["cct"], ["cct", "-h"], ["frobnicate"],
+             ["cct", "frobnicate"], ["-h", "cct", "generate"],
+             ["--out", "x", "cct", "generate", "--n", "1"]]
+    cases += [[group, "-h"] for group in dict.fromkeys(g for g, _ in COMMAND_ARGV)]
+    for (group, command), (required, malformed) in COMMAND_ARGV.items():
+        head = [group, command]
+        cases += [head + ["-h"], head, head + required + ["--frobnicate"],
+                  head + required + ["extra"], head + required + malformed]
+        if required:
+            cases.append(head + required[:-2])
+    return cases
+
+
+def _run(entry, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = entry(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestArgvCorpus:
+    @pytest.mark.parametrize("argv", _argv_corpus(), ids=" ".join)
+    def test_matches_reference_parser(self, argv):
+        assert _run(main, argv) == _run(ref_main, argv)
+
+
+# JSON trees of every kind json.dumps takes, keys of every kind it coerces
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(), st.sampled_from(["", "\n", "\x00\x1f", " ", "é", "\ud800",
+                                "\U0001f600", '"\\/']))
+_keys = st.one_of(st.text(), st.integers(), st.floats(allow_nan=True),
+                  st.booleans(), st.none())
+_trees = st.recursive(_scalars, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=3), kids, max_size=4),
+    st.dictionaries(_keys, kids, max_size=4)), max_leaves=25)
+
+
+class TestEmitter:
+    @settings(max_examples=500, deadline=None)
+    @given(_trees)
+    def test_matches_json_dumps(self, doc):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit(doc, None)
+        assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("doc", [{}, [], (), {"a": {}}, {"a": [[]]},
+                                     [{"b": ()}], {"k": 1.5, 2: [None]}])
+    def test_empty_containers_and_fallbacks(self, doc, tmp_path, capsys):
+        target = tmp_path / "doc.json"
+        cli._emit(doc, str(target))
+        assert capsys.readouterr().out == f"wrote {target}\n"
+        assert target.read_text(encoding="utf-8") == json.dumps(doc, indent=2) + "\n"
+
+
+class TestDecodeCoefficients:
+    @staticmethod
+    def mixed(tmp_path, last):
+        """The width-3 tube with vertex 2's homogeneous "1" written as the
+        integer 1 and vertex 5's as `last`."""
+        doc = generate(3).to_json()
+        doc["vertices"][2][4]["a"] = 1
+        doc["vertices"][5][4]["a"] = last
+        return write_json(tmp_path / "mixed.json", doc)
+
+    def test_integer_coefficient_is_accepted(self, tmp_path, capsys):
+        assert main(["cct", "verify", "--file", self.mixed(tmp_path, "1")]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("last,name", [(True, "bool"), (1.0, "float")])
+    def test_bool_and_float_after_equal_ones_are_refused(self, tmp_path, capsys,
+                                                         last, name):
+        bad = self.mixed(tmp_path, last)
+        assert main(["cct", "verify", "--file", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"{bad} is malformed: expected an exact "
+                                f"number, got {name}\n")
+        assert captured.out == ""

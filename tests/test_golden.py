@@ -2,15 +2,20 @@
 
 Each case runs one command in process on fixed inputs, with ``--out``,
 and compares the SHA-256 of the written document with the digest stored
-in ``tests/golden/<case>.sha256``.  The tube bundles are pinned in
-``test_cct.py`` and the kappa table in ``test_cli.py``.
+in ``tests/golden/<case>.sha256``; the kappa table is pinned in
+``test_cli.py``.  The module needs no pytest, so an interpreter without
+it checks every digest as a plain script:
+
+    PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import sys
+import tempfile
 from pathlib import Path
-
-import pytest
 
 from polyforge.cli import main
 
@@ -56,17 +61,45 @@ CASES = {
     "proj_lawrence": ["proj", "lawrence", "--config", "pp.json"],
     "proj_kconfig": ["proj", "k-config", "--verify"],
     "proj_pcctp": ["proj", "pcctp", "--n", "5"],
+    "cct4": ["cct", "generate", "--n", "4"],
+    "cct12": ["cct", "generate", "--n", "12"],
 }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_document_matches_golden_digest(case, tmp_path, capsys):
+def check_case(case: str, workdir: Path) -> None:
     for name, doc in INPUTS.items():
-        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
-    argv = [str(tmp_path / a) if a in INPUTS else a for a in CASES[case]]
-    out_file = tmp_path / f"{case}.json"
-    assert main(argv + ["--out", str(out_file)]) == 0
-    capsys.readouterr()
+        (workdir / name).write_text(json.dumps(doc), encoding="utf-8")
+    argv = [str(workdir / a) if a in INPUTS else a for a in CASES[case]]
+    out_file = workdir / f"{case}.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + ["--out", str(out_file)]) == 0
     digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
     want = (GOLDEN_DIR / f"{case}.sha256").read_text().split()[0]
-    assert digest == want
+    assert digest == want, f"{case}: {digest} != {want}"
+
+
+def pytest_generate_tests(metafunc):
+    if "case" in metafunc.fixturenames:
+        metafunc.parametrize("case", sorted(CASES))
+
+
+def test_document_matches_golden_digest(case, tmp_path):
+    check_case(case, tmp_path)
+
+
+def test_every_digest_has_a_case():
+    assert {p.stem for p in GOLDEN_DIR.glob("*.sha256")} == set(CASES)
+
+
+if __name__ == "__main__":
+    failed = 0
+    for case in sorted(CASES):
+        with tempfile.TemporaryDirectory() as work:
+            try:
+                check_case(case, Path(work))
+            except AssertionError as exc:
+                failed += 1
+                print(f"FAIL {case}: {exc}")
+            else:
+                print(f"ok {case}")
+    sys.exit(1 if failed else 0)
