@@ -8,18 +8,22 @@ The ladder runs in 3 rounds.  In each round every rung runs once per
 source tree, in one fresh single-threaded process that imports polyforge
 from ``<tree>/src``; the trees take turns to go first from rung to rung
 and from round to round, so that a slow phase of the host falls on both.
-Within a process each figure is the best of at least 3 runs after one
-untimed warm-up run (every rung but paths repeats its runs until they
-add up to at least 1 s), and the JSON keeps each figure's smallest value
-over the rounds.  Every value that is not a time must repeat
-exactly from round to round.
+Within a process each timing runs at least 3 times after one untimed
+warm-up run (every rung but paths repeats its runs until they add up to
+at least 1 s) and is recorded as ``{"min": ..., "median": ...}`` of those
+runs; the JSON keeps the smallest of each over the rounds, so a minimum
+far below its median marks a figure the host did not hold steady.  Every
+value that is not a time must repeat exactly from round to round.
 
-The ``tube`` rung, for every width n of the ladder (4, 12, 16, 24, 32
-and 64):
+The ``tube`` rung, for every width n of the ladder (4, 12, 16, 24, 32,
+64 and 128):
 
   * ``generate_s``: the library call ``cct.generate(n)``;
   * ``cct_generate_s``: ``polyforge cct generate --n n --out FILE``;
-  * ``verify_s``: ``polyforge cct verify --file FILE`` on that bundle.
+  * ``verify_s``: ``polyforge cct verify --file FILE`` on that bundle;
+
+and ``cli_floor_s``, the fixed cost of one CLI call that does almost no
+work of its own: ``polyforge cct kappa --upto 0``.
 
 The ``paths`` rung, ``combinatorial_segment`` plus ``validate_path`` for
 every facet pair of:
@@ -91,6 +95,7 @@ import json
 import os
 import platform
 import random
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -99,7 +104,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WIDTHS = (4, 12, 16, 24, 32, 64)
+WIDTHS = (4, 12, 16, 24, 32, 64, 128)
 REPEAT = 3
 ROUNDS = 3
 SPHERE_PAIRS = 90
@@ -108,20 +113,23 @@ ALL_DEGREES_MAX = 11
 LEFSCHETZ_SEEDS = range(1, 6)
 
 
-def _best(fn, prepare=lambda: None, min_total: float = 0.0) -> float:
-    """Best of at least REPEAT timed calls fn(prepare()), after one
-    untimed call, repeated until the timed calls add up to min_total
-    seconds; prepare runs untimed before every call."""
+def _best(fn, prepare=lambda: None, min_total: float = 0.0) -> dict:
+    """The smallest and the median seconds of at least REPEAT timed calls
+    fn(prepare()), after one untimed call, repeated until the timed calls
+    add up to min_total seconds; prepare runs untimed before every call."""
     fn(prepare())
-    best, total, runs = float("inf"), 0.0, 0
-    while runs < REPEAT or total < min_total:
+    times = []
+    while len(times) < REPEAT or sum(times) < min_total:
         arg = prepare()
         gc.collect()
         start = time.perf_counter()
         fn(arg)
-        elapsed = time.perf_counter() - start
-        best, total, runs = min(best, elapsed), total + elapsed, runs + 1
-    return best
+        times.append(time.perf_counter() - start)
+    return {"min": min(times), "median": statistics.median(times)}
+
+
+def _scaled(timing: dict, factor: float) -> dict:
+    return {k: v * factor for k, v in timing.items()}
 
 
 def _digest(value) -> str:
@@ -149,6 +157,8 @@ def measure_tube() -> dict:
                     ["cct", "verify", "--file", bundle]), min_total=1.0),
                 "bundle_bytes": os.path.getsize(bundle),
             }
+    results["cli_floor_s"] = _best(
+        lambda _: run_cli(["cct", "kappa", "--upto", "0"]), min_total=1.0)
     return results
 
 
@@ -294,8 +304,8 @@ def measure_collapse() -> dict:
     for name, c in balls.items():
         fresh = lambda c=c: cc.SimplicialComplex(c.num_vertices, c.facets)
         results[f"{name}_s"] = _best(run, fresh, min_total=1.0)
-        results[f"{name}_poset_ms"] = 1e3 * _best(
-            cc.FacePoset.from_simplicial, fresh, min_total=1.0)
+        results[f"{name}_poset_ms"] = _scaled(_best(
+            cc.FacePoset.from_simplicial, fresh, min_total=1.0), 1e3)
         results[f"{name}_faces"] = sum(len(fs) for fs in c.faces().values())
         results[f"{name}_sha256"] = _digest(run(fresh()).to_json())
 
@@ -329,12 +339,13 @@ def _kernel_inputs(ef):
     return x, y, m8x5, sparse
 
 
-def _per_call(fn, calls: int) -> float:
-    """Best seconds per call of `calls` back-to-back calls of fn()."""
+def _per_call(fn, calls: int, unit: float) -> dict:
+    """The timing of `calls` back-to-back calls of fn(), per call, in
+    units of `unit` seconds."""
     def run(_):
         for _ in range(calls):
             fn()
-    return _best(run, min_total=1.0) / calls
+    return _scaled(_best(run, min_total=1.0), 1 / (calls * unit))
 
 
 def measure_kernels() -> dict:
@@ -344,17 +355,17 @@ def measure_kernels() -> dict:
     p = cct.generate(4).coords[30]
     rotate = getattr(ef, "rotate", None)
     return {
-        "mul_ns": _per_call(lambda: x * y, 10_000) * 1e9,
-        "inverse_ns": _per_call(x.inverse, 10_000) * 1e9,
-        "sign_ns": _per_call(x.sign, 10_000) * 1e9,
-        "rank_8x5_us": _per_call(lambda: ef.mat_rank(m8x5), 200) * 1e6,
+        "mul_ns": _per_call(lambda: x * y, 10_000, 1e-9),
+        "inverse_ns": _per_call(x.inverse, 10_000, 1e-9),
+        "sign_ns": _per_call(x.sign, 10_000, 1e-9),
+        "rank_8x5_us": _per_call(lambda: ef.mat_rank(m8x5), 200, 1e-6),
         "rank_8x5": ef.mat_rank(m8x5),
-        "nullspace_8x5_us": _per_call(lambda: ef.mat_nullspace(m8x5), 200) * 1e6,
+        "nullspace_8x5_us": _per_call(lambda: ef.mat_nullspace(m8x5), 200, 1e-6),
         "nullity_8x5": len(ef.mat_nullspace(m8x5)),
-        "rank_sparse_90x60_ms": _per_call(lambda: ef.mat_rank(sparse), 5) * 1e3,
+        "rank_sparse_90x60_ms": _per_call(lambda: ef.mat_rank(sparse), 5, 1e-3),
         "rank_sparse_90x60": ef.mat_rank(sparse),
-        "screw_ns": rotate and _per_call(lambda: rotate(p, 5, 5), 10_000) * 1e9,
-        "mat_vec_ns": _per_call(lambda: ef.mat_vec(cct.B_POW[5], p), 1_000) * 1e9,
+        "screw_ns": rotate and _per_call(lambda: rotate(p, 5, 5), 10_000, 1e-9),
+        "mat_vec_ns": _per_call(lambda: ef.mat_vec(cct.B_POW[5], p), 1_000, 1e-9),
     }
 
 
@@ -447,9 +458,10 @@ def main() -> int:
         })
     doc = {
         "bench": "ladder",
-        "metric": (f"smallest over {ROUNDS} rounds of the best of at least "
-                   f"{REPEAT} wall-clock seconds after one warm-up run, runs "
-                   "adding up to at least 1 s on every rung but paths"),
+        "metric": (f"smallest over {ROUNDS} rounds of the min and of the "
+                   f"median of at least {REPEAT} wall-clock runs after one "
+                   "warm-up run, runs adding up to at least 1 s on every "
+                   "rung but paths"),
         "machine": {
             "platform": platform.platform(),
             "processor": _processor(),

@@ -351,13 +351,28 @@ class GeoCCT:
 
 
 def _points_from_json(points, what: str) -> tuple:
-    """Homogeneous 5-coordinate points; a malformed one is named."""
+    """Homogeneous 5-coordinate points; a malformed one is named.  A
+    coefficient written as four strings is decoded once per call and its
+    (immutable) FieldElem shared; only strings make the key, because
+    JSON's true, 1 and 1.0 are equal keys and only 1 is exact."""
+    memo = {}
+
+    def decode(x):
+        if type(x) is dict:
+            key = (x.get("a"), x.get("b"), x.get("c"), x.get("d"))
+            if all(type(v) is str for v in key):
+                elem = memo.get(key)
+                if elem is None:
+                    elem = memo[key] = FieldElem.from_json(x)
+                return elem
+        return FieldElem.from_json(x)
+
     out = []
     for i, p in enumerate(points):
         if len(p) != 5:
             raise ValueError(f"{what} {i} has {len(p)} coordinates, not 5")
         try:
-            out.append(tuple(FieldElem.from_json(x) for x in p))
+            out.append(tuple(decode(x) for x in p))
         except ZeroDivisionError:
             raise ValueError(f"{what} {i} has a zero denominator") from None
     return tuple(out)

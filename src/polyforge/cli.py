@@ -69,7 +69,7 @@ def _load_json(path: str, what: str = "a JSON object") -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise _UsageError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise _UsageError(f"{path} is not {what}: its top level is "
@@ -99,11 +99,40 @@ def _load_complex(path: str) -> SimplicialComplex:
     return _load_document(path, SimplicialComplex.from_json, "a complex document")
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_text(x, indent: str = "") -> str:
+    """``json.dumps(x, indent=2)`` nested ``indent`` deep, joined here, not
+    by json's pure-Python indenting encoder.  Strings get json's C quoting;
+    floats, empty containers, keys that are not strings and other types go
+    to json.dumps, shifted right (JSON has newlines only between items)."""
+    kind = type(x)
+    if kind is str:
+        return _quote(x)
+    if kind is int:
+        return int.__repr__(x)
+    if kind is bool or x is None:
+        return json.dumps(x)
+    inner = indent + "  "
+    if (kind is list or kind is tuple) and x:
+        items = [_quote(v) if type(v) is str else _json_text(v, inner) for v in x]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if kind is dict and x and all(type(k) is str for k in x):
+        items = [_quote(k) + ": " + (_quote(v) if type(v) is str
+                                     else _json_text(v, inner)) for k, v in x.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    return json.dumps(x, indent=2).replace("\n", "\n" + indent)
+
+
 def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+    text = _json_text(doc) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {out}: {exc}") from exc
         print(f"wrote {out}")
     else:
         print(text, end="")
@@ -499,83 +528,84 @@ def _int_at_least(low: int):
     return parse
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    # --out on the commands that write a document
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", metavar="FILE",
-                        help="write the JSON artifact here")
+def _arg(*flags, **options):
+    return flags, options
+
+
+_OUT = _arg("--out", metavar="FILE", help="write the JSON artifact here")
+
+# (group, command, handler, arguments), in the order usage and help list
+# them; _OUT first marks a command that writes a document
+_COMMANDS = (
+    ("hirsch", "segment", _cmd_hirsch_segment, (
+        _OUT, _arg("--complex", required=True),
+        _arg("--from", dest="from_facet", required=True),
+        _arg("--to", dest="to_facet", required=True))),
+    ("hirsch", "diameter", _cmd_hirsch_diameter, (
+        _OUT, _arg("--complex", required=True))),
+    ("morse", "collapse", _cmd_morse_collapse, (
+        _OUT, _arg("--complex", required=True), _arg("--target"),
+        _arg("--out-j", dest="out_j", type=int, default=None),
+        _arg("--seed", type=int, default=0,
+             help="seed for randomized search restarts"),
+        _arg("--budget", type=_int_at_least(0), default=None,
+             help="search node budget (default POLYFORGE_BUDGET "
+                  f"or {DEFAULT_BUDGET})"))),
+    ("morse", "validate", _cmd_morse_validate, (
+        _arg("--complex", required=True), _arg("--matching", required=True))),
+    ("arr", "betti", _cmd_arr_betti, (
+        _OUT, _arg("--file", required=True),
+        _arg("--i", type=_int_at_least(0), required=True))),
+    ("cct", "generate", _cmd_cct_generate, (
+        _OUT, _arg("--n", type=_int_at_least(1), required=True))),
+    ("cct", "verify", _cmd_cct_verify, (_arg("--file", required=True),)),
+    ("cct", "kappa", _cmd_cct_kappa, (
+        _arg("--upto", type=_int_at_least(0), required=True),)),
+    ("proj", "staudt", _cmd_proj_staudt, (
+        _arg("--poly", required=True), _arg("--at"),
+        _arg("--out", "--emit", dest="out", metavar="FILE",
+             help="write the program here"))),
+    ("proj", "lawrence", _cmd_proj_lawrence, (
+        _OUT, _arg("--config", required=True))),
+    ("proj", "k-config", _cmd_proj_kconfig, (
+        _OUT, _arg("--verify", action="store_true"))),
+    ("proj", "pcctp", _cmd_proj_pcctp, (
+        _OUT, _arg("--n", type=_int_at_least(1), required=True))),
+)
+
+
+def _build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for ``argv``: when argv[:2] names a command, only that
+    command and its group, under usage lines that still list every choice;
+    any other argv (help, errors) gets every command, and no metavar, which
+    would rename the subject of its "invalid choice" errors."""
+    rows = [r for r in _COMMANDS if list(r[:2]) == list(argv[:2])]
+
+    def listing(names):
+        return "{" + ",".join(dict.fromkeys(names)) + "}" if rows else None
 
     parser = argparse.ArgumentParser(
         prog="polyforge",
         description="exact certificates for paths, collapses, "
                     "arrangements, tubes, and incidence constructions")
-    groups = parser.add_subparsers(dest="group")
-
-    hirsch = groups.add_parser("hirsch").add_subparsers(dest="command")
-    seg = hirsch.add_parser("segment", parents=[common])
-    seg.add_argument("--complex", required=True)
-    seg.add_argument("--from", dest="from_facet", required=True)
-    seg.add_argument("--to", dest="to_facet", required=True)
-    seg.set_defaults(handler=_cmd_hirsch_segment)
-    dia = hirsch.add_parser("diameter", parents=[common])
-    dia.add_argument("--complex", required=True)
-    dia.set_defaults(handler=_cmd_hirsch_diameter)
-
-    morse = groups.add_parser("morse").add_subparsers(dest="command")
-    col = morse.add_parser("collapse", parents=[common])
-    col.add_argument("--complex", required=True)
-    col.add_argument("--target")
-    col.add_argument("--out-j", dest="out_j", type=int, default=None)
-    col.add_argument("--seed", type=int, default=0,
-                     help="seed for randomized search restarts")
-    col.add_argument("--budget", type=_int_at_least(0), default=None,
-                     help="search node budget (default POLYFORGE_BUDGET "
-                          f"or {DEFAULT_BUDGET})")
-    col.set_defaults(handler=_cmd_morse_collapse)
-    val = morse.add_parser("validate")
-    val.add_argument("--complex", required=True)
-    val.add_argument("--matching", required=True)
-    val.set_defaults(handler=_cmd_morse_validate)
-
-    arr = groups.add_parser("arr").add_subparsers(dest="command")
-    betti = arr.add_parser("betti", parents=[common])
-    betti.add_argument("--file", required=True)
-    betti.add_argument("--i", type=_int_at_least(0), required=True)
-    betti.set_defaults(handler=_cmd_arr_betti)
-
-    cct = groups.add_parser("cct").add_subparsers(dest="command")
-    gen = cct.add_parser("generate", parents=[common])
-    gen.add_argument("--n", type=_int_at_least(1), required=True)
-    gen.set_defaults(handler=_cmd_cct_generate)
-    ver = cct.add_parser("verify")
-    ver.add_argument("--file", required=True)
-    ver.set_defaults(handler=_cmd_cct_verify)
-    kap = cct.add_parser("kappa")
-    kap.add_argument("--upto", type=_int_at_least(0), required=True)
-    kap.set_defaults(handler=_cmd_cct_kappa)
-
-    proj = groups.add_parser("proj").add_subparsers(dest="command")
-    sta = proj.add_parser("staudt")
-    sta.add_argument("--poly", required=True)
-    sta.add_argument("--at")
-    sta.add_argument("--out", "--emit", dest="out", metavar="FILE",
-                     help="write the program here")
-    sta.set_defaults(handler=_cmd_proj_staudt)
-    law = proj.add_parser("lawrence", parents=[common])
-    law.add_argument("--config", required=True)
-    law.set_defaults(handler=_cmd_proj_lawrence)
-    kcfg = proj.add_parser("k-config", parents=[common])
-    kcfg.add_argument("--verify", action="store_true")
-    kcfg.set_defaults(handler=_cmd_proj_kconfig)
-    pcc = proj.add_parser("pcctp", parents=[common])
-    pcc.add_argument("--n", type=_int_at_least(1), required=True)
-    pcc.set_defaults(handler=_cmd_proj_pcctp)
-
+    groups = parser.add_subparsers(
+        dest="group", metavar=listing(r[0] for r in _COMMANDS))
+    commands = {}
+    for group, name, handler, arguments in rows or _COMMANDS:
+        if group not in commands:
+            commands[group] = groups.add_parser(group).add_subparsers(
+                dest="command",
+                metavar=listing(r[1] for r in _COMMANDS if r[0] == group))
+        sub = commands[group].add_parser(name)
+        for flags, options in arguments:
+            sub.add_argument(*flags, **options)
+        sub.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -55,6 +55,30 @@ class TestExitDiscipline:
         assert main(["hirsch", "diameter", "--complex", missing]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["cct", "generate", "--n", "1"],
+        ["proj", "staudt", "--poly", "x-1"],
+        ["proj", "pcctp", "--n", "2"],
+    ])
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, argv, where):
+        target = str(tmp_path / "no" / "such.json" if where == "missing-dir"
+                     else tmp_path)
+        assert main(argv + ["--out", target]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"cannot write {target}: ")
+        assert "wrote" not in captured.out
+
+    @pytest.mark.parametrize("argv", [["cct", "verify", "--file"],
+                                      ["hirsch", "diameter", "--complex"]])
+    def test_non_utf8_input_is_usage_error(self, tmp_path, capsys, argv):
+        bad = tmp_path / "bin.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert main(argv + [str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"{bad} is not valid JSON: 'utf-8' codec")
+        assert captured.out == ""
+
     def test_malformed_json_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
@@ -837,6 +861,30 @@ class TestArgvCorpus:
     @pytest.mark.parametrize("argv", _argv_corpus(), ids=" ".join)
     def test_matches_reference_parser(self, argv):
         assert _run(main, argv) == _run(ref_main, argv)
+
+
+    @pytest.mark.parametrize("command", COMMAND_ARGV, ids="-".join)
+    def test_parsed_namespace_matches_reference(self, command):
+        argv = list(command) + COMMAND_ARGV[command][0]
+        got = cli._build_parser(argv).parse_args(argv)
+        assert vars(got) == vars(ref_build_parser().parse_args(argv))
+
+    def test_command_builds_only_its_path_on_every_call(self, tmp_path,
+                                                        capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **k: built.append(1) or
+                            init(self, *a, **k))
+        counts = []
+        for _ in range(2):
+            built.clear()
+            assert main(["cct", "generate", "--n", "1",
+                         "--out", str(tmp_path / "t.json")]) == 0
+            counts.append(len(built))
+        capsys.readouterr()
+        # the top parser, the group and the command, built afresh each call
+        assert 0 < counts[0] == counts[1] <= 4
 
 
 # JSON trees of every kind json.dumps takes, keys of every kind it coerces
