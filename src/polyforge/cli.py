@@ -574,7 +574,7 @@ _COMMANDS = (
 )
 
 
-def _build_parser(argv=()) -> argparse.ArgumentParser:
+def _build_parser(argv) -> argparse.ArgumentParser:
     """The parser for ``argv``: when argv[:2] names a command, only that
     command and its group, under usage lines that still list every choice;
     any other argv (help, errors) gets every command, and no metavar, which
