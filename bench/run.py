@@ -2,7 +2,7 @@
 arrangement homology, Morse collapses and the exact field kernels.
 
     python3 bench/run.py --tree parent=../old-checkout --tree change=. \
-        --out BENCH_12.json [--rung tube --rung kernels]
+        --out BENCH_12.json
 
 The ladder runs in 3 rounds.  In each round every rung runs once per
 source tree, in one fresh single-threaded process that imports polyforge
@@ -425,8 +425,6 @@ def main() -> int:
                         help="a source tree to measure (repeatable; default: "
                              "this checkout, labelled 'change')")
     parser.add_argument("--out", help="write the JSON here (default: stdout)")
-    parser.add_argument("--rung", action="append", choices=RUNGS,
-                        help="a rung to run (repeatable; default: every rung)")
     parser.add_argument("--measure", choices=RUNGS, help=argparse.SUPPRESS)
     args = parser.parse_args()
 
@@ -444,7 +442,7 @@ def main() -> int:
         trees.append((label, tree))
     results = {label: {} for label, _ in trees}
     for r in range(ROUNDS):
-        for k, rung in enumerate(args.rung or RUNGS):
+        for k, rung in enumerate(RUNGS):
             for label, tree in trees if (r + k) % 2 == 0 else trees[::-1]:
                 got = run_rung(label, tree, rung)
                 done = results[label]
