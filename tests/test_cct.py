@@ -836,3 +836,97 @@ class TestMirrorOracle:
                 m.setattr(cct_mod, "check_symmetric", ref_check_symmetric)
                 want = main(argv), capsys.readouterr()
             assert got == want
+
+
+# ---------------------------------------------------------------------------
+# The tube's certificate: a copy of the checks that `cct generate` and
+# `cct verify` ran before one library function owned them.  The library's
+# must give the same (name, passed, witness) triples, the same normals or
+# the same error, and leave its record in the same state, on generated
+# tubes with the generating record and with a fresh one, and on the
+# tampered tubes of this file.
+
+
+def ref_certify(t, record):
+    screw = check_symmetric(t, record)
+    if not screw:
+        raise ValueError("symmetry violation")
+    checks = [
+        ("symmetry", True, "screw motion invariance"),
+        ("transversality", cct_mod._transversal_core(t, record),
+         "tube rays cross every slab cell"),
+        ("obtuse-slope", cct_mod._slope_core(t),
+         "consecutive slope vectors at obtuse angles"),
+    ]
+    normals = None
+    if t.width >= 3:
+        checks.append(("orientation", cct_mod._oriented_core(t, screw),
+                       "all cells tilt toward the core circle"))
+        try:
+            normals = check_convex_position(t, screw)
+            checks.append(("convex-position", True,
+                           f"{len(normals)} facets exactly exposed"))
+        except ValueError as exc:
+            checks.append(("convex-position", False, str(exc)))
+    else:
+        checks.append(("orientation", True, "skipped: width below three"))
+        checks.append(("convex-position", True, "skipped: width below three"))
+    return checks, normals
+
+
+def certified(fn, t, record):
+    """fn's certificate or the error it raised, and the record after it."""
+    try:
+        result = fn(t, record)
+    except ValueError as exc:
+        result = type(exc), str(exc)
+    return result, (record.symmetric_levels, record.screws,
+                    record.transversal_levels, record.ray_keys,
+                    record.transversal)
+
+
+def certify(t, record=None):
+    from polyforge.cli import _cct_checks
+    record = TubeRecord() if record is None else record
+    return _cct_checks(t, check_symmetric(t, record), record)
+
+
+class TestCertifyOracle:
+    # the convex-position witness on each tube of SCALED_LEVEL_VERDICTS
+    SCALED_LEVEL_WITNESSES = [
+        "facet 0 is not flat",
+        "facet 0 is not flat",
+        "facet 0 is not flat",
+        "facet 0 is not flat",
+        "facet 0 is not flat",
+        "exposure failure: vertex 48 on the wrong side of facet 0",
+        "facet 12 is not flat",
+    ]
+
+    @pytest.mark.parametrize("width", range(1, 7))
+    def test_generated_tubes(self, width):
+        got, want = TubeRecord(), TubeRecord()
+        geo = generate(width, got)
+        generate(width, want)
+        assert certified(certify, geo, got) == certified(ref_certify, geo, want)
+        fresh = certified(ref_certify, geo, TubeRecord())
+        assert certified(certify, geo, TubeRecord()) == fresh
+        assert certify(geo) == fresh[0]
+
+    def test_tampered_tubes(self):
+        for geo in tampered_tubes():
+            assert (certified(certify, geo, TubeRecord())
+                    == certified(ref_certify, geo, TubeRecord()))
+
+    def test_scaled_level_witnesses(self):
+        for (level, lam, verdicts), witness in zip(
+                TestCertificateOracles.SCALED_LEVEL_VERDICTS,
+                self.SCALED_LEVEL_WITNESSES):
+            checks, normals = certify(scale_level(generate(4), level, lam))
+            assert [name for name, _, _ in checks] == [
+                "symmetry", "transversality", "obtuse-slope", "orientation",
+                "convex-position"]
+            assert [("pass" if passed else "FAIL")
+                    for _, passed, _ in checks] == verdicts.split()
+            assert checks[-1] == ("convex-position", False, witness)
+            assert normals is None
