@@ -9,11 +9,11 @@ source tree, in one fresh single-threaded process that imports polyforge
 from ``<tree>/src``; the trees take turns to go first from rung to rung
 and from round to round, so that a slow phase of the host falls on both.
 Within a process each timing runs at least 3 times after one untimed
-warm-up run (every rung but paths repeats its runs until they add up to
-at least 1 s) and is recorded as ``{"min": ..., "median": ...}`` of those
-runs; the JSON keeps the smallest of each over the rounds, so a minimum
-far below its median marks a figure the host did not hold steady.  Every
-value that is not a time must repeat exactly from round to round.
+warm-up run, and until its runs add up to at least 1 s, and is recorded
+as ``{"min": ..., "median": ...}`` of those runs; the JSON keeps the
+smallest of each over the rounds, so a minimum far below its median
+marks a figure the host did not hold steady.  Every value that is not a
+time must repeat exactly from round to round.
 
 The ``tube`` rung, for every width n of the ladder (4, 12, 16, 24, 32,
 64 and 128):
@@ -43,7 +43,7 @@ The ``arrangements`` rung:
     on n seeded affine hyperplanes of R^d with integer coefficients in
     [-5, 5], for 6 to 9 planes in R^3 and 5, 6, 7, 11 and 16 in R^4, with
     the number of flats and the Betti numbers; ``gm_betti_all_s`` times
-    the one-poset ``gm_betti_all`` (null for a tree without it).  Each
+    the one-poset ``gm_betti_all``.  Each
     ``gm_betti`` call builds the whole poset, and at r4_16 four of them
     per run would add minutes to the ladder, so past ALL_DEGREES_MAX
     planes ``all_degrees_s`` is null and the Betti numbers come from
@@ -76,8 +76,9 @@ The ``kernels`` rung, each figure repeated until its runs add up to 1 s:
     90x60 matrix of ``FieldElem`` entries, one in ten of them +-1 and the
     rest zero, with its rank;
   * ``screw_ns``: nanoseconds per screw image B^5 p of vertex 30 of the
-    width-4 tube by ``rotate(p, 5, 5)`` (null for a tree without it), and
-    ``mat_vec_ns`` for the same image by ``mat_vec(cct.B_POW[5], p)``.
+    width-4 tube by ``rotate(p, 5, 5)``, and ``mat_vec_ns`` for the same
+    image by ``mat_vec`` with the matrix B^5, B = R34 R12 built from
+    ``rotation_34`` and ``rotation_12``.
 
 The JSON written holds the machine (platform, processor, CPU count,
 Python), each tree's git SHA, and the timings; standard library only.
@@ -206,7 +207,7 @@ def _time_segments(cc, hp, items) -> float:
                 hp.validate_path(c, hp.combinatorial_segment(
                     c, c.facets[a], c.facets[b]))
 
-    return _best(run, fresh)
+    return _best(run, fresh, min_total=1.0)
 
 
 def measure_paths() -> dict:
@@ -259,7 +260,6 @@ def _lefschetz_inputs(ar) -> list:
 def measure_arrangements() -> dict:
     from polyforge import arrangement as ar
 
-    one_poset = getattr(ar, "gm_betti_all", None)
     results = {}
     for d, counts in HYPERPLANES.items():
         for n in counts:
@@ -268,10 +268,10 @@ def measure_arrangements() -> dict:
             small = n <= ALL_DEGREES_MAX
             results[f"r{d}_{n}"] = {
                 "flats": ar.intersection_poset(arr).size(),
-                "betti": every_degree(None) if small else one_poset(arr),
+                "betti": every_degree(None) if small else ar.gm_betti_all(arr),
                 "all_degrees_s": _best(every_degree, min_total=1.0) if small else None,
-                "gm_betti_all_s": one_poset and _best(
-                    lambda _: one_poset(arr), min_total=1.0),
+                "gm_betti_all_s": _best(
+                    lambda _: ar.gm_betti_all(arr), min_total=1.0),
             }
     inputs = _lefschetz_inputs(ar)
     reports = [ar.lefschetz_inequality_check(arr, h) for arr, h in inputs]
@@ -353,7 +353,7 @@ def measure_kernels() -> dict:
 
     x, y, m8x5, sparse = _kernel_inputs(ef)
     p = cct.generate(4).coords[30]
-    rotate = getattr(ef, "rotate", None)
+    b5 = ef.mat_pow(ef.mat_mul(ef.rotation_34(), ef.rotation_12()), 5)
     return {
         "mul_ns": _per_call(lambda: x * y, 10_000, 1e-9),
         "inverse_ns": _per_call(x.inverse, 10_000, 1e-9),
@@ -364,8 +364,8 @@ def measure_kernels() -> dict:
         "nullity_8x5": len(ef.mat_nullspace(m8x5)),
         "rank_sparse_90x60_ms": _per_call(lambda: ef.mat_rank(sparse), 5, 1e-3),
         "rank_sparse_90x60": ef.mat_rank(sparse),
-        "screw_ns": rotate and _per_call(lambda: rotate(p, 5, 5), 10_000, 1e-9),
-        "mat_vec_ns": _per_call(lambda: ef.mat_vec(cct.B_POW[5], p), 1_000, 1e-9),
+        "screw_ns": _per_call(lambda: ef.rotate(p, 5, 5), 10_000, 1e-9),
+        "mat_vec_ns": _per_call(lambda: ef.mat_vec(b5, p), 1_000, 1e-9),
     }
 
 
@@ -460,8 +460,7 @@ def main() -> int:
         "bench": "ladder",
         "metric": (f"smallest over {ROUNDS} rounds of the min and of the "
                    f"median of at least {REPEAT} wall-clock runs after one "
-                   "warm-up run, runs adding up to at least 1 s on every "
-                   "rung but paths"),
+                   "warm-up run, runs adding up to at least 1 s"),
         "machine": {
             "platform": platform.platform(),
             "processor": _processor(),

@@ -10,8 +10,9 @@ tests; floats appear only in reports.
 The screw motion B = R34 R12 is block diagonal: a quarter turn of
 coordinates 1-2, a sixth turn of coordinates 3-4, coordinate 5 fixed.
 The blocks commute, so B^e = R12^e R34^e, and every screw image is taken
-as ``exactfield.rotate(p, e, e)`` on the stored integers; the matrices
-B_POW and R12_SQ remain as the reference the tests compare against.
+as ``exactfield.rotate(p, e, e)`` on the stored integers.  ``certify``
+is the tube's certificate: every predicate but symmetry presupposes the
+screw that ``check_symmetric`` proves, and a tube without one is refused.
 """
 
 from __future__ import annotations
@@ -27,14 +28,10 @@ from .exactfield import (
     FieldElem,
     as_vector,
     mat_det,
-    mat_mul,
     mat_nullspace,
-    mat_pow,
     mat_rank,
     mat_solve,
     rotate,
-    rotation_12,
-    rotation_34,
     vec_dot,
 )
 
@@ -43,26 +40,19 @@ def _fe(a, b=0, den=1):
     return FieldElem(Fraction(a, den), Fraction(b, den))
 
 
-R12 = rotation_12()
-R34 = rotation_34()
-B_STEP = mat_mul(R34, R12)
-B_POW = [mat_pow(B_STEP, j) for j in range(12)]
-R12_SQ = mat_mul(R12, R12)
-
-
 @dataclass(frozen=True)
 class Screw:
-    """A screw convention, as powers of B_STEP: the vertex at
-    w + (-1, 1, 0) is B_STEP**tb times the vertex at w, and the vertex at
-    w + (0, -1, 1) is B_STEP**tc times it."""
+    """A screw convention, as powers of B: the vertex at w + (-1, 1, 0)
+    is B**tb times the vertex at w, and the vertex at w + (0, -1, 1) is
+    B**tc times it."""
 
     tb: int
     tc: int
 
     @property
     def powers(self) -> tuple:
-        """For the 12 vertices of a level in id order, the power of B_STEP
-        that moves the level's first vertex, (0, l, 0), onto it.
+        """For the 12 vertices of a level in id order, the power of B that
+        moves the level's first vertex, (0, l, 0), onto it.
 
         Vertex 4*a + c of a level is (a, l - a - c, c), the first vertex
         moved by c steps along (0, -1, 1) and a steps back along (-1, 1, 0).
@@ -352,13 +342,13 @@ class GeoCCT:
 
 def _points_from_json(points, what: str) -> tuple:
     """Homogeneous 5-coordinate points; a malformed one is named.  A
-    coefficient written as four strings is decoded once per call and its
-    (immutable) FieldElem shared; only strings make the key, because
-    JSON's true, 1 and 1.0 are equal keys and only 1 is exact."""
+    coefficient written as four strings a-d, and no other key, is decoded
+    once per call and its (immutable) FieldElem shared; only strings make
+    the key, because JSON's true, 1 and 1.0 are equal and only 1 exact."""
     memo = {}
 
     def decode(x):
-        if type(x) is dict:
+        if type(x) is dict and len(x) == 4:
             key = (x.get("a"), x.get("b"), x.get("c"), x.get("d"))
             if all(type(v) is str for v in key):
                 elem = memo.get(key)
@@ -611,6 +601,15 @@ def check_symmetric(t: GeoCCT, record: TubeRecord | None = None) -> Screw | None
     return record.screw
 
 
+def _screw_of(t: GeoCCT, record: TubeRecord | None = None) -> Screw:
+    """The screw check_symmetric proves on `t` with `record`, which the
+    orbit-reduced predicates presuppose; a tube without one is refused."""
+    screw = check_symmetric(t, record)
+    if not screw:
+        raise ValueError("symmetry violation")
+    return screw
+
+
 def _star_ok(t: GeoCCT, vid: int, direction: int) -> bool:
     ab = t.abstract
     w = ab.vertex_reps[vid]
@@ -655,8 +654,7 @@ def _star_ok(t: GeoCCT, vid: int, direction: int) -> bool:
 def check_transversal(t: GeoCCT) -> bool:
     """Axis avoidance, injective double projection, and star conditions."""
     record = TubeRecord()
-    if not check_symmetric(t, record):
-        raise ValueError("symmetry violation")
+    _screw_of(t, record)
     return _transversal_core(t, record)
 
 
@@ -711,8 +709,7 @@ def check_slope_obtuse(t: GeoCCT) -> bool:
     with the shared lower neighbor, an angle measured at the midpoint ray;
     obtuse means the two tangent projections point against each other.
     """
-    if not check_symmetric(t):
-        raise ValueError("symmetry violation")
+    _screw_of(t)
     return _slope_core(t)
 
 
@@ -789,10 +786,7 @@ def check_oriented(t: GeoCCT) -> bool:
     axis-plane shadow; an even number of proper crossings with the two
     boundary tori means the complex points at the axis circle.
     """
-    screw = check_symmetric(t)
-    if not screw:
-        raise ValueError("symmetry violation")
-    return _oriented_core(t, screw)
+    return _oriented_core(t, _screw_of(t))
 
 
 def _oriented_core(t: GeoCCT, screw: Screw) -> bool:
@@ -894,10 +888,7 @@ def check_convex_position(t: GeoCCT, screw: Screw | None = None) -> dict:
     """
     if t.width < 3:
         raise ValueError("convex position needs width at least 3")
-    if screw is None:
-        screw = check_symmetric(t)
-        if not screw:
-            raise ValueError("symmetry violation")
+    screw = _screw_of(t) if screw is None else screw
     out = {}
     for base in range(0, 12 * (t.width - 2), 12):
         n = certify_facet(t, base)
@@ -913,3 +904,31 @@ def _carry(n, e: int) -> tuple:
     scale = abs(next(x for x in reversed(m) if x))
     return m if scale == 1 else tuple(x / scale for x in m)
 
+
+def certify(t: GeoCCT, record: TubeRecord | None = None) -> tuple:
+    """The tube's (name, passed, witness) checks and its outer facet
+    normals, None unless convex position passes (its error is then the
+    witness).  `record` is the generating fold's, or None for a full
+    recomputation.  Below width three, orientation and convex position
+    pass as skipped."""
+    record = TubeRecord() if record is None else record
+    screw = _screw_of(t, record)
+    checks = [
+        ("symmetry", True, "screw motion invariance"),
+        ("transversality", _transversal_core(t, record),
+         "tube rays cross every slab cell"),
+        ("obtuse-slope", _slope_core(t),
+         "consecutive slope vectors at obtuse angles"),
+    ]
+    if t.width < 3:
+        skipped = "skipped: width below three"
+        return checks + [("orientation", True, skipped),
+                         ("convex-position", True, skipped)], None
+    checks.append(("orientation", _oriented_core(t, screw),
+                   "all cells tilt toward the core circle"))
+    try:
+        normals = check_convex_position(t, screw)
+    except ValueError as exc:
+        return checks + [("convex-position", False, str(exc))], None
+    return checks + [("convex-position", True,
+                      f"{len(normals)} facets exactly exposed")], normals

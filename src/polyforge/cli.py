@@ -138,6 +138,13 @@ def _emit(doc: dict, out: str | None) -> None:
         print(text, end="")
 
 
+def _report(checks) -> bool:
+    """Print a verdict line per check; whether every check passed."""
+    for name, passed, _ in checks:
+        print(f"{name}: {'pass' if passed else 'FAIL'}")
+    return all(passed for _, passed, _ in checks)
+
+
 def _budget(args) -> int:
     if args.budget is not None:
         return args.budget
@@ -313,43 +320,11 @@ def _cmd_arr_betti(args) -> int:
 # ---------------------------------------------------------------------------
 # cct
 
-def _cct_checks(geo, screw, record):
-    """The tube's verdicts at its width.  `screw` is the convention
-    check_symmetric proved with `record`: the other predicates presuppose
-    it, so a tube without it fails outright, and convex position carries
-    normals along it.  The level-wise predicates run only on the levels
-    `record` has not covered."""
-    if not screw:
-        raise ValueError("symmetry violation")
-    checks = [
-        ("symmetry", True, "screw motion invariance"),
-        ("transversality", cct_mod._transversal_core(geo, record),
-         "tube rays cross every slab cell"),
-        ("obtuse-slope", cct_mod._slope_core(geo),
-         "consecutive slope vectors at obtuse angles"),
-    ]
-    normals = None
-    if geo.width >= 3:
-        checks.append(("orientation", cct_mod._oriented_core(geo, screw),
-                       "all cells tilt toward the core circle"))
-        try:
-            normals = cct_mod.check_convex_position(geo, screw)
-            checks.append(("convex-position", True,
-                           f"{len(normals)} facets exactly exposed"))
-        except ValueError as exc:
-            checks.append(("convex-position", False, str(exc)))
-    else:
-        checks.append(("orientation", True, "skipped: width below three"))
-        checks.append(("convex-position", True, "skipped: width below three"))
-    return checks, normals
-
-
 def _cmd_cct_generate(args) -> int:
     # the verdicts at width n come from the record of the generating fold
     record = cct_mod.TubeRecord()
     geo = cct_mod.generate(args.n, record)
-    checks, normals = _cct_checks(
-        geo, cct_mod.check_symmetric(geo, record), record)
+    checks, normals = cct_mod.certify(geo, record)
     expected = 12 * (args.n + 1)
     checks.append(("vertex-count", len(geo.coords) == expected,
                    f"f0 = {len(geo.coords)}, expected {expected}"))
@@ -363,11 +338,10 @@ def _cmd_cct_generate(args) -> int:
         checks=tuple(checks),
         extra=extra,
     )
-    for name, passed, _ in bundle.checks:
-        print(f"{name}: {'pass' if passed else 'FAIL'}")
+    ok = _report(bundle.checks)
     print(f"f0 = {len(geo.coords)}")
     _emit(bundle.to_json(), args.out)
-    return 0 if bundle.ok else 1
+    return 0 if ok else 1
 
 
 def _cmd_cct_verify(args) -> int:
@@ -383,15 +357,8 @@ def _cmd_cct_verify(args) -> int:
         geo = cct_mod.GeoCCT.from_json(inner)
     except (KeyError, TypeError, ValueError) as exc:
         raise _UsageError(f"{args.file} is malformed: {exc}") from exc
-    # a full recomputation: the same level-wise checks from an empty
-    # record, which symmetry and transversality share
-    record = cct_mod.TubeRecord()
-    screw = cct_mod.check_symmetric(geo, record)
-    ok = True
-    for name, passed, witness in _cct_checks(geo, screw, record)[0]:
-        print(f"{name}: {'pass' if passed else 'FAIL'}")
-        ok = ok and passed
-    return 0 if ok else 1
+    # a full recomputation: the same checks from a fresh record
+    return 0 if _report(cct_mod.certify(geo)[0]) else 1
 
 
 def _cmd_cct_kappa(args) -> int:
@@ -496,10 +463,9 @@ def _cmd_proj_kconfig(args) -> int:
     print(f"{len(k.points)} points "
           f"({len(k.ct_vertex_names)} tube vertices + "
           f"{len(k.free_names)} companions)")
-    for name, passed, _ in checks:
-        print(f"{name}: {'pass' if passed else 'FAIL'}")
+    ok = _report(checks)
     _emit(bundle.to_json(), args.out)
-    return 0 if bundle.ok else 1
+    return 0 if ok else 1
 
 
 def _cmd_proj_pcctp(args) -> int:

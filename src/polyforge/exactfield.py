@@ -58,6 +58,7 @@ def _rat_text(n: int, q: int) -> str:
 
 
 _CANONICAL_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
+_COEFFICIENT_KEYS = frozenset("abcd")
 
 
 def _parse_rational(x) -> tuple:
@@ -327,6 +328,10 @@ class FieldElem:
 
     @classmethod
     def from_json(cls, data: dict) -> "FieldElem":
+        extra = data.keys() - _COEFFICIENT_KEYS if isinstance(data, dict) else ()
+        if extra:
+            raise TypeError("coefficient keys other than a, b, c, d: "
+                            + ", ".join(sorted(map(repr, extra))))
         (a, p), (b, r), (c, s), (d, t) = (
             _parse_rational(data[k]) for k in "abcd")
         q = math.lcm(p, r, s, t)

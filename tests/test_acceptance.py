@@ -21,7 +21,6 @@ from polyforge.arrangement import (
     lefschetz_inequality_check,
 )
 from polyforge.cct import (
-    R12_SQ,
     THETA0,
     THETA1,
     THETA2,
@@ -52,8 +51,10 @@ from polyforge.exactfield import (
     ZERO,
     FieldElem,
     mat_det,
+    mat_mul,
     mat_rank,
     mat_vec,
+    rotation_12,
 )
 from polyforge.hirschpath import (
     combinatorial_segment,
@@ -170,7 +171,7 @@ def test_criterion_01_squeeze_point_table():
 
 
 def test_criterion_02_worked_iteration():
-    partner = tuple(mat_vec(R12_SQ, THETA1))
+    partner = tuple(mat_vec(mat_mul(rotation_12(), rotation_12()), THETA1))
     assert mu(THETA0, partner) == fe(3, -4, 23)
     assert iterate(THETA0, partner) == THETA2
     verdict(2, "worked blend and step values")

@@ -12,7 +12,6 @@ import pytest
 
 from polyforge import cct as cct_mod
 from polyforge.cct import (
-    B_POW,
     AbstractCCT,
     GeoCCT,
     TubeRecord,
@@ -28,6 +27,7 @@ from polyforge.cct import (
     check_slope_obtuse,
     check_symmetric,
     check_transversal,
+    certify,
     certify_facet,
     clifford_lambda,
     clifford_lambda_exact,
@@ -62,6 +62,7 @@ R12 = rotation_12()
 R34 = rotation_34()
 S = reflection_e4()
 B = mat_mul(R34, R12)
+B_POW = [mat_pow(B, j) for j in range(12)]
 
 
 def fe(a, b=0, den=1):
@@ -883,12 +884,6 @@ def certified(fn, t, record):
     return result, (record.symmetric_levels, record.screws,
                     record.transversal_levels, record.ray_keys,
                     record.transversal)
-
-
-def certify(t, record=None):
-    from polyforge.cli import _cct_checks
-    record = TubeRecord() if record is None else record
-    return _cct_checks(t, check_symmetric(t, record), record)
 
 
 class TestCertifyOracle:

@@ -942,3 +942,18 @@ class TestDecodeCoefficients:
         assert captured.err == (f"{bad} is malformed: expected an exact "
                                 f"number, got {name}\n")
         assert captured.out == ""
+
+    def test_extra_coefficient_key_is_refused(self, tmp_path, capsys):
+        out_file = tmp_path / "cct4.json"
+        assert main(["cct", "generate", "--n", "4", "--out", str(out_file)]) == 0
+        capsys.readouterr()
+        doc = json.loads(out_file.read_text(encoding="utf-8"))
+        # vertex 5's homogeneous "1" repeats vertex 0's: a decoded
+        # coefficient must not stand in for it
+        doc["cct"]["vertices"][5][4]["e"] = "junk"
+        bad = write_json(tmp_path / "bad.json", doc)
+        assert main(["cct", "verify", "--file", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"{bad} is malformed: coefficient keys "
+                                "other than a, b, c, d: 'e'\n")
+        assert captured.out == ""

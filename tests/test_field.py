@@ -998,6 +998,16 @@ class TestCoercionPolicy:
         assert FieldElem.from_json({"a": 2, "b": "0", "c": "0", "d": "1/2"}) \
             == FieldElem(2, 0, 0, Fraction(1, 2))
 
+    @pytest.mark.parametrize("extra", [{"e": "junk"}, {"A": "0", "e": "1"}])
+    @pytest.mark.parametrize("missing", ["", "d"])
+    def test_json_keys_other_than_abcd_are_refused(self, extra, missing):
+        data = {"a": "1", "b": "0", "c": "0", "d": "0", **extra}
+        data.pop(missing, None)
+        with pytest.raises(TypeError) as info:
+            FieldElem.from_json(data)
+        assert str(info.value) == ("coefficient keys other than a, b, c, d: "
+                                   + ", ".join(sorted(map(repr, extra))))
+
     @pytest.mark.parametrize("call", [
         lambda: as_vector([1, 0.5]),
         lambda: vec_dot((FieldElem(1),), (1.5,)),

@@ -16,10 +16,14 @@ from polyforge.exactfield import (
     ONE,
     ZERO,
     mat_det,
+    mat_mul,
+    mat_pow,
     mat_rank,
     mat_vec,
+    rotation_12,
+    rotation_34,
 )
-from polyforge.cct import B_POW, THETA0, seed_ct1
+from polyforge.cct import THETA0, seed_ct1
 from polyforge.projective import (
     BASE_FRAME,
     FrameDerivation,
@@ -567,9 +571,10 @@ class TestKConfiguration:
         k = build_k_configuration()
         assert k.points["ring0_0"] == THETA0
         assert k.points["ring1_0"] == pt(-1, 0, 1, 0, 1)
+        screw = mat_mul(rotation_34(), rotation_12())
         for j in range(12):
-            expect0 = tuple(mat_vec(B_POW[j], k.points["ring0_0"]))
-            expect1 = tuple(mat_vec(B_POW[j], k.points["ring1_0"]))
+            expect0 = tuple(mat_vec(mat_pow(screw, j), k.points["ring0_0"]))
+            expect1 = tuple(mat_vec(mat_pow(screw, j), k.points["ring1_0"]))
             assert k.points[f"ring0_{j}"] == expect0
             assert k.points[f"ring1_{j}"] == expect1
 
