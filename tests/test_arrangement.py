@@ -12,7 +12,6 @@ import pytest
 
 from polyforge.arrangement import (
     AffineSubspace,
-    _slice_into,
     arrangement_from_json,
     arrangement_to_json,
     betti_reduced_homology,
@@ -340,6 +339,20 @@ def ref_gm_betti(arr, i):
     return total
 
 
+def ref_slice_into(h, s):
+    """The flat s ∩ H in the chart offset + basis·t of the hyperplane H,
+    or None when s misses H."""
+    n = h.ambient_dim
+    offset, basis = ref_span(h)
+    m = [[vec_dot(row[:n], v) for v in basis] for row in s._canon]
+    rhs = [row[n] - vec_dot(row[:n], offset) for row in s._canon]
+    k = len(basis)
+    if not m:  # s is the whole space, and so is its slice
+        return AffineSubspace(k, [[int(i == j) for j in range(k)] for i in range(k)], [0] * k)
+    t = mat_solve(m, rhs)
+    return None if t is None else AffineSubspace(k, mat_nullspace(m), t)
+
+
 def ref_lefschetz(arr, hyperplane):
     """Today's report, with every Betti number from the reference path."""
     nodes = ref_nodes(arr)
@@ -360,7 +373,7 @@ def ref_lefschetz(arr, hyperplane):
             sliced_of[idx] = q
     if len(set(sliced_of.values())) != len(sliced_of):
         raise ValueError("not in general position: two flats slice to one")
-    sliced_arr = [cut for cut in (_slice_into(hyperplane, s) for s in arr)
+    sliced_arr = [cut for cut in (ref_slice_into(hyperplane, s) for s in arr)
                   if cut is not None]
     ambient = [ref_gm_betti(arr, i) for i in range(d)]
     if sliced_arr:
@@ -533,6 +546,29 @@ def generic_planes(rng, count):
             continue
 
 
+def random_lefschetz_case(rng, d):
+    """One to four members of R^d (points, lines and planes, coordinates
+    in [-2, 2]) and a hyperplane that is drawn at random, passes through a
+    member's point, or contains a member; small coordinates make the
+    hyperplane hit point flats and contain flats often."""
+    count = rng.randint(1, 3 if d == 4 else 4)
+    arr = [random_flats(rng, 1, d, rng.randint(0, min(2, d - 1)), 2)[0]
+           for _ in range(count)]
+    kind = rng.choice(("random", "random", "through", "contains"))
+    if kind == "random":
+        return arr, random_hyperplanes(rng, 1, d, 3)[0]
+    offset, basis = rng.choice(arr).span_form()
+    if kind == "through":
+        normals = [[int(i == j) for j in range(d)] for i in range(d)]
+    else:
+        normals = [[x.a for x in v] for v in mat_nullspace(basis or [[0] * d])]
+    a = [0] * d
+    while not any(a):
+        coeffs = [rng.randint(-1, 1) for _ in normals]
+        a = [sum(c * v[j] for c, v in zip(coeffs, normals)) for j in range(d)]
+    return arr, hyperplane(a, sum(x * y for x, y in zip(a, offset)))
+
+
 def lefschetz_cases():
     cases = []
     for seed in range(2):
@@ -552,7 +588,13 @@ def lefschetz_cases():
                         [0, 0, 0, 0])),
         ([coord_plane4(0, 1)], coord_plane4(2, 3)),
     ]
+    for seed in range(60):
+        rng = random.Random(f"lefschetz-random:{seed}")
+        cases.append(random_lefschetz_case(rng, 1 + seed % 4))
     return cases
+
+
+LEFSCHETZ_CASES = lefschetz_cases()
 
 
 def report_or_error(fn, *args):
@@ -563,10 +605,20 @@ def report_or_error(fn, *args):
 
 
 class TestLefschetzOracle:
-    @pytest.mark.parametrize("arr,h", lefschetz_cases())
+    @pytest.mark.parametrize("arr,h", LEFSCHETZ_CASES)
     def test_report_matches_reference(self, arr, h):
         assert report_or_error(lefschetz_inequality_check, arr, h) == \
             report_or_error(ref_lefschetz, arr, h)
+
+    def test_cases_reach_every_outcome(self):
+        # reports (one of them in R^1) and both genericity errors
+        outcomes = [(arr[0].ambient_dim, report_or_error(ref_lefschetz, arr, h))
+                    for arr, h in LEFSCHETZ_CASES]
+        errors = {out for _, out in outcomes if isinstance(out, str)}
+        assert errors >= {"not in general position: hyperplane hits a point flat",
+                          "not in general position: non-transversal flat"}
+        assert any(d == 1 and isinstance(out, dict) for d, out in outcomes)
+        assert sum(isinstance(out, dict) for _, out in outcomes) >= 20
 
 
 # ---------------------------------------------------------------------------
