@@ -172,6 +172,15 @@ def _parse_facet(text: str) -> tuple:
 _TERM = re.compile(r"([+-]?)(\d+(?:/\d+)?)?(x(?:\^(\d+))?)?$")
 
 
+def _rational(numeral: str, what: str) -> Fraction:
+    """Fraction(numeral) for a matched numeral; a zero denominator is a
+    usage error naming ``what``."""
+    try:
+        return Fraction(numeral)
+    except ZeroDivisionError:
+        raise _UsageError(f"cannot parse {what}: zero denominator") from None
+
+
 def _parse_poly(text: str):
     """Coefficients, ascending, of a polynomial like 'x^2 - 2' or '7x-3'."""
     s = text.replace(" ", "").replace("*", "")
@@ -183,7 +192,7 @@ def _parse_poly(text: str):
         if not m or m.end() != len(term) or (not m.group(2) and not m.group(3)):
             raise _UsageError(f"cannot parse polynomial term {term!r}")
         sign = -1 if m.group(1) == "-" else 1
-        coef = Fraction(m.group(2)) if m.group(2) else Fraction(1)
+        coef = _rational(m.group(2) or "1", f"polynomial term {term!r}")
         if m.group(3):
             exp = int(m.group(4)) if m.group(4) else 1
         else:
@@ -201,10 +210,10 @@ def _parse_value(text: str) -> FieldElem:
     s = text.replace(" ", "")
     m = re.fullmatch(r"[+-]?\d+(?:/\d+)?", s)
     if m:
-        return FieldElem(Fraction(s))
+        return FieldElem(_rational(s, f"value {text!r}"))
     m = re.fullmatch(r"([+-])?(?:(\d+(?:/\d+)?)\*?)?sqrt([236])", s)
     if m:
-        coef = Fraction(m.group(2)) if m.group(2) else Fraction(1)
+        coef = _rational(m.group(2) or "1", f"value {text!r}")
         if m.group(1) == "-":
             coef = -coef
         return _ROOTS[m.group(3)]() * FieldElem(coef)
@@ -376,11 +385,11 @@ def _cmd_cct_kappa(args) -> int:
 
 def _cmd_proj_staudt(args) -> int:
     coeffs = _parse_poly(args.poly)
+    value = None if args.at is None else _parse_value(args.at)
     prog = proj_mod.compile_polynomial(coeffs)
     print(f"program with {len(prog.steps)} steps for coefficients "
           f"{[str(c) for c in coeffs]}")
-    if args.at is not None:
-        value = _parse_value(args.at)
+    if value is not None:
         result = proj_mod.evaluate_slp(prog, {"x": (value, ZERO, ONE)})
         out_point = result[prog.outputs[0]]
         is_root = proj_mod.proj_equal(out_point, (ZERO, ZERO, ONE))
@@ -511,7 +520,7 @@ _COMMANDS = (
         _OUT, _arg("--complex", required=True))),
     ("morse", "collapse", _cmd_morse_collapse, (
         _OUT, _arg("--complex", required=True), _arg("--target"),
-        _arg("--out-j", dest="out_j", type=int, default=None),
+        _arg("--out-j", dest="out_j", type=_int_at_least(0), default=None),
         _arg("--seed", type=int, default=0,
              help="seed for randomized search restarts"),
         _arg("--budget", type=_int_at_least(0), default=None,

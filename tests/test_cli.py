@@ -106,6 +106,8 @@ class TestExitDiscipline:
         ["proj", "pcctp", "--n", "-2"],
         ["arr", "betti", "--file", "unread.json", "--i", "-1"],
         ["morse", "collapse", "--complex", "unread.json", "--budget", "-1"],
+        ["morse", "collapse", "--complex", "unread.json",
+         "--target", "unread.json", "--out-j", "-1"],
     ])
     def test_out_of_range_argument_is_usage_error(self, capsys, monkeypatch, argv):
         # rejected while parsing, before any construction runs
@@ -575,6 +577,17 @@ class TestProjCommands:
         assert main(["proj", "staudt", "--poly", "x^^2"]) == 2
         assert main(["proj", "staudt", "--poly", "x^2-2", "--at", "y"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv,err", [
+        (["--poly", "x^2-2", "--at", "1/0"], "value '1/0'"),
+        (["--poly", "1/0x-1"], "polynomial term '1/0x'"),
+        (["--poly", "x^2-2", "--at", "1/0*sqrt2"], "value '1/0*sqrt2'"),
+    ])
+    def test_staudt_zero_denominator_is_usage_error(self, capsys, argv, err):
+        assert main(["proj", "staudt"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"cannot parse {err}: zero denominator\n"
+        assert captured.out == ""
 
     def test_lawrence_counts(self, tmp_path, capsys):
         cfg = {
