@@ -287,7 +287,8 @@ def _poset_betti(poset: IntersectionPoset) -> tuple[list, list]:
     the same sum over the positive-dimensional nodes alone, which is the
     section's vector in ``lefschetz_inequality_check``."""
     d = poset.ambient_dim
-    betti, positive = [1] + [0] * (d - 1), [1] + [0] * (d - 1)
+    betti = [1] + [0] * (d - 1)
+    positive = betti.copy()
     for idx, s in enumerate(poset.nodes):
         for k, b in enumerate(_reduced_betti_numbers(poset.lower_complex(idx)), -1):
             # k >= -1, so the degree is at most d - 1 - dim s
