@@ -4,8 +4,10 @@ The frozen coordinate tables below are the oracle; the chain generator
 must reproduce them digit for digit in exact arithmetic.
 """
 
+import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -44,6 +46,7 @@ from polyforge.cct import (
 )
 from polyforge.exactfield import (
     FieldElem,
+    mat_det,
     mat_identity,
     mat_mul,
     mat_nullspace,
@@ -55,6 +58,7 @@ from polyforge.exactfield import (
     rotate,
     rotation_12,
     rotation_34,
+    vec_dot,
 )
 from polyforge.cli import main
 
@@ -510,9 +514,48 @@ def per_square_oriented(t):
             continue
         if sa < 0:
             g = tuple(-x for x in g)
-        if cct_mod._ray_crosses_cell(zs, g):
+        if ref_ray_crosses_cell(zs, g):
             crossings += 1
     return crossings % 2 == 0
+
+
+def ref_ray_crosses_cell(zs, g) -> bool:
+    """Does the ray of g pass through the open spherical quad on zs?
+
+    zs are four corner directions in cyclic order spanning a 3-space, g a
+    direction in it.  In coordinates on three independent corners, g is
+    inside when it lies on the side of z_{m+2} of every edge (z_m, z_{m+1}),
+    by the sign of a 3x3 determinant; boundary contact raises.
+    """
+    basis = None
+    for pick in itertools.combinations(range(4), 3):
+        cand = [list(zs[i]) for i in pick]
+        if mat_rank(cand) == 3:
+            basis = cand
+            break
+    if basis is None:
+        raise ValueError("degenerate boundary cell")
+    cols = [[basis[0][i], basis[1][i], basis[2][i]] for i in range(4)]
+
+    def local(x):
+        sol = mat_solve(cols, list(x))
+        if sol is None:
+            raise ValueError("direction leaves the cell plane")
+        return list(sol)
+
+    zl = [local(z) for z in zs]
+    gl = local(g)
+    for i in range(4):
+        a, b = zl[i], zl[(i + 1) % 4]
+        ref = mat_det([a, b, zl[(i + 2) % 4]])
+        d = mat_det([a, b, gl])
+        if ref.sign() == 0:
+            raise ValueError("degenerate boundary cell")
+        if d.sign() == 0:
+            raise ValueError("chord touches a boundary cell edge")
+        if d.sign() != ref.sign():
+            return False
+    return True
 
 
 def outcome(fn, *args):
@@ -597,6 +640,70 @@ class TestPerVertexOracles:
             assert outcome(check, bad) == refused
         with pytest.raises(ValueError, match="predicate failure: symmetry"):
             extend(bad)
+
+
+# ---------------------------------------------------------------------------
+# The orientation's crossing test on random quads against
+# ref_ray_crosses_cell: corners in random 3-spaces of R^4, either one per
+# quadrant of a gnomonic chart or anywhere, some with three dependent
+# consecutive corners; rays inside the quad, anywhere in its span, or on
+# the line of one of its edges.
+
+
+def crossing_case(rng):
+    """(zs, w, g): four corners spanning the 3-space w-perp of R^4, and a
+    direction g in that space."""
+    while True:
+        basis = [[fe(rng.randint(-3, 3), rng.choice((0, 0, 0, 1, -1)))
+                  for _ in range(4)] for _ in range(3)]
+        if rng.random() < 0.5:
+            local = [(rng.randint(2, 4), sx * rng.randint(1, 3), sy * rng.randint(1, 3))
+                     for sx, sy in ((1, 1), (-1, 1), (-1, -1), (1, -1))]
+        else:
+            local = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(4)]
+        m = rng.randrange(4)
+        a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+        if rng.random() < 0.1:
+            local[(m + 2) % 4] = tuple(a * x + b * y for x, y in
+                                       zip(local[m], local[(m + 1) % 4]))
+        elif rng.random() < 0.05:
+            local[(m + 1) % 4] = tuple((a or 1) * x for x in local[m])
+        zs = [tuple(vec_dot(c, col) for col in zip(*basis)) for c in local]
+        null = mat_nullspace([list(z) for z in zs])
+        if len(null) == 1:
+            break
+    ray = rng.randrange(3)
+    if ray == 0:
+        coefs = [rng.randint(1, 3) for _ in range(4)]
+    elif ray == 1:
+        coefs = [rng.randint(-3, 3) for _ in range(4)]
+    else:
+        coefs = [0] * 4
+        coefs[m], coefs[(m + 1) % 4] = rng.randint(-2, 3), rng.randint(1, 3)
+    g = tuple(vec_dot(coefs, col) for col in zip(*zs))
+    return zs, null[0], g
+
+
+CROSSING_CASES = [crossing_case(random.Random(f"crossing:{seed}"))
+                  for seed in range(1000)]
+
+
+def library_crosses(zs, w, g):
+    return cct_mod._ray_crosses_cell(zs, g)
+
+
+class TestCrossingOracle:
+    def test_crossings_match_reference(self):
+        counts = Counter()
+        for zs, w, g in CROSSING_CASES:
+            want = outcome(ref_ray_crosses_cell, zs, g)
+            assert outcome(library_crosses, zs, w, g) == want
+            counts[want] += 1
+        # every outcome is reached
+        assert set(counts) == {True, False,
+                               (ValueError, "degenerate boundary cell"),
+                               (ValueError, "chord touches a boundary cell edge")}
+        assert min(counts.values()) >= 50
 
 
 def counted_abstract(width):
