@@ -27,10 +27,8 @@ from .exactfield import (
     ZERO,
     FieldElem,
     as_vector,
-    mat_det,
     mat_nullspace,
     mat_rank,
-    mat_solve,
     rotate,
     vec_dot,
 )
@@ -742,39 +740,29 @@ def _slope_core(t: GeoCCT) -> bool:
     return vec_dot(tangent(w0), tangent(yu)).sign() < 0
 
 
-def _ray_crosses_cell(zs, g) -> bool:
-    """Does the ray of g pass through the open spherical quad on zs?
+def _crosses(zs, w, covectors: list, g) -> bool:
+    """Does the ray of g, a direction in w-perp, pass through the open
+    spherical quad on zs, four corners in cyclic order spanning w-perp?
 
-    zs are the four corner directions in cyclic order, g a direction in
-    their linear span.  Boundary contact raises.
+    Edge m's covector c_m, cached in covectors[m] from first use, spans the
+    nullspace of z_m, z_m+1 and w, signed so that c_m.z_m+2 > 0; g is
+    inside iff every c_m.g > 0, and contact raises.  On w-perp, c_m is a
+    nonzero form (w is not in w-perp) with kernel span(z_m, z_m+1), as is
+    det[z_m, z_m+1, x] in coordinates on three independent corners, so the
+    two have one sign up to a constant factor; dependent z_m, z_m+1 zero the
+    determinant and widen the nullspace, so both call the cell degenerate.
     """
-    basis = None
-    for pick in itertools.combinations(range(4), 3):
-        cand = [list(zs[i]) for i in pick]
-        if mat_rank(cand) == 3:
-            basis = cand
-            break
-    if basis is None:
-        raise ValueError("degenerate boundary cell")
-    cols = [[basis[0][i], basis[1][i], basis[2][i]] for i in range(4)]
-
-    def local(x):
-        sol = mat_solve(cols, list(x))
-        if sol is None:
-            raise ValueError("direction leaves the cell plane")
-        return list(sol)
-
-    zl = [local(z) for z in zs]
-    gl = local(g)
-    for i in range(4):
-        a, b = zl[i], zl[(i + 1) % 4]
-        ref = mat_det([a, b, zl[(i + 2) % 4]])
-        d = mat_det([a, b, gl])
-        if ref.sign() == 0:
-            raise ValueError("degenerate boundary cell")
-        if d.sign() == 0:
+    for m in range(4):
+        if covectors[m] is None:
+            c = mat_nullspace([list(zs[m]), list(zs[(m + 1) % 4]), list(w)])
+            ref = vec_dot(c[0], zs[(m + 2) % 4]) if len(c) == 1 else ZERO
+            if not ref:
+                raise ValueError("degenerate boundary cell")
+            covectors[m] = c[0] if ref.sign() > 0 else tuple(-x for x in c[0])
+        s = vec_dot(covectors[m], g).sign()
+        if s == 0:
             raise ValueError("chord touches a boundary cell edge")
-        if d.sign() != ref.sign():
+        if s < 0:
             return False
     return True
 
@@ -792,42 +780,40 @@ def check_oriented(t: GeoCCT) -> bool:
 def _oriented_core(t: GeoCCT, screw: Screw) -> bool:
     """check_oriented for a tube on which `screw` holds, orbit-reduced.
 
-    The chord plane span(p0, p1) meets the hyperplane w-perp of a cell in
-    the line of g = (w.p1) p0 - (w.p0) p1, so two dot products give the
-    signs of g's coefficients.  Only their product is tested, and g is
-    flipped to a positive p0 coefficient, so the scale of w does not
-    matter.  The boundary squares of a level are three screw orbits: the
-    square based at vertex j of the level is B^e Q for the square Q of its
-    kind at the level's first vertex, e = screw.powers[j], so its normal is
-    B^e w_Q and w.p = w_Q.(B^-e p).  One nullspace per orbit thus serves
-    its twelve squares.  The squares are visited in boundary_squares()
-    order, which meets each orbit's Q first, so the first error raised is
-    the one a nullspace per square would raise.
+    The chord from y to its shadow (y0, y1, 0, 0) spans a plane unless
+    pi0(y) or pi2(y) is zero.  The plane meets a cell's hyperplane w-perp
+    in the line of g = (w.p1) p0 - (w.p0) p1.  Only the sign of the
+    coefficients' product is tested, and g is flipped to a positive p0
+    coefficient, so the scale of w does not matter.  A level's boundary
+    squares are three screw orbits: the square at vertex j is B^e Q, with
+    e = screw.powers[j] and Q the square of its kind at the level's first
+    vertex, so its normal is B^e w_Q and its edge covectors B^e c_m.  With
+    q = B^-e p0, w.p = w_Q.(B^-e p), and g is decided on Q as
+    g' = B^-e g = (w.p1) q - (w.p0) (q0, q1, 0, 0).  Then w_Q.g' = 0, and
+    Q's corners span w_Q-perp as w_Q spans their nullspace: no direction
+    leaves a cell plane, and every cell has three independent corners.  An
+    orbit takes one nullspace for w_Q and, on first use, one per edge for
+    c_m.  Squares come in boundary_squares() order, each orbit's Q first,
+    so the first error raised is the one a nullspace per square would raise.
     """
-    ab = t.abstract
-    k = ab.width
+    k = t.width
     if k < 3:
         raise ValueError("orientation needs width at least 3")
-    v = min(range(12 * k, 12 * (k + 1)), key=lambda i: t.coords[i])
-    y = t.coords[v][:4]
-    p0 = y
-    p1 = (y[0], y[1], ZERO, ZERO)
-    if mat_rank([list(p0), list(p1)]) != 2:
+    y = min(t.coords[12 * k:12 * (k + 1)])
+    if _is_zero2(_pi0(y)) or _is_zero2(_pi2(y)):
         raise ValueError("chord endpoints are collinear")
-    # the chord's top vertex pulled back by the screw power e of each
-    # vertex of a level: B^-e p0 and, as its pi0 part, B^-e p1
-    pulled = [rotate(t.coords[v], -e, -e) for e in screw.powers]
-    normals = [None] * 3
+    pulled = [rotate(y, -e, -e)[:4] for e in screw.powers]
+    cells = [None] * 3
     crossings = 0
-    for i, cyc in enumerate(ab.boundary_squares()):
+    for i, cyc in enumerate(t.abstract.boundary_squares()):
         j, kind = divmod(i % 36, 3)
-        zs = [t.coords[c][:4] for c in cyc]
         if j == 0:
+            zs = [t.coords[c][:4] for c in cyc]
             wcomp = mat_nullspace([list(z) for z in zs])
             if len(wcomp) != 1:
                 raise ValueError("degenerate boundary cell span")
-            normals[kind] = wcomp[0]
-        w, q = normals[kind], pulled[j]
+            cells[kind] = (zs, wcomp[0], [None] * 4)
+        w, q = cells[kind][1], pulled[j]
         wp1 = vec_dot(w[:2], q[:2])
         wp0 = wp1 + vec_dot(w[2:4], q[2:4])
         if not (wp0 or wp1):
@@ -836,8 +822,8 @@ def _oriented_core(t: GeoCCT, screw: Screw) -> bool:
             continue
         if wp1.sign() < 0:
             wp0, wp1 = -wp0, -wp1
-        g = tuple(wp1 * x0 - wp0 * x1 for x0, x1 in zip(p0, p1))
-        if _ray_crosses_cell(zs, g):
+        g = tuple(wp1 * x0 - wp0 * x1 for x0, x1 in zip(q, q[:2] + (ZERO, ZERO)))
+        if _crosses(*cells[kind], g):
             crossings += 1
     return crossings % 2 == 0
 

@@ -689,7 +689,7 @@ CROSSING_CASES = [crossing_case(random.Random(f"crossing:{seed}"))
 
 
 def library_crosses(zs, w, g):
-    return cct_mod._ray_crosses_cell(zs, g)
+    return cct_mod._crosses(zs, w, [None] * 4, g)
 
 
 class TestCrossingOracle:
