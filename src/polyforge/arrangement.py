@@ -165,7 +165,10 @@ def arrangement_from_json(data: dict) -> list[AffineSubspace]:
         raise TypeError(f"dim must be an integer, got {d!r}")
     if not data["subspaces"]:
         raise ValueError("arrangement must be nonempty")
-    return [AffineSubspace.from_json(s, d) for s in data["subspaces"]]
+    arr = [AffineSubspace.from_json(s, d) for s in data["subspaces"]]
+    if any(s.dim == d for s in arr):
+        raise ValueError("a member is the whole space")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -217,6 +220,8 @@ def intersection_poset(arr: list[AffineSubspace]) -> IntersectionPoset:
     for s in arr:
         if s.ambient_dim != d:
             raise ValueError("all subspaces must share the ambient dimension")
+        if s.dim == d:
+            raise ValueError("a member is the whole space")
     # Every flat is an intersection of members, so it is enough that each
     # flat meets each member once: a member meets the members after it
     # (the earlier ones met it already), a new flat meets them all.  The

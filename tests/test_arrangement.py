@@ -88,6 +88,19 @@ class TestAffineSubspace:
         with pytest.raises(ValueError, match="arrangement must be nonempty"):
             arrangement_from_json({"dim": 2, "subspaces": []})
 
+    @pytest.mark.parametrize("d", [0, 2])
+    def test_whole_space_member_rejected(self, d):
+        # R^d minus R^d is empty, which the Goresky-MacPherson sum over
+        # proper members does not see
+        whole = AffineSubspace(d, [[int(i == j) for j in range(d)]
+                                   for i in range(d)], [0] * d)
+        arr = [whole] + ([line2(0, 1, 0)] if d == 2 else [])
+        for fn in (intersection_poset, gm_betti_all):
+            with pytest.raises(ValueError, match="a member is the whole space"):
+                fn(arr)
+        with pytest.raises(ValueError, match="a member is the whole space"):
+            arrangement_from_json(arrangement_to_json(arr))
+
     def test_containment_tests_the_dot_product(self):
         # the plane x + y = 0 holds the line along (1, -1, 0), although the
         # coordinatewise products of its normal and that direction are not
