@@ -401,10 +401,12 @@ def _cmd_proj_staudt(args) -> int:
 
 
 def _cmd_proj_lawrence(args) -> int:
+    fields = _load_document(args.config, proj_mod.PPConfig.fields_from_json,
+                            "a point configuration document",
+                            (AttributeError, KeyError, TypeError, ValueError),
+                            kind="ppconfig")
     # a ValueError from PPConfig is a failed vertex or free-point check
-    cfg = _load_document(args.config, proj_mod.PPConfig.from_json,
-                         "a point configuration document",
-                         (AttributeError, KeyError, TypeError), kind="ppconfig")
+    cfg = proj_mod.PPConfig(**fields)
     lifted = proj_mod.lawrence_extension(cfg)
     normal, offset = proj_mod.lawrence_face_certificate(lifted)
     f0 = len(lifted.polytope_vertices)

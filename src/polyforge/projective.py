@@ -562,12 +562,19 @@ class PPConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "PPConfig":
+        return cls(**cls.fields_from_json(data))
+
+    @staticmethod
+    def fields_from_json(data: dict) -> dict:
+        """The constructor's arguments decoded from a document, before any
+        check of the configuration: a ValueError here means a malformed
+        document, one from the constructor a failed check."""
         if data.get("kind") != "ppconfig":
             raise ValueError("not a point configuration document")
         dim = data["ambient_dim"]
         if type(dim) is not int:
             raise TypeError(f"ambient_dim must be an integer, got {dim!r}")
-        return cls(
+        return dict(
             ambient_dim=dim,
             polytope_vertices=tuple(
                 tuple(FieldElem.from_json(x) for x in p)

@@ -373,6 +373,16 @@ class TestArrangementCommand:
                                 "arrangement must be nonempty\n")
         assert captured.out == ""
 
+    def test_whole_space_member_is_usage_error(self, tmp_path, capsys):
+        arr = {"dim": 2, "subspaces": [
+            {"basis": [["1", "0"], ["0", "1"]], "offset": ["0", "0"]}]}
+        a_file = write_json(tmp_path / "arr.json", arr)
+        assert main(["arr", "betti", "--file", a_file, "--i", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"{a_file} is not an arrangement document: "
+                                "a member is the whole space\n")
+        assert captured.out == ""
+
     def test_zero_denominator_is_usage_error(self, tmp_path, capsys):
         arr = {
             "dim": 4,
@@ -653,6 +663,27 @@ class TestProjCommands:
         captured = capsys.readouterr()
         assert captured.err == (f"{c_file} is not a point configuration "
                                 "document: it has a zero denominator\n")
+        assert captured.out == ""
+
+    def test_lawrence_malformed_coefficient_is_usage_error(self, tmp_path,
+                                                           capsys):
+        cfg = {
+            "format": "polyforge/1",
+            "kind": "ppconfig",
+            "ambient_dim": 2,
+            "polytope_vertices": [
+                [FieldElem(x).to_json(), FieldElem(y).to_json()]
+                for x, y in ((0, 0), (1, 0), (0, 1))
+            ],
+            "free_points": [],
+            "metadata": None,
+        }
+        cfg["polytope_vertices"][1][0]["a"] = "abc"
+        c_file = write_json(tmp_path / "pp.json", cfg)
+        assert main(["proj", "lawrence", "--config", c_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"{c_file} is not a point configuration "
+                                "document: Invalid literal for Fraction: 'abc'\n")
         assert captured.out == ""
 
     @pytest.mark.parametrize("doc", [{"kind": "ppconfig", "ambient_dim": 2}, []])
