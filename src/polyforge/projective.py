@@ -219,22 +219,15 @@ def evaluate_slp(prog: IncidenceProgram, inputs, base=None) -> dict:
     Degenerate geometry (a join that fails to grow, an empty meet, or an
     output that is not a single point) raises ValueError.
     """
-    base_pairs = prog.base if base is None else tuple(base.items())
+    missing = object()
+    named = prog.base if base is None else tuple(base.items())
+    named += tuple((name, inputs.get(name, missing)) for name in prog.inputs)
     env = {}
     ambient = None
-    for name, p in base_pairs:
-        p = _coerce_point(p)
-        if _is_zero_vec(p):
-            raise ValueError(f"zero vector for point {name}")
-        if ambient is None:
-            ambient = len(p)
-        elif len(p) != ambient:
-            raise ValueError("inconsistent ambient dimension")
-        env[name] = flat_span([p])
-    for name in prog.inputs:
-        if name not in inputs:
+    for name, p in named:
+        if p is missing:
             raise ValueError(f"missing input: {name}")
-        p = _coerce_point(inputs[name])
+        p = _coerce_point(p)
         if _is_zero_vec(p):
             raise ValueError(f"zero vector for point {name}")
         if ambient is None:
@@ -764,6 +757,8 @@ class FrameDerivation:
             raise ValueError("derived names must match the program outputs")
         if set(self.base) & set(self.derived):
             raise ValueError("a point cannot be both base and derived")
+        if len(set(self.derived)) != len(self.derived):
+            raise ValueError("derived names must be distinct")
 
     def to_json(self) -> dict:
         return {
@@ -800,14 +795,9 @@ def frame_replay(points, derivation: FrameDerivation) -> bool:
     one.  Evaluation errors propagate: they indicate a configuration so
     degenerate the incidences no longer make sense.
     """
-    inputs = {name: points[name] for name in derivation.base}
-    outs = evaluate_slp(derivation.program, inputs)
-    for name, out_id in zip(derivation.derived, derivation.program.outputs):
-        if name not in points:
-            return False
-        if not proj_equal(outs[out_id], points[name]):
-            return False
-    return True
+    replayed = _derive(derivation, {name: points[name] for name in derivation.base})
+    return all(name in points and proj_equal(replayed[name], points[name])
+               for name in derivation.derived)
 
 
 @functools.cache

@@ -209,6 +209,27 @@ class TestProgramSerialization:
                 outputs=(),
             )
 
+    # base points load before inputs, each in order: its presence, then a
+    # zero vector, then the ambient dimension
+    @pytest.mark.parametrize("base,inputs,err", [
+        ({"o": pt(0, 0, 0)}, {}, "zero vector for point o"),
+        ({"o": pt(0, 0, 1)}, {"y": pt(0, 0, 0)}, "missing input: x"),
+        ({"o": pt(0, 0, 1)}, {"x": pt(1, 1), "y": pt(0, 0, 0)},
+         "inconsistent ambient dimension"),
+        ({}, {"x": pt(1, 1), "y": pt(0, 0, 0)}, "zero vector for point y"),
+        ({}, {"x": pt(1, 1), "y": pt(1, 0, 1)}, "inconsistent ambient dimension"),
+    ])
+    def test_load_errors_in_order(self, base, inputs, err):
+        with pytest.raises(ValueError, match=f"^{err}$"):
+            evaluate_slp(gadget_mul(), inputs, base)
+
+    def test_duplicate_derived_names_rejected(self):
+        prog = IncidenceProgram(inputs=("x", "y"), base=(),
+                                steps=(("join", ("x", "y")),),
+                                outputs=("s0", "s0"))
+        with pytest.raises(ValueError, match="derived names must be distinct"):
+            FrameDerivation(("x", "y"), ("l", "l"), prog)
+
 
 class TestCompiledPolynomials:
     def test_root_of_two(self):
