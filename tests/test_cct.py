@@ -688,16 +688,12 @@ CROSSING_CASES = [crossing_case(random.Random(f"crossing:{seed}"))
                   for seed in range(1000)]
 
 
-def library_crosses(zs, w, g):
-    return cct_mod._crosses(zs, w, [None] * 4, g)
-
-
 class TestCrossingOracle:
     def test_crossings_match_reference(self):
         counts = Counter()
         for zs, w, g in CROSSING_CASES:
             want = outcome(ref_ray_crosses_cell, zs, g)
-            assert outcome(library_crosses, zs, w, g) == want
+            assert outcome(cct_mod._crosses, zs, w, [None] * 4, g) == want
             counts[want] += 1
         # every outcome is reached
         assert set(counts) == {True, False,
