@@ -492,12 +492,20 @@ class TestRecursionOracle:
                 == outcome(lambda: ref_segment_to_vertex_set(c, X, targets)))
 
     def test_criterion_6_pairs_match_reference(self):
+        suite = criterion_6_complexes()
         # every facet pair of the two fixed spheres of the suite
-        for c in criterion_6_complexes()[:2]:
+        for c in suite[:2]:
             for X in c.facets[::24]:
                 for Y in c.facets:
                     assert (combinatorial_segment(c, X, Y)
                             == ref_combinatorial_segment(c, X, Y))
+        # and 20 seeded ordered pairs on each of its 30 random spheres
+        for k, c in enumerate(suite[2:]):
+            rng = random.Random(f"criterion-6 oracle {k}")
+            for _ in range(20):
+                X, Y = rng.choice(c.facets), rng.choice(c.facets)
+                assert (combinatorial_segment(c, X, Y)
+                        == ref_combinatorial_segment(c, X, Y)), (k, X, Y)
 
     @settings(max_examples=60, deadline=None)
     @given(random_pure(), st.data())
