@@ -12,8 +12,8 @@ of faces, lk(v, lk(σ, K)) = lk(σ ∪ v, K), so the recursion carries the
 face σ and reads the link off the top complex K; path facets are facets
 of K with its vertex ids throughout.  K keeps a link index: each link's
 1-skeleton as vertex bitmasks, built on first use, so every path on K
-shares it.  The searches run on bitmask layers and are kept for one
-call only.
+shares it.  The searches run on bitmask layers, grow only as far as a
+query needs, and are kept for one call only.
 
 All choices (start pearl, next pearl, base-case facet) break ties by
 smallest vertex id, so paths are deterministic.
@@ -77,25 +77,33 @@ def _step(g: dict, frontier: int) -> int:
     return out
 
 
-def _layers(g: dict, sources: int) -> list:
-    """Breadth-first search on a bitmask graph: entry k is the bitmask of
-    the vertices at distance k from the source set."""
-    layers = []
-    seen = frontier = sources
-    while frontier:
-        layers.append(frontier)
-        frontier = _step(g, frontier) & ~seen
-        seen |= frontier
-    return layers
+class _Search:
+    """Breadth-first search on a bitmask graph from a source set, grown
+    only as far as its queries need.  layers[k] is the bitmask of the
+    vertices at distance k from the sources and seen is their union; a
+    last layer of 0 marks a search that has run out."""
 
+    __slots__ = ("g", "layers", "seen")
 
-def _depth(layers: list, v: int):
-    """The layer holding vertex v, or None when the search missed it."""
-    bit = 1 << v
-    for k, layer in enumerate(layers):
-        if layer & bit:
-            return k
-    return None
+    def __init__(self, g: dict, sources: int):
+        self.g, self.layers, self.seen = g, [sources], sources
+
+    def depth(self, vertices: int):
+        """The distance from the sources to the nearest vertex of the
+        bitmask `vertices`, or None when none is reachable.  Grows the
+        search one layer at a time until it meets them or its frontier
+        is empty."""
+        layers = self.layers
+        while not self.seen & vertices:
+            if not layers[-1]:
+                return None
+            frontier = _step(self.g, layers[-1]) & ~self.seen
+            layers.append(frontier)
+            self.seen |= frontier
+        k = 0
+        while not layers[k] & vertices:
+            k += 1
+        return k
 
 
 class _Views:
@@ -106,40 +114,47 @@ class _Views:
     faces, so the recursion only ever adds a vertex to σ and vertex ids
     stay those of K.  Vertex sets are bitmasks.  Each view's 1-skeleton
     comes from K's link index (`SimplicialComplex._link_index`), which K
-    keeps, so the segments of one complex share them; the BFS layers,
-    one search per (σ, source set), are held by this object and dropped
-    when the call that made it returns.
+    keeps, so the segments of one complex share them; the searches, one
+    per (σ, source set), are held by this object and dropped when the
+    call that made it returns.
     """
 
     def __init__(self, c: SimplicialComplex):
         self.skeleton = c._link_index().skeleton
-        self._distances = {}
+        self._searches = {}
 
-    def distances(self, sigma: tuple, sources: int) -> list:
-        """BFS layers in the 1-skeleton of lk(σ) from a set of its
+    def search(self, sigma: tuple, g: dict, sources: int) -> _Search:
+        """The search in g, the 1-skeleton of lk(σ), from a set of its
         vertices."""
         key = (sigma, sources)
-        layers = self._distances.get(key)
-        if layers is None:
-            layers = self._distances[key] = _layers(self.skeleton(sigma), sources)
-        return layers
+        found = self._searches.get(key)
+        if found is None:
+            found = self._searches[key] = _Search(g, sources)
+        return found
 
-    def nearest(self, sigma: tuple, x: int, targets: int, d: int) -> int:
-        """The targets nearest to x in lk(σ), as vertex_distance finds
-        them, given their distance d from x: the targets in layer d of
-        a search from x that stops there (a lone target is nearest)."""
-        if not targets & (targets - 1):
-            return targets
-        g = self.skeleton(sigma)
-        seen = layer = 1 << x
-        for _ in range(d):
-            layer = _step(g, layer) & ~seen
-            seen |= layer
-        return targets & layer
+
+def _nearest(g: dict, x: int, targets: int, d: int) -> int:
+    """The targets nearest to x in the skeleton g, as vertex_distance
+    finds them, given their distance d from x: the targets in layer d of
+    a search from x that stops there (a lone target is nearest)."""
+    if not targets & (targets - 1):
+        return targets
+    seen = layer = 1 << x
+    for _ in range(d):
+        layer = _step(g, layer) & ~seen
+        seen |= layer
+    return targets & layer
 
 
 def _with(sigma: tuple, x: int) -> tuple:
     return tuple(sorted(sigma + (x,)))
+
+
+def _mask(vertices) -> int:
+    out = 0
+    for v in vertices:
+        out |= 1 << v
+    return out
 
 
 def _part1(views: _Views, sigma: tuple, X: tuple, targets: int):
@@ -162,29 +177,31 @@ def _part1(views: _Views, sigma: tuple, X: tuple, targets: int):
         return [X, _with(sigma, y)], [x, y], [0, 1]
 
     g = views.skeleton(sigma)
-    layers = views.distances(sigma, targets)
-    dist = {v: _depth(layers, v) for v in residue}
-    missing = [v for v in residue if dist[v] is None]
-    if missing:
-        raise ValueError(f"vertices {missing} cannot reach the target set")
-    x = min(residue, key=lambda v: (dist[v], v))
-    current_targets = views.nearest(sigma, x, targets, dist[x])
+    search = views.search(sigma, g, targets)
+    # the residue is a face of lk(σ): all of it is reachable, or none
+    reached = _mask(residue)
+    d = search.depth(reached)
+    if d is None:
+        raise ValueError(f"vertices {residue} cannot reach the target set")
+    reached &= search.layers[d]
+    x = (reached & -reached).bit_length() - 1
+    current_targets = _nearest(g, x, targets, d)
 
-    facets = [X]
-    pearls = [x]
-    chis = [0]
-    Xi = X
-    while not any(targets >> v & 1 for v in Xi):
-        layers_i = views.distances(sigma, current_targets)
-        dxi = _depth(layers_i, x)
-        tilde = g[x] & layers_i[dxi - 1]
+    facets, pearls, chis = [X], [x], [0]
+    Xi, mask = X, _mask(X)
+    while not targets & mask:
+        search = views.search(sigma, g, current_targets)
+        dxi = search.depth(1 << x)
+        tilde = g[x] & search.layers[dxi - 1]
         if not tilde:
             raise ValueError("no descent neighbour; complex not connected enough")
         sub_facets, _, _ = _part1(views, _with(sigma, x), Xi, tilde)
         facets.extend(sub_facets[1:])
         Xi = sub_facets[-1]
-        x = min(v for v in Xi if tilde >> v & 1)
-        current_targets = views.nearest(sigma, x, current_targets, dxi - 1)
+        mask = _mask(Xi)
+        tilde &= mask
+        x = (tilde & -tilde).bit_length() - 1
+        current_targets = _nearest(g, x, current_targets, dxi - 1)
         pearls.append(x)
         chis.append(len(facets) - 1)
     return facets, pearls, chis
@@ -199,7 +216,7 @@ def _segment(views: _Views, sigma: tuple, X: tuple, Y: tuple):
             return [X], [x], [0]
         return [X, Y], [x, y], [0, 1]
     facets, pearls, chis = _part1(
-        views, sigma, X, sum(1 << v for v in Y if v not in sigma))
+        views, sigma, X, _mask(v for v in Y if v not in sigma))
     xl = pearls[-1]
     last = facets[-1]
     if xl not in last or xl not in Y:
@@ -229,7 +246,7 @@ def segment_to_vertex_set(c: SimplicialComplex, X, targets) -> FacetPath:
     if not targets:
         raise ValueError("empty target set")
     views = _Views(c)
-    live = sum(1 << v for v in views.skeleton(()).keys() & targets)
+    live = _mask(views.skeleton(()).keys() & targets)
     facets, pearls, chis = _part1(views, (), X, live)
     return FacetPath(tuple(facets), tuple(pearls),
                      tuple(chis + [len(facets) - 1]))
@@ -263,14 +280,16 @@ def validate_path(c: SimplicialComplex, path: FacetPath) -> None:
 
 
 def is_non_revisiting(path: FacetPath) -> bool:
-    """True when every vertex occupies a contiguous stretch of the path."""
-    hits: dict[int, list] = {}
-    for i, f in enumerate(path.facets):
-        for v in f:
-            hits.setdefault(v, []).append(i)
-    for positions in hits.values():
-        if positions[-1] - positions[0] + 1 != len(positions):
+    """True when every vertex occupies a contiguous stretch of the path:
+    `left` collects the vertices of a facet missing from the next, and
+    none of them may come back."""
+    left = previous = 0
+    for f in path.facets:
+        mask = _mask(f)
+        left |= previous & ~mask
+        if mask & left:
             return False
+        previous = mask
     return True
 
 

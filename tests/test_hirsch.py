@@ -180,7 +180,43 @@ class TestSegment:
         assert alive() is None
 
 
+def ref_is_non_revisiting(path):
+    """The positions-based test: each vertex's facet indices form one
+    run of consecutive integers."""
+    hits = {}
+    for i, f in enumerate(path.facets):
+        for v in f:
+            hits.setdefault(v, []).append(i)
+    return all(positions[-1] - positions[0] + 1 == len(positions)
+               for positions in hits.values())
+
+
+@st.composite
+def facet_sequences(draw):
+    """(path, extras): each of up to 10 vertices put on one stretch of
+    facets, then `extras` of them put into one more facet each, which
+    may or may not make a revisit."""
+    n = draw(st.integers(1, 8))
+    facets = [set() for _ in range(n)]
+    for v in range(draw(st.integers(1, 10))):
+        a, b = sorted((draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))))
+        for i in range(a, b + 1):
+            facets[i].add(v)
+    extras = draw(st.integers(0, 2))
+    for _ in range(extras):
+        facets[draw(st.integers(0, n - 1))].add(draw(st.integers(0, 9)))
+    return FacetPath(tuple(tuple(sorted(f)) for f in facets), (), (0,)), extras
+
+
 class TestNonRevisiting:
+    @settings(max_examples=300, deadline=None)
+    @given(facet_sequences())
+    def test_mask_pass_matches_positions(self, case):
+        path, extras = case
+        want = ref_is_non_revisiting(path)
+        assert is_non_revisiting(path) == want
+        assert want or extras
+
     def test_detects_revisit(self):
         p = FacetPath(
             facets=((0, 1, 2), (0, 1, 3), (1, 2, 3)),
@@ -539,11 +575,15 @@ def _neighbour_sets(g) -> dict:
     return {v: set(_bits(n)) for v, n in g.items()}
 
 
-def _view_distances(views, sigma, sources) -> dict:
-    """The views' BFS from a vertex set, a list of layer bitmasks, as
-    vertex -> hops."""
-    layers = views.distances(sigma, _mask(sources))
-    return {v: k for k, layer in enumerate(layers) for v in _bits(layer)}
+def _view_distances(views, sigma, sources, rng) -> dict:
+    """The views' search from a vertex set, asked for the depth of every
+    vertex of the link in a shuffled order, as vertex -> hops, with None
+    for the vertices it cannot reach."""
+    g = views.skeleton(sigma)
+    search = views.search(sigma, g, _mask(sources))
+    order = sorted(g)
+    rng.shuffle(order)
+    return {v: search.depth(1 << v) for v in order}
 
 
 def _random_face(c, rng) -> tuple:
@@ -576,7 +616,16 @@ class TestLinkViewOracle:
             if not g:
                 continue
             sources = rng.sample(sorted(g), rng.randrange(1, min(4, len(g)) + 1))
-            assert _view_distances(views, sigma, sources) == bfs(g, sources)
+            hops = bfs(g, sources)
+            assert (_view_distances(views, sigma, sources, rng)
+                    == {v: hops.get(v) for v in g})
+            # a vertex set's depth is its nearest vertex's, also once the
+            # search has grown past it
+            search = views.search(sigma, views.skeleton(sigma), _mask(sources))
+            for _ in range(4):
+                vs = rng.sample(sorted(g), rng.randrange(1, len(g) + 1))
+                near = [hops[v] for v in vs if v in hops]
+                assert search.depth(_mask(vs)) == (min(near) if near else None)
 
     @settings(max_examples=20, deadline=None)
     @given(path_complexes, path_complexes, st.data())
