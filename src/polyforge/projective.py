@@ -528,11 +528,7 @@ class PPConfig:
         free = tuple(_coerce_point(p) for p in self.free_points)
         object.__setattr__(self, "polytope_vertices", verts)
         object.__setattr__(self, "free_points", free)
-        for p in verts + free:
-            if len(p) != self.ambient_dim:
-                raise ValueError("point does not match the ambient dimension")
-        if not verts:
-            raise ValueError("empty vertex list")
+        _check_shape(self.ambient_dim, verts, free)
         for i, v in enumerate(verts):
             others = verts[:i] + verts[i + 1:]
             if others and in_convex_hull(v, others):
@@ -559,26 +555,30 @@ class PPConfig:
 
     @staticmethod
     def fields_from_json(data: dict) -> dict:
-        """The constructor's arguments decoded from a document, before any
-        check of the configuration: a ValueError here means a malformed
-        document, one from the constructor a failed check."""
+        """The constructor's arguments decoded from a document and checked
+        for shape, before any check of the geometry: a ValueError here
+        means a malformed document, one from the constructor a failed
+        vertex or free-point check."""
         if data.get("kind") != "ppconfig":
             raise ValueError("not a point configuration document")
         dim = data["ambient_dim"]
         if type(dim) is not int:
             raise TypeError(f"ambient_dim must be an integer, got {dim!r}")
-        return dict(
-            ambient_dim=dim,
-            polytope_vertices=tuple(
-                tuple(FieldElem.from_json(x) for x in p)
-                for p in data["polytope_vertices"]
-            ),
-            free_points=tuple(
-                tuple(FieldElem.from_json(x) for x in p)
-                for p in data["free_points"]
-            ),
-            metadata=_meta_from_json(data.get("metadata")),
-        )
+        verts, free = (tuple(tuple(FieldElem.from_json(x) for x in p)
+                             for p in data[key])
+                       for key in ("polytope_vertices", "free_points"))
+        _check_shape(dim, verts, free)
+        return dict(ambient_dim=dim, polytope_vertices=verts, free_points=free,
+                    metadata=_meta_from_json(data.get("metadata")))
+
+
+def _check_shape(dim: int, verts: tuple, free: tuple) -> None:
+    """Raise unless there is a vertex and every point has dim coordinates."""
+    for p in verts + free:
+        if len(p) != dim:
+            raise ValueError("point does not match the ambient dimension")
+    if not verts:
+        raise ValueError("empty vertex list")
 
 
 def _affine_dim(points) -> int:

@@ -686,6 +686,35 @@ class TestProjCommands:
                                 "document: Invalid literal for Fraction: 'abc'\n")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("vertices, err", [
+        ([(0, 0), (1, 0, 5), (0, 1)], "point does not match the ambient dimension"),
+        ([], "empty vertex list"),
+    ])
+    def test_lawrence_misshapen_config_is_usage_error(self, tmp_path, capsys,
+                                                      vertices, err):
+        # a vertex of the wrong length, or no vertex at all, is a malformed
+        # document; a failed vertex or free-point check stays exit 1
+        cfg = {
+            "format": "polyforge/1",
+            "kind": "ppconfig",
+            "ambient_dim": 2,
+            "polytope_vertices": [[FieldElem(x).to_json() for x in v]
+                                  for v in vertices],
+            "free_points": [[FieldElem(3).to_json(), FieldElem(3).to_json()]],
+            "metadata": None,
+        }
+        c_file = write_json(tmp_path / "pp.json", cfg)
+        assert main(["proj", "lawrence", "--config", c_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"{c_file} is not a point configuration "
+                                f"document: {err}\n")
+        assert captured.out == ""
+        cfg["polytope_vertices"] = [[FieldElem(x).to_json() for x in v]
+                                    for v in [(0, 0), (2, 0), (0, 2), (1, 1)]]
+        c_file = write_json(tmp_path / "inner.json", cfg)
+        assert main(["proj", "lawrence", "--config", c_file]) == 1
+        assert capsys.readouterr().out == "FAIL: point 3 is not a vertex of the polytope\n"
+
     @pytest.mark.parametrize("doc", [{"kind": "ppconfig", "ambient_dim": 2}, []])
     def test_lawrence_malformed_config_is_usage_error(self, tmp_path, capsys, doc):
         c_file = write_json(tmp_path / "pp.json", doc)
