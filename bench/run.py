@@ -35,7 +35,8 @@ every facet pair of:
     the 4-simplex, then a derived subdivision).
 
 Every paths run gets fresh copies of the complexes, so whatever a complex
-keeps from its first path is paid in every run.
+keeps from its first path is paid in every run.  ``criterion6_sha256`` and
+``sphere90_sha256`` are the SHA-256 of every path's ``to_json()``.
 
 The ``arrangements`` rung:
 
@@ -210,6 +211,11 @@ def _time_segments(cc, hp, items) -> float:
     return _best(run, fresh, min_total=1.0)
 
 
+def _paths_digest(hp, items) -> str:
+    return _digest([hp.combinatorial_segment(c, c.facets[a], c.facets[b]).to_json()
+                    for c, pairs in items for a, b in pairs])
+
+
 def measure_paths() -> dict:
     from polyforge import complexcore as cc, hirschpath as hp
 
@@ -217,8 +223,10 @@ def measure_paths() -> dict:
     return {
         "criterion6_s": _time_segments(cc, hp, suite),
         "criterion6_segments": sum(len(p) for _, p in suite),
+        "criterion6_sha256": _paths_digest(hp, suite),
         "sphere90_s": _time_segments(cc, hp, sphere),
         "sphere90_facets": len(sphere[0][0].facets),
+        "sphere90_sha256": _paths_digest(hp, sphere),
     }
 
 
