@@ -686,14 +686,19 @@ class TestProjCommands:
                                 "document: Invalid literal for Fraction: 'abc'\n")
         assert captured.out == ""
 
-    @pytest.mark.parametrize("vertices, err", [
-        ([(0, 0), (1, 0, 5), (0, 1)], "point does not match the ambient dimension"),
-        ([], "empty vertex list"),
+    @pytest.mark.parametrize("vertices, code, out, err", [
+        ([(0, 0), (1, 0, 5), (0, 1)], 2, "",
+         "{file} is not a point configuration document: "
+         "point does not match the ambient dimension\n"),
+        ([], 2, "", "{file} is not a point configuration document: "
+                    "empty vertex list\n"),
+        ([(0, 0), (2, 0), (0, 2), (1, 1)], 1,
+         "FAIL: point 3 is not a vertex of the polytope\n", ""),
     ])
-    def test_lawrence_misshapen_config_is_usage_error(self, tmp_path, capsys,
-                                                      vertices, err):
+    def test_lawrence_shape_is_usage_error_and_geometry_a_failure(
+            self, tmp_path, capsys, vertices, code, out, err):
         # a vertex of the wrong length, or no vertex at all, is a malformed
-        # document; a failed vertex or free-point check stays exit 1
+        # document; a vertex inside the hull of the others is a failed check
         cfg = {
             "format": "polyforge/1",
             "kind": "ppconfig",
@@ -704,16 +709,9 @@ class TestProjCommands:
             "metadata": None,
         }
         c_file = write_json(tmp_path / "pp.json", cfg)
-        assert main(["proj", "lawrence", "--config", c_file]) == 2
+        assert main(["proj", "lawrence", "--config", c_file]) == code
         captured = capsys.readouterr()
-        assert captured.err == (f"{c_file} is not a point configuration "
-                                f"document: {err}\n")
-        assert captured.out == ""
-        cfg["polytope_vertices"] = [[FieldElem(x).to_json() for x in v]
-                                    for v in [(0, 0), (2, 0), (0, 2), (1, 1)]]
-        c_file = write_json(tmp_path / "inner.json", cfg)
-        assert main(["proj", "lawrence", "--config", c_file]) == 1
-        assert capsys.readouterr().out == "FAIL: point 3 is not a vertex of the polytope\n"
+        assert (captured.out, captured.err) == (out, err.format(file=c_file))
 
     @pytest.mark.parametrize("doc", [{"kind": "ppconfig", "ambient_dim": 2}, []])
     def test_lawrence_malformed_config_is_usage_error(self, tmp_path, capsys, doc):
