@@ -29,6 +29,9 @@ SPHERE = {"vertices": 14, "facets": [
     [2, 5, 10], [2, 5, 12], [2, 7, 10], [2, 7, 13], [2, 9, 12], [2, 9, 13],
     [3, 6, 11], [3, 6, 12], [3, 8, 11], [3, 8, 13], [3, 9, 12], [3, 9, 13]]}
 BALL = {"vertices": 15, "facets": [f + [14] for f in SPHERE["facets"]]}
+# the boundary of the ball's first tetrahedron, [0, 4, 10, 14]
+TETRA = {"vertices": 15, "facets": [
+    [0, 4, 10], [0, 4, 14], [0, 10, 14], [4, 10, 14]]}
 
 # two lines and a point in the plane, with rational offsets
 ARRANGEMENT = {"dim": 2, "subspaces": [
@@ -48,7 +51,7 @@ PPCONFIG = {
     "metadata": None,
 }
 
-INPUTS = {"sphere.json": SPHERE, "ball.json": BALL,
+INPUTS = {"sphere.json": SPHERE, "ball.json": BALL, "tetra.json": TETRA,
           "arr.json": ARRANGEMENT, "pp.json": PPCONFIG}
 
 CASES = {
@@ -56,6 +59,8 @@ CASES = {
                        "--from", "0,4,10", "--to", "3,9,13"],
     "hirsch_diameter": ["hirsch", "diameter", "--complex", "sphere.json"],
     "morse_collapse": ["morse", "collapse", "--complex", "ball.json"],
+    "morse_collapse_outj": ["morse", "collapse", "--complex", "ball.json",
+                            "--target", "tetra.json", "--out-j", "2"],
     "arr_betti": ["arr", "betti", "--file", "arr.json", "--i", "1"],
     "proj_staudt": ["proj", "staudt", "--poly", "x^3 - 3x + 1/2"],
     "proj_lawrence": ["proj", "lawrence", "--config", "pp.json"],
