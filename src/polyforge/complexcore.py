@@ -47,51 +47,54 @@ def _incidence(faces) -> dict:
     return out
 
 
-def _skeleton(faces) -> dict:
-    """Vertex -> set of the vertices sharing a face with it, one key per
-    vertex of the faces (each face a sequence)."""
-    out: dict[int, set] = {}
-    for f in faces:
-        for v in f:
-            out.setdefault(v, set()).update(f)
-    for v, nbrs in out.items():
-        nbrs.discard(v)
+def _vertex_set(mask: int) -> set:
+    """The vertices whose bits are set in `mask`."""
+    out = set()
+    while mask:
+        low = mask & -mask
+        out.add(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
 class _LinkIndex:
-    """Facet membership and link 1-skeletons of one complex, on vertex
-    bitmasks.
+    """The vertex index of one complex: facet incidence, facet membership
+    and link 1-skeletons, on vertex bitmasks.
 
-    masks[i] has bit v set for each vertex v of facets[i]; facet_set
+    incidence maps each vertex to the positions of the facets containing
+    it; masks[i] has bit v set for each vertex v of facets[i]; facet_set
     answers facet membership with one hash lookup.  skeletons maps a face
     σ (a sorted tuple) to the 1-skeleton of lk(σ) as vertex -> bitmask of
     its neighbours, one key per vertex of the link, built on first
-    request and kept for the life of the complex.  Vertex ids are those
-    of the complex, so ascending bit order is ascending vertex order.
+    request and kept for the life of the complex; skeleton(()) is the
+    1-skeleton of the complex.  Vertex ids are those of the complex, so
+    ascending bit order is ascending vertex order.
     """
 
     __slots__ = ("facets", "incidence", "masks", "facet_set", "skeletons")
 
-    def __init__(self, facets: tuple, incidence: dict):
+    def __init__(self, facets: tuple):
         self.facets = facets
-        self.incidence = incidence
+        self.incidence = _incidence(facets)
         self.masks = [sum(1 << v for v in f) for f in facets]
         self.facet_set = frozenset(facets)
         self.skeletons: dict[tuple, dict] = {}
 
+    def containing(self, sigma: tuple) -> set:
+        """Positions in facets of the facets containing the face σ, a
+        sorted tuple; every facet contains the empty face."""
+        if not sigma:
+            return set(range(len(self.facets)))
+        incidence = self.incidence
+        return set.intersection(*(incidence.get(v, set()) for v in sigma))
+
     def skeleton(self, sigma: tuple) -> dict:
         g = self.skeletons.get(sigma)
         if g is None:
-            if sigma:
-                incidence = self.incidence
-                ids = set.intersection(*(incidence.get(v, set()) for v in sigma))
-            else:
-                ids = range(len(self.facets))
             keep = ~sum(1 << v for v in sigma)
             facets, masks = self.facets, self.masks
             g = {}
-            for i in ids:
+            for i in self.containing(sigma):
                 r = masks[i] & keep
                 for v in facets[i]:
                     if r >> v & 1:
@@ -143,8 +146,6 @@ class SimplicialComplex:
         self.dim = max(sizes, default=0) - 1
         self._pure = len(sizes) <= 1
         self._faces = None
-        self._index = None
-        self._graph = None
         self._links = None
 
     def is_pure(self) -> bool:
@@ -166,34 +167,21 @@ class SimplicialComplex:
         fv = self.faces()
         return tuple(len(fv[d]) for d in range(self.dim + 1))
 
-    def _facets_containing(self, face) -> set:
-        """Positions in self.facets of the facets containing the face;
-        every facet contains the empty face."""
-        t = _canon_face(face)
-        if not t:
-            return set(range(len(self.facets)))
-        incidence = self._indexed()
-        return set.intersection(*(incidence.get(v, set()) for v in t))
-
-    def _indexed(self) -> dict:
-        """Vertex -> positions of the facets containing it, built on first
-        use."""
-        if self._index is None:
-            self._index = _incidence(self.facets)
-        return self._index
-
     def _link_index(self) -> _LinkIndex:
-        """The facet masks and link skeletons of the complex, built on
-        first use and kept like the incidence index."""
+        """The vertex index of the complex, built on first use and kept."""
         if self._links is None:
-            self._links = _LinkIndex(self.facets, self._indexed())
+            self._links = _LinkIndex(self.facets)
         return self._links
+
+    def _facets_containing(self, face) -> set:
+        """Positions in self.facets of the facets containing the face."""
+        return self._link_index().containing(_canon_face(face))
 
     def contains_face(self, face) -> bool:
         return bool(self._facets_containing(face))
 
     def vertices(self) -> list:
-        return sorted(self._indexed())
+        return sorted(self._link_index().incidence)
 
     def link(self, face):
         """Link of a face, re-indexed to 0..m-1.
@@ -251,11 +239,10 @@ class SimplicialComplex:
         return adj
 
     def one_skeleton(self) -> dict:
-        """Vertex -> set of neighbours, one key per vertex.  The map is
-        cached on the complex, so callers must not mutate it."""
-        if self._graph is None:
-            self._graph = _skeleton(self.facets)
-        return self._graph
+        """Vertex -> set of neighbours, one key per vertex: the vertex
+        index's skeleton(()), as a fresh map on each call."""
+        return {v: _vertex_set(m)
+                for v, m in self._link_index().skeleton(()).items()}
 
     def is_flag(self) -> bool:
         """True when every clique of the 1-skeleton spans a face, that is,

@@ -10,10 +10,10 @@ within the classical diameter bound.
 No link is ever built as a complex of its own.  Links of links are links
 of faces, lk(v, lk(σ, K)) = lk(σ ∪ v, K), so the recursion carries the
 face σ and reads the link off the top complex K; path facets are facets
-of K with its vertex ids throughout.  K keeps a link index: each link's
-1-skeleton as vertex bitmasks, built on first use, so every path on K
-shares it.  The searches run on bitmask layers, grow only as far as a
-query needs, and are kept for one call only.
+of K with its vertex ids throughout.  K keeps one vertex index: each
+link's 1-skeleton as vertex bitmasks, built on first use, so every path
+on K shares it.  The searches run on bitmask layers, grow only as far as
+a query needs, and are kept for one call only.
 
 All choices (start pearl, next pearl, base-case facet) break ties by
 smallest vertex id, so paths are deterministic.
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexcore import SimplicialComplex, bfs
+from .complexcore import SimplicialComplex, _vertex_set
 
 
 @dataclass(frozen=True)
@@ -48,23 +48,6 @@ class FacetPath:
             "pearls": list(self.pearls),
             "breakpoints": list(self.breakpoints),
         }
-
-
-def vertex_distance(c: SimplicialComplex, x: int, targets):
-    """Distance from vertex x to a vertex set in the 1-skeleton, plus
-    the subset of targets realizing it."""
-    targets = set(targets)
-    if not targets:
-        raise ValueError("empty target set")
-    g = c.one_skeleton()
-    if x not in g:
-        raise ValueError(f"vertex {x} not in complex")
-    dist = bfs(g, [x])
-    reached = [y for y in targets if y in dist]
-    if not reached:
-        raise ValueError(f"vertex {x} cannot reach the target set")
-    d = min(dist[y] for y in reached)
-    return d, {y for y in reached if dist[y] == d}
 
 
 def _step(g: dict, frontier: int) -> int:
@@ -106,6 +89,23 @@ class _Search:
         return k
 
 
+def vertex_distance(c: SimplicialComplex, x: int, targets):
+    """Distance from vertex x to a vertex set in the 1-skeleton, plus
+    the subset of targets realizing it."""
+    targets = set(targets)
+    if not targets:
+        raise ValueError("empty target set")
+    g = c._link_index().skeleton(())
+    if x not in g:
+        raise ValueError(f"vertex {x} not in complex")
+    live = _mask(g.keys() & targets)
+    search = _Search(g, 1 << x)
+    d = search.depth(live)
+    if d is None:
+        raise ValueError(f"vertex {x} cannot reach the target set")
+    return d, _vertex_set(live & search.layers[d])
+
+
 class _Views:
     """Link views lk(σ, K) of one pure complex K, for one call.
 
@@ -113,7 +113,7 @@ class _Views:
     facets f of K containing σ, less σ; links of links are links of
     faces, so the recursion only ever adds a vertex to σ and vertex ids
     stay those of K.  Vertex sets are bitmasks.  Each view's 1-skeleton
-    comes from K's link index (`SimplicialComplex._link_index`), which K
+    comes from K's vertex index (`SimplicialComplex._link_index`), which K
     keeps, so the segments of one complex share them; the searches, one
     per (σ, source set), are held by this object and dropped when the
     call that made it returns.
@@ -226,7 +226,7 @@ def _segment(views: _Views, sigma: tuple, X: tuple, Y: tuple):
 
 
 def _is_facet(c: SimplicialComplex, t) -> bool:
-    """Whether t is in c.facets, by one lookup in the link index."""
+    """Whether t is in c.facets, by one lookup in the vertex index."""
     return isinstance(t, tuple) and t in c._link_index().facet_set
 
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyforge import hirschpath
-from polyforge.complexcore import SimplicialComplex, _skeleton, bfs, boundary_sphere
+from polyforge.complexcore import SimplicialComplex, bfs, boundary_sphere
 from polyforge.hirschpath import (
     FacetPath,
     combinatorial_segment,
@@ -151,8 +151,11 @@ class TestSegment:
     def test_segment_builds_no_complex_and_keeps_only_the_link_index(
             self, monkeypatch):
         c = random_flag_sphere(random.Random(5), 4, 2)
-        c.vertices()  # the incidence index of the top complex is built once
+        assert c._links is None
+        c.vertices()  # reads the vertex index, which it builds once
+        assert c._links is not None
         before = dict(vars(c))
+        memo = len(c._links.skeletons)
         module_before = set(vars(hirschpath))
         built = []
         init = SimplicialComplex.__init__
@@ -168,11 +171,12 @@ class TestSegment:
             segment_to_vertex_set(c, X, Y)
         assert built == []
         assert set(vars(hirschpath)) == module_before
-        # the link index is the only state the paths leave on the complex,
-        # it is keyed by faces of the complex, and it dies with it
+        # the paths replace no attribute of the complex: the only state
+        # they leave is the skeleton memo of its vertex index, which is
+        # keyed by faces of the complex and dies with it
         assert set(vars(c)) == set(before)
-        assert [k for k, v in vars(c).items() if v is not before[k]] == ["_links"]
-        assert c._links.skeletons
+        assert all(v is before[k] for k, v in vars(c).items())
+        assert len(c._links.skeletons) > memo
         assert all(c.contains_face(sigma) for sigma in c._links.skeletons)
         alive = weakref.ref(c)
         del c
@@ -561,6 +565,18 @@ class TestRecursionOracle:
 # BFS run on it, and segments whose views are shared between calls
 
 
+def _skeleton(faces) -> dict:
+    """Vertex -> set of the vertices sharing a face with it, one key per
+    vertex of the faces (each face a sequence)."""
+    out: dict[int, set] = {}
+    for f in faces:
+        for v in f:
+            out.setdefault(v, set()).update(f)
+    for v, nbrs in out.items():
+        nbrs.discard(v)
+    return out
+
+
 def _bits(mask: int) -> list:
     return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
@@ -601,8 +617,8 @@ class TestLinkViewOracle:
         rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
         views = hirschpath._Views(c)
         for sigma in [()] + [_random_face(c, rng) for _ in range(6)]:
-            want = _skeleton([v for v in c.facets[i] if v not in sigma]
-                             for i in c._facets_containing(sigma))
+            want = _skeleton([v for v in f if v not in sigma]
+                             for f in c.facets if set(sigma) <= set(f))
             assert _neighbour_sets(views.skeleton(sigma)) == want
 
     @settings(max_examples=60, deadline=None)
