@@ -70,9 +70,9 @@ class AffineSubspace:
             raise ValueError("ambient dimension must be nonnegative")
         off = _rat_vec(offset, ambient_dim)
         rows = [_rat_vec(v, ambient_dim) for v in basis]
-        if rows and mat_rank(rows) != len(rows):
-            raise ValueError("direction vectors must be linearly independent")
         normals = mat_nullspace(rows) if rows else _unit_vectors(ambient_dim)
+        if len(normals) != ambient_dim - len(rows):
+            raise ValueError("direction vectors must be linearly independent")
         aug = [list(a) + [vec_dot(a, off)] for a in normals]
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "_canon", _canonicalize(aug))
