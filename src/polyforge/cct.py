@@ -209,9 +209,10 @@ class AbstractCCT:
     """Grid cells between level 0 and level `width`, modulo the lattice.
 
     Vertex ids are dense: level block l occupies ids 12l..12l+11, ordered
-    by (w1, w3) within the block.  The squares, the 3-cells and the cubical
-    complex are built on first read: a growing tube needs only the one new
-    3-cell per width, which ``cube_corners`` shifts up from level 0.
+    by (w1, w3) within the block.  The 3-cells and the cubical complex are
+    built on first read, and the f-vector is counted without them: a
+    growing tube needs only the one new 3-cell per width, which
+    ``cube_corners`` shifts up from level 0.
     """
 
     def __init__(self, width: int):
@@ -222,14 +223,6 @@ class AbstractCCT:
             (w1, level - w1 - w3, w3)
             for level in range(width + 1) for w1 in range(3) for w3 in range(4))
         self.layers = tuple(level for level in range(width + 1) for _ in range(12))
-        # three edges leave each vertex below the top level
-        self._edge_count = 36 * width
-
-    @cached_property
-    def _squares(self) -> dict:
-        return {frozenset(cyc): (cyc, level)
-                for level in range(self.width - 1)
-                for cyc in self.level_squares(level)}
 
     @cached_property
     def _cubes3(self) -> tuple:
@@ -239,8 +232,8 @@ class AbstractCCT:
     def cubes(self) -> CubicalComplex:
         if self._cubes3:
             cells = [(3, c) for c in self._cubes3]
-        elif self._squares:
-            cells = [(2, (c[0], c[1], c[3], c[2])) for c, _ in self._squares.values()]
+        elif self.width == 2:
+            cells = [(2, (c[0], c[1], c[3], c[2])) for c in self.level_squares(0)]
         else:
             cells = [(1, tuple(sorted(e))) for e in sorted(
                 {frozenset((a + 12 * level, b + 12 * level))
@@ -265,12 +258,11 @@ class AbstractCCT:
         return _vid(w)
 
     def f_vector(self) -> tuple:
-        return (
-            len(self.vertex_reps),
-            self._edge_count,
-            len(self._squares),
-            len(self._cubes3),
-        )
+        """Twelve vertices per level, and three edges, three squares and
+        one 3-cell based at each vertex with room above it: one, two and
+        three levels."""
+        w = self.width
+        return (12 * (w + 1), 36 * w, 36 * max(w - 1, 0), 12 * max(w - 2, 0))
 
     def boundary_squares(self) -> list:
         """Corner cycles of the squares lying in exactly one 3-cell.

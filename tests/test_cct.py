@@ -744,7 +744,8 @@ def test_level_shifted_cells_equal_cells_built_one_by_one(width):
     ab = AbstractCCT(width)
     edge_count, squares, cubes, boundary = counted_abstract(width)
     assert ab.f_vector() == (12 * (width + 1), edge_count, len(squares), len(cubes))
-    assert list(ab._squares.values()) == squares
+    assert squares == [(cyc, level) for level in range(width - 1)
+                       for cyc in ab.level_squares(level)]
     assert list(ab._cubes3) == cubes
     assert [ab.cube_corners(i) for i in range(len(cubes))] == cubes
     assert ab.boundary_squares() == boundary
