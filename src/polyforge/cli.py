@@ -282,11 +282,11 @@ def _cmd_morse_collapse(args) -> int:
                 raise _UsageError("--out-j needs --target")
             d = _load_complex(args.target)
             matching, ledger = morse_mod.out_j_collapse(
-                c, d, args.out_j, budget=budget, seed=args.seed)
+                c, d, args.out_j, budget=budget)
         else:
             target = _load_complex(args.target) if args.target else None
-            matching = morse_mod.collapse_search(
-                c, target=target, budget=budget, seed=args.seed)
+            matching = morse_mod.collapse_search(c, target=target,
+                                                 budget=budget)
     except morse_mod.SearchExhausted as exc:
         print(f"FAIL: {exc}")
         return 1
@@ -523,8 +523,6 @@ _COMMANDS = (
     ("morse", "collapse", _cmd_morse_collapse, (
         _OUT, _arg("--complex", required=True), _arg("--target"),
         _arg("--out-j", dest="out_j", type=_int_at_least(0), default=None),
-        _arg("--seed", type=int, default=0,
-             help="seed for randomized search restarts"),
         _arg("--budget", type=_int_at_least(0), default=None,
              help="search node budget (default POLYFORGE_BUDGET "
                   f"or {DEFAULT_BUDGET})"))),

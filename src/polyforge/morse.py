@@ -19,21 +19,12 @@ from .complexcore import CubicalComplex, FacePoset, SimplicialComplex
 
 
 class SearchExhausted(Exception):
-    """Raised when a collapse search runs out of moves or budget.
+    """Raised when a collapse search runs out of moves or budget; `nodes`
+    is the number of search nodes it visited, which the message names."""
 
-    `nodes` is the number of search nodes spent over all attempts and
-    `attempts` the number of attempts made; the message names both.
-    """
-
-    def __init__(self, reason: str, nodes: int, attempts: int):
-        super().__init__(f"{reason} after {nodes} node{'' if nodes == 1 else 's'}"
-                         f" in {attempts} attempt{'' if attempts == 1 else 's'}")
+    def __init__(self, reason: str, nodes: int):
+        super().__init__(f"{reason} after {nodes} node{'' if nodes == 1 else 's'}")
         self.nodes = nodes
-        self.attempts = attempts
-
-
-class _BudgetSpent(Exception):
-    """One attempt of a collapse search used up its slice of the budget."""
 
 
 @dataclass(frozen=True)
@@ -90,11 +81,10 @@ def _ids_in(poset: FacePoset, d, what: str) -> set:
 
 
 def _closures(poset: FacePoset) -> tuple:
-    """(below, counts, tokens): below[i] holds the ids strictly below
-    face i, counts[i] the number of faces strictly above it (copy it
-    before changing it), and tokens[i] a fixed random 64-bit word for
-    hashing sets of faces by XOR.  Ids are in (dimension, key) order,
-    so lower faces come first."""
+    """(below, counts): below[i] holds the ids strictly below face i and
+    counts[i] the number of faces strictly above it (copy it before
+    changing it).  Ids are in (dimension, key) order, so lower faces
+    come first."""
     n = len(poset.elements)
     below = [()] * n
     counts = [0] * n
@@ -105,8 +95,7 @@ def _closures(poset: FacePoset) -> tuple:
         below[i] = tuple(acc)
         for k in acc:
             counts[k] += 1
-    rnd = random.Random(n)
-    return below, counts, [rnd.getrandbits(64) for _ in range(n)]
+    return below, counts
 
 
 def _check_pairs(poset: FacePoset, m: MorseMatching) -> dict:
@@ -166,56 +155,63 @@ def critical_faces(c, m: MorseMatching) -> dict:
     return {d: sorted(v) for d, v in sorted(out.items())}
 
 
-def _collapse_backtrack(poset, closures, target_ids, pair_filter, budget,
-                        rng, end_predicate):
-    """DFS over elementary collapses of the whole poset, run on an
-    explicit stack because a collapse sequence is as deep as the complex
-    has faces.  Returns (pair list or None, nodes visited); raises
-    _BudgetSpent when the node budget dies.
+def _collapse_backtrack(poset, keep, inner, j, limit, budget, what):
+    """One depth-first search over elementary collapses of the whole
+    poset, run on an explicit stack because a collapse sequence is as
+    deep as the complex has faces.  Returns the pair ids of the first
+    collapse found; raises SearchExhausted when the node budget dies or
+    every collapse sequence has been tried.
+
+    Faces in `keep` are never removed.  A pair (i, k) with i in `inner`
+    and k outside it is a crossing, allowed only when i has dimension j
+    and fewer than `limit` crossings have been made.  The search ends
+    when `len(keep)` faces (one face when keep is None) are live and
+    exactly `limit` crossings have been made.
 
     count[i] is the number of live faces strictly above face i, so i is
     free when count[i] == 1, and its partner is then its one live cover.
     A collapse decrements the counters of the strict down-closures of
     the two faces it removes and a backtrack increments them again.
-    `free` holds the free faces outside the target and `heap` their ids,
-    which are in (dimension, key) order, with stale entries dropped when
-    they surface.  The candidates of a node are the free pairs that pass
-    the target and the filter, in (dimension, key) order, shuffled by
-    rng when it is given.  Without rng a node takes its first candidate
-    off the heap and lists the others only once the search backtracks
-    to it.  A state whose frame is exhausted is remembered as dead,
-    keyed by a hash of the removed faces; the states on the stack shrink
-    strictly, so a state can only come back after its subtree failed.
+    `free` holds the free faces outside keep and `heap` their ids, which
+    are in (dimension, key) order, with stale entries dropped when they
+    surface.  The candidates of a node are the allowed free pairs in
+    (dimension, key) order: a node takes its first candidate off the
+    heap and lists the others only once the search backtracks to it.  A
+    state whose frame is exhausted is remembered as dead, keyed by a
+    hash of the removed faces; the states on the stack shrink strictly,
+    so a state can only come back after its subtree failed.  With inner
+    closed under faces, the crossings made are (-1)^j times the Euler sum
+    of the removed faces of inner, so they too are a function of the
+    removed faces, and the memo makes the one pass complete.
     """
-    below, counts, tokens = closures
-    up = poset.up
-    blocked = target_ids if target_ids is not None else frozenset()
+    below, counts = _closures(poset)
+    up, dims = poset.up, poset.dims
+    rnd = random.Random(len(counts))
+    tokens = [rnd.getrandbits(64) for _ in counts]
+    size = 1 if keep is None else len(keep)
+    keep = keep or frozenset()
     count = list(counts)
     live = set(range(len(count)))
-    free = {i for i in live if count[i] == 1 and i not in blocked}
+    free = {i for i in live if count[i] == 1 and i not in keep}
     heap = sorted(free)
     queued = set(free)
-    state_hash = 0
+    state_hash = crossings = nodes = 0
     dead = {}
-    counter = budget
     stack = []
     pairs = []
 
     def partner(i):
-        for j in up[i]:
-            if j in live:
-                return j
+        for k in up[i]:
+            if k in live:
+                return k
 
-    def allowed(i, j):
-        return j not in blocked and (pair_filter is None or pair_filter(i, j))
+    def allowed(i, k):
+        return k not in keep and (i not in inner or k in inner
+                                  or dims[i] == j and crossings < limit)
 
     def candidates():
-        out = []
-        for i in sorted(free):
-            j = partner(i)
-            if allowed(i, j):
-                out.append((i, j))
-        return out
+        out = [(i, partner(i)) for i in sorted(free)]
+        return [(i, k) for i, k in out if allowed(i, k)]
 
     def first_candidate():
         aside = []
@@ -226,45 +222,48 @@ def _collapse_backtrack(poset, closures, target_ids, pair_filter, budget,
                 heappop(heap)
                 queued.discard(i)
                 continue
-            j = partner(i)
-            if allowed(i, j):
-                found = (i, j)
+            k = partner(i)
+            if allowed(i, k):
+                found = (i, k)
                 break
             aside.append(heappop(heap))
         for i in aside:
             heappush(heap, i)
         return found
 
-    def became_free(k):
-        free.add(k)
-        if k not in queued:
-            queued.add(k)
-            heappush(heap, k)
+    def became_free(f):
+        free.add(f)
+        if f not in queued:
+            queued.add(f)
+            heappush(heap, f)
 
-    def shift(i, j, step):
-        # the live faces strictly above a face below i or j change by step
-        nonlocal state_hash
-        state_hash ^= tokens[i] ^ tokens[j]
-        for face in (i, j):
-            for k in below[face]:
-                c = count[k] + step
-                count[k] = c
+    def shift(i, k, step):
+        # the live faces strictly above a face below i or k change by
+        # step; a crossing pair is made at step -1 and undone at step 1
+        nonlocal state_hash, crossings
+        state_hash ^= tokens[i] ^ tokens[k]
+        if i in inner and k not in inner:
+            crossings -= step
+        for face in (i, k):
+            for f in below[face]:
+                c = count[f] + step
+                count[f] = c
                 if c != 1:
-                    free.discard(k)
-                elif k not in blocked:
-                    became_free(k)
+                    free.discard(f)
+                elif f not in keep:
+                    became_free(f)
 
-    def collapse(i, j):
+    def collapse(i, k):
         live.discard(i)
-        live.discard(j)
-        pairs.append((i, j))
-        shift(i, j, -1)
+        live.discard(k)
+        pairs.append((i, k))
+        shift(i, k, -1)
 
     def restore():
-        i, j = pairs.pop()
+        i, k = pairs.pop()
         live.add(i)
-        live.add(j)
-        shift(i, j, 1)
+        live.add(k)
+        shift(i, k, 1)
 
     def removed():
         return frozenset(f for pair in pairs for f in pair)
@@ -272,26 +271,21 @@ def _collapse_backtrack(poset, closures, target_ids, pair_filter, budget,
     def enter():
         # visit a node: True means done; otherwise a frame is pushed, or
         # the state is known dead and the last collapse is undone
-        nonlocal counter
-        counter -= 1
-        if counter < 0:
-            raise _BudgetSpent
-        if end_predicate(live):
+        nonlocal nodes
+        if nodes == budget:
+            raise SearchExhausted("collapse budget exhausted", nodes)
+        nodes += 1
+        if len(live) == size and crossings == limit:
             return True
         if state_hash in dead and removed() in dead[state_hash]:
             restore()
             return False
-        if rng is None:
-            cand = first_candidate()
-            stack.append([[cand] if cand else [], 0, cand is None])
-        else:
-            cands = candidates()
-            rng.shuffle(cands)
-            stack.append([cands, 0, True])
+        cand = first_candidate()
+        stack.append([[cand] if cand else [], 0, cand is None])
         return False
 
     if enter():
-        return pairs, budget - counter
+        return pairs
     while stack:
         frame = stack[-1]
         cands, cursor, complete = frame
@@ -308,91 +302,55 @@ def _collapse_backtrack(poset, closures, target_ids, pair_filter, budget,
         frame[1] = cursor + 1
         collapse(*cands[cursor])
         if enter():
-            return pairs, budget - counter
-    return None, budget - counter
+            return pairs
+    raise SearchExhausted(f"no {what} found within budget", nodes)
 
 
-def _restarting_search(poset, target_ids, pair_filter, end_predicate, budget,
-                       seed, attempts, what):
-    """Split the budget into `attempts` slices: the first attempt is
-    greedy, the later ones shuffle the candidates with seeds seed + 1,
-    seed + 2, ...  Returns the pair ids of the first collapse found.
-    An attempt that ends without a collapse searched every collapse
-    sequence, so no later attempt can find one and the search stops."""
-    closures = _closures(poset)
-    slice_budget = max(1, budget // attempts)
-    spent = 0
-    nodes = 0
-    for attempt in range(attempts):
-        rng = None if attempt == 0 else random.Random(
-            (seed if seed is not None else 0) + attempt)
-        try:
-            result, visited = _collapse_backtrack(
-                poset, closures, target_ids, pair_filter, slice_budget, rng,
-                end_predicate)
-        except _BudgetSpent:
-            nodes += slice_budget
-            spent += slice_budget
-            if spent >= budget:
-                raise SearchExhausted("collapse budget exhausted",
-                                      nodes, attempt + 1) from None
-            continue
-        nodes += visited
-        if result is None:
-            raise SearchExhausted(f"no {what} found within budget",
-                                  nodes, attempt + 1)
-        return result
-    raise SearchExhausted(f"no {what} found within budget", nodes, attempts)
-
-
-def collapse_search(c, target=None, budget: int = 10 ** 6,
-                    seed: int | None = 0, restarts: int = 6) -> MorseMatching:
+def collapse_search(c, target=None, budget: int = 10 ** 6) -> MorseMatching:
     """Search for a complete collapse of c.
 
     target None means collapse to a single vertex; otherwise target is a
-    subcomplex (faces kept alive).  Greedy order is by (dimension, key);
-    when an attempt spends its slice of the budget, the search restarts
-    with shuffled candidate order.  Raises SearchExhausted when the
-    budget runs out or an attempt has shown that no collapse exists.
+    subcomplex (faces kept alive).  The search is one depth-first pass
+    in (dimension, key) order.  Raises SearchExhausted when the budget
+    runs out or the search has shown that no collapse exists.
     """
     poset = _poset_of(c)
-    if target is None:
-        target_ids = None
-        end = lambda state: len(state) == 1
-    else:
-        target_ids = _ids_in(poset, target, "target")
-        end = lambda state: state == target_ids
-
-    result = _restarting_search(poset, target_ids, None, end, budget, seed,
-                                restarts + 1, "collapse")
+    keep = None if target is None else _ids_in(poset, target, "target")
+    result = _collapse_backtrack(poset, keep, frozenset(), 0, 0, budget,
+                                 "collapse")
     key = poset.elements
-    return MorseMatching(tuple((key[i], key[j]) for i, j in result))
+    return MorseMatching(tuple((key[i], key[k]) for i, k in result))
 
 
-def out_j_collapse(c, d, j: int, budget: int = 10 ** 6,
-                   seed: int | None = 0):
+def out_j_collapse(c, d, j: int, budget: int = 10 ** 6):
     """Collapse c to a single vertex of the subcomplex d, allowing a pair
     to leave d only via (face of d, face outside d) with the inner face
     of dimension exactly j.
+
+    Only such a crossing changes the Euler characteristic of the live
+    part of d, by -(-1)^j, and a collapse ends on one vertex of d, of
+    Euler characteristic 1.  So every out-j collapse makes exactly
+    (-1)^j (chi(d) - 1) crossings, and the search refuses any crossing
+    past that many without losing a collapse.  The argument needs d
+    closed under faces: a face of d with a face outside d is a
+    ValueError.
 
     Returns (matching, ledger) where the ledger lists the crossing faces
     in removal order.
     """
     poset = _poset_of(c)
     d_ids = _ids_in(poset, d, "subcomplex")
-
-    def pair_ok(i, jj):
-        if i in d_ids and jj not in d_ids:
-            return poset.dims[i] == j
-        return True
-
-    end = lambda state: len(state) == 1 and next(iter(state)) in d_ids
-    result = _restarting_search(poset, None, pair_ok, end, budget, seed, 4,
-                                "constrained collapse")
-    key = poset.elements
-    pairs = tuple((key[i], key[jj]) for i, jj in result)
-    ledger = [key[i] for (i, jj) in result
-              if i in d_ids and jj not in d_ids]
+    key, dims = poset.elements, poset.dims
+    for i in sorted(d_ids):
+        for k in poset.down[i]:
+            if k not in d_ids:
+                raise ValueError(f"subcomplex is not closed under faces: "
+                                 f"{key[k]} is a face of {key[i]}")
+    limit = (-1) ** j * (sum((-1) ** dims[i] for i in d_ids) - 1)
+    result = _collapse_backtrack(poset, None, d_ids, j, limit, budget,
+                                 "constrained collapse")
+    pairs = tuple((key[i], key[k]) for i, k in result)
+    ledger = [key[i] for i, k in result if i in d_ids and k not in d_ids]
     return MorseMatching(pairs), ledger
 
 
@@ -422,7 +380,7 @@ def deformation_trace(c, d, m: MorseMatching) -> list:
     # heaps of the live faces outside d that can go next: a low face
     # whose one live coface is its partner, or an unmatched face with no
     # live coface
-    below, counts, _ = _closures(poset)
+    below, counts = _closures(poset)
     count = list(counts)
     collapsible, attachable = [], []
 

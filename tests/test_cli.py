@@ -127,6 +127,7 @@ class TestExitDiscipline:
          "--matching", "unread.json", "--out", "x"],
         ["morse", "validate", "--complex", "unread.json",
          "--matching", "unread.json", "--seed", "1"],
+        ["morse", "collapse", "--complex", "unread.json", "--seed", "1"],
         ["hirsch", "diameter", "--complex", "unread.json", "--budget", "5"],
         ["proj", "pcctp", "--n", "2", "--seed", "1"],
     ])
@@ -239,18 +240,19 @@ class TestMorseCommands:
         c_file = write_json(tmp_path / "circle.json", circle.to_json())
         assert main(["morse", "collapse", "--complex", c_file,
                      "--budget", "50"]) == 1
-        # no face of a circle is free: the first attempt searched
-        # everything in one node
+        # no face of a circle is free: the search tried everything in
+        # one node
         assert capsys.readouterr().out == (
-            "FAIL: no collapse found within budget after 1 node in 1 attempt\n")
+            "FAIL: no collapse found within budget after 1 node\n")
 
-    def test_budget_slices_spent_reports_nodes(self, tmp_path, capsys):
+    @pytest.mark.parametrize("budget, nodes", [("3", "3 nodes"), ("0", "0 nodes")])
+    def test_budget_spent_reports_nodes(self, tmp_path, capsys, budget, nodes):
         c_file = write_json(tmp_path / "c.json", simplex_complex(2).to_json())
-        # slices of one node each; a triangle needs four
+        # a triangle needs four nodes; a budget of 0 visits none
         assert main(["morse", "collapse", "--complex", c_file,
-                     "--budget", "3"]) == 1
+                     "--budget", budget]) == 1
         assert capsys.readouterr().out == (
-            "FAIL: collapse budget exhausted after 3 nodes in 3 attempts\n")
+            f"FAIL: collapse budget exhausted after {nodes}\n")
 
     def test_out_j_exhaustion_reports_nodes_spent(self, tmp_path, capsys):
         c_file = write_json(tmp_path / "c.json", simplex_complex(2).to_json())
@@ -259,7 +261,7 @@ class TestMorseCommands:
         assert main(["morse", "collapse", "--complex", c_file, "--target", t_file,
                      "--out-j", "2", "--budget", "5000"]) == 1
         assert capsys.readouterr().out == ("FAIL: no constrained collapse found "
-                                           "within budget after 1 node in 1 attempt\n")
+                                           "within budget after 1 node\n")
 
     def test_budget_env_variable(self, tmp_path, capsys, monkeypatch):
         circle = boundary_sphere(2)
@@ -298,6 +300,15 @@ class TestMorseCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "ledger" in out
+
+    def test_golden_ball_onto_its_boundary_sphere(self, tmp_path, capsys):
+        from test_golden import BALL, SPHERE
+        c_file = write_json(tmp_path / "ball.json", BALL)
+        t_file = write_json(tmp_path / "sphere.json", SPHERE)
+        assert main(["morse", "collapse", "--complex", c_file, "--target", t_file,
+                     "--out-j", "2", "--out", str(tmp_path / "m.json")]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "collapse found: 74 pairs", "ledger: 1 crossing faces [[0, 4, 10]]"]
 
     def test_validate_good_and_tampered(self, tmp_path, capsys):
         c = simplex_complex(2)
@@ -818,8 +829,6 @@ def ref_build_parser():
     col.add_argument("--complex", required=True)
     col.add_argument("--target")
     col.add_argument("--out-j", dest="out_j", type=int, default=None)
-    col.add_argument("--seed", type=int, default=0,
-                     help="seed for randomized search restarts")
     col.add_argument("--budget", type=cli._int_at_least(0), default=None,
                      help="search node budget (default POLYFORGE_BUDGET "
                           f"or {cli.DEFAULT_BUDGET})")
@@ -893,7 +902,7 @@ COMMAND_ARGV = {
     ("hirsch", "segment"): (["--complex", "c.json", "--from", "0,1",
                              "--to", "1,2"], ["--complex"]),
     ("hirsch", "diameter"): (["--complex", "c.json"], ["--complex"]),
-    ("morse", "collapse"): (["--complex", "c.json"], ["--seed", "x"]),
+    ("morse", "collapse"): (["--complex", "c.json"], ["--budget", "x"]),
     ("morse", "validate"): (["--complex", "c.json", "--matching", "m.json"],
                             ["--matching"]),
     ("arr", "betti"): (["--file", "a.json", "--i", "0"], ["--i", "x"]),

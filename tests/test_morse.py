@@ -31,6 +31,7 @@ from polyforge.morse import (
     out_j_collapse,
     validate_matching,
 )
+from test_golden import BALL, SPHERE
 
 
 def euler(c) -> int:
@@ -210,21 +211,29 @@ class TestCollapse:
 
 
 class TestSearchExhausted:
-    def test_sphere_reports_one_node_per_attempt(self):
-        # no face of a sphere is ever free, so the greedy attempt has
-        # searched everything after one node and no restart follows
+    def test_sphere_reports_one_node(self):
+        # no face of a sphere is ever free, so the search has tried
+        # everything after one node
         with pytest.raises(SearchExhausted) as info:
             collapse_search(boundary_sphere(3))
-        assert (info.value.nodes, info.value.attempts) == (1, 1)
-        assert str(info.value) == (
-            "no collapse found within budget after 1 node in 1 attempt")
+        assert info.value.nodes == 1
+        assert str(info.value) == "no collapse found within budget after 1 node"
 
-    def test_spent_slices_are_counted_in_full(self):
+    def test_budget_bounds_the_search(self):
+        # a triangle needs four nodes
         with pytest.raises(SearchExhausted) as info:
             collapse_search(simplex_complex(2), budget=3)
-        assert (info.value.nodes, info.value.attempts) == (3, 3)
-        assert str(info.value) == (
-            "collapse budget exhausted after 3 nodes in 3 attempts")
+        assert info.value.nodes == 3
+        assert str(info.value) == "collapse budget exhausted after 3 nodes"
+
+    def test_zero_budget_visits_no_node(self):
+        for call in (lambda: collapse_search(simplex_complex(0), budget=0),
+                     lambda: out_j_collapse(simplex_complex(2),
+                                            boundary_sphere(2), 1, budget=0)):
+            with pytest.raises(SearchExhausted) as info:
+                call()
+            assert info.value.nodes == 0
+            assert str(info.value) == "collapse budget exhausted after 0 nodes"
 
     def test_backtracking_search_spends_its_budget(self):
         c = random_subdivided_ball(random.Random(3), rounds=1)
@@ -233,30 +242,28 @@ class TestSearchExhausted:
                                    list(itertools.combinations(facet, 3)))
         # a ball never collapses onto a sphere
         with pytest.raises(SearchExhausted) as info:
-            collapse_search(c, target=sphere, budget=700)
-        assert (info.value.nodes, info.value.attempts) == (700, 7)
-        assert str(info.value) == (
-            "collapse budget exhausted after 700 nodes in 7 attempts")
+            collapse_search(c, target=sphere, budget=100)
+        assert info.value.nodes == 100
+        assert str(info.value) == "collapse budget exhausted after 100 nodes"
 
-    def test_exhaustive_attempt_stops_the_restarts(self):
-        # the greedy attempt searches every collapse of the ball onto the
-        # sphere within its slice; the six shuffled restarts used to search
-        # the same space again, 959 nodes in all
+    def test_complete_search_proves_failure(self):
+        # the one depth-first pass, with its memo of dead states, tries
+        # every collapse of the ball onto the sphere in 137 nodes
         c = random_subdivided_ball(random.Random(3), rounds=1)
         sphere = SimplicialComplex(c.num_vertices, list(
             itertools.combinations(c.facets[0], 3)))
-        for restarts in (6, 0):
-            with pytest.raises(SearchExhausted) as info:
-                collapse_search(c, target=sphere, restarts=restarts)
-            assert (info.value.nodes, info.value.attempts) == (137, 1)
-            assert str(info.value) == (
-                "no collapse found within budget after 137 nodes in 1 attempt")
+        with pytest.raises(SearchExhausted) as info:
+            collapse_search(c, target=sphere)
+        assert info.value.nodes == 137
+        assert str(info.value) == (
+            "no collapse found within budget after 137 nodes")
 
-    def test_out_j_reports_attempts(self):
+    def test_out_j_reports_nodes(self):
         with pytest.raises(SearchExhausted) as info:
             out_j_collapse(simplex_complex(2), boundary_sphere(2), 2, budget=5000)
-        assert (info.value.nodes, info.value.attempts) == (1, 1)
-        assert "after 1 node in 1 attempt" in str(info.value)
+        assert info.value.nodes == 1
+        assert str(info.value) == (
+            "no constrained collapse found within budget after 1 node")
 
 
 class TestOutJ:
@@ -286,6 +293,37 @@ class TestOutJ:
             m, ledger = out_j_collapse(c, d, 2)
             assert validate_matching(c, m)
             assert len(ledger) == (-1) ** 2 * (chi - 1) == 1
+
+    def test_golden_ball_onto_its_boundary_sphere(self):
+        # one crossing is all that chi(sphere) = 2 allows; a search that
+        # crossed again had 10^6 nodes of dead ends to try
+        ball = SimplicialComplex.from_json(BALL)
+        sphere = SimplicialComplex.from_json(SPHERE)
+        m, ledger = out_j_collapse(ball, sphere, 2)
+        assert len(m.pairs) == 74
+        assert ledger == [(0, 4, 10)]
+        assert validate_matching(ball, m)
+
+    @pytest.mark.parametrize("shape", ["facet", "boundary"])
+    def test_small_balls_collapse_within_a_small_budget(self, shape):
+        rng = random.Random(f"out-j {shape}")
+        for _ in range(200):
+            c = random_subdivided_ball(rng, rounds=rng.randrange(1, 3))
+            facet = c.facets[rng.randrange(len(c.facets))]
+            faces = [facet] if shape == "facet" else list(
+                itertools.combinations(facet, 3))
+            d = SimplicialComplex(c.num_vertices, faces)
+            m, ledger = out_j_collapse(c, d, 2, budget=400)
+            assert validate_matching(c, m)
+            assert len(ledger) == (-1) ** 2 * (euler(d) - 1)
+
+    def test_subcomplex_must_be_closed_under_faces(self):
+        c = simplex_complex(2)
+        with pytest.raises(ValueError, match="not closed under faces"):
+            out_j_collapse(c, [(0,), (0, 1)], 1)
+        # the same faces with the missing vertex are a subcomplex
+        m, ledger = out_j_collapse(c, [(0,), (1,), (0, 1)], 1)
+        assert validate_matching(c, m) and ledger == []
 
 
 class TestTrace:
@@ -392,8 +430,9 @@ class RefExhausted(Exception):
     pass
 
 
-def ref_backtrack(diag, target_ids, pair_filter, budget, rng, end):
-    """(pairs or None, nodes visited); RefExhausted past the budget."""
+def ref_backtrack(diag, target_ids, pair_filter, budget, end):
+    """("found", id pairs) or ("exhausted", nodes visited) for one
+    depth-first search; pair_filter(state, i, j) sees the live faces."""
     seen = set()
     nodes = 0
 
@@ -407,7 +446,7 @@ def ref_backtrack(diag, target_ids, pair_filter, budget, rng, end):
                 j = next(iter(above_live))
                 if target_ids is not None and j in target_ids:
                     continue
-                if pair_filter and not pair_filter(i, j):
+                if pair_filter and not pair_filter(state, i, j):
                     continue
                 out.append((i, j))
         return out
@@ -424,55 +463,32 @@ def ref_backtrack(diag, target_ids, pair_filter, budget, rng, end):
             stack.append((state, (), [0]))
             return False
         seen.add(key)
-        cands = free_pairs(state)
-        if rng is not None:
-            rng.shuffle(cands)
-        stack.append((state, cands, [0]))
+        stack.append((state, free_pairs(state), [0]))
         return False
 
     stack = []
     pairs = []
-    if enter(frozenset(range(len(diag.key_of)))):
-        return pairs, nodes
-    while stack:
-        state, cands, cursor = stack[-1]
-        if cursor[0] >= len(cands):
-            stack.pop()
-            if pairs:
-                pairs.pop()
-            continue
-        i, j = cands[cursor[0]]
-        cursor[0] += 1
-        pairs.append((i, j))
-        if enter(state - {i, j}):
-            return pairs, nodes
-    return None, nodes
+    try:
+        if enter(frozenset(range(len(diag.key_of)))):
+            return ("found", pairs)
+        while stack:
+            state, cands, cursor = stack[-1]
+            if cursor[0] >= len(cands):
+                stack.pop()
+                if pairs:
+                    pairs.pop()
+                continue
+            i, j = cands[cursor[0]]
+            cursor[0] += 1
+            pairs.append((i, j))
+            if enter(state - {i, j}):
+                return ("found", pairs)
+    except RefExhausted:
+        pass
+    return ("exhausted", nodes)
 
 
-def ref_restarts(diag, target_ids, pair_filter, end, budget, seed, attempts):
-    """("found", id pairs) or ("exhausted", nodes, attempts made)."""
-    slice_budget = max(1, budget // attempts)
-    spent = nodes = 0
-    for attempt in range(attempts):
-        rng = None if attempt == 0 else random.Random(
-            (seed if seed is not None else 0) + attempt)
-        try:
-            result, used = ref_backtrack(
-                diag, target_ids, pair_filter, slice_budget, rng, end)
-        except RefExhausted:
-            nodes += slice_budget
-            spent += slice_budget
-            if spent >= budget:
-                return ("exhausted", nodes, attempt + 1)
-            continue
-        nodes += used
-        if result is None:
-            return ("exhausted", nodes, attempt + 1)
-        return ("found", result)
-    return ("exhausted", nodes, attempts)
-
-
-def ref_collapse_search(c, target=None, budget=10 ** 6, seed=0, restarts=6):
+def ref_collapse_search(c, target=None, budget=10 ** 6):
     diag = RefDiagram(ref_poset(c))
     if target is None:
         target_ids = None
@@ -480,24 +496,30 @@ def ref_collapse_search(c, target=None, budget=10 ** 6, seed=0, restarts=6):
     else:
         target_ids = {diag.id_of[k] for k in ref_keys(target)}
         end = lambda state: state == target_ids
-    out = ref_restarts(diag, target_ids, None, end, budget, seed, restarts + 1)
+    out = ref_backtrack(diag, target_ids, None, budget, end)
     if out[0] == "found":
         return ("found", MorseMatching(tuple(
             (diag.key_of[i], diag.key_of[j]) for i, j in out[1])))
     return out
 
 
-def ref_out_j_collapse(c, d, j, budget=10 ** 6, seed=0):
+def ref_out_j_collapse(c, d, j, budget=10 ** 6, chi_rule=True):
+    """A crossing pair needs an inner face of dimension j and, under
+    chi_rule, (-1)^j (chi(live part of d) - 1) > 0 before it; without
+    chi_rule it is the rule that crossed on past the last crossing a
+    collapse can make."""
     diag = RefDiagram(ref_poset(c))
     d_ids = {diag.id_of[k] for k in ref_keys(d)}
 
-    def pair_ok(i, jj):
+    def pair_ok(state, i, jj):
         if i in d_ids and jj not in d_ids:
-            return diag.dims[i] == j
+            chi = sum((-1) ** diag.dims[f] for f in state & d_ids)
+            return diag.dims[i] == j and (
+                not chi_rule or (-1) ** j * (chi - 1) > 0)
         return True
 
     end = lambda state: len(state) == 1 and next(iter(state)) in d_ids
-    out = ref_restarts(diag, None, pair_ok, end, budget, seed, 4)
+    out = ref_backtrack(diag, None, pair_ok, budget, end)
     if out[0] == "exhausted":
         return out
     pairs = tuple((diag.key_of[i], diag.key_of[jj]) for i, jj in out[1])
@@ -550,12 +572,11 @@ def ref_deformation_trace(c, d, m):
 
 
 def outcome(call):
-    """("found", value) or ("exhausted", nodes, attempts) for a library
-    search."""
+    """("found", value) or ("exhausted", nodes) for a library search."""
     try:
         return ("found", call())
     except SearchExhausted as exc:
-        return ("exhausted", exc.nodes, exc.attempts)
+        return ("exhausted", exc.nodes)
 
 
 def raised(call):
@@ -568,7 +589,7 @@ def raised(call):
 
 @st.composite
 def collapse_cases(draw):
-    """A complex, an optional target inside it, a seed and a budget.
+    """A complex, an optional target inside it and a budget.
 
     Balls are stellar subdivisions of the 3-simplex, derived or not,
     the solid cube and its derived subdivision; spheres are simplex
@@ -605,13 +626,13 @@ def collapse_cases(draw):
         target = [(0,)]
     # a full budget only where the search cannot wander for long
     if draw(st.booleans()):
-        budget = draw(st.integers(1, 400))
+        budget = draw(st.integers(0, 400))
     elif target is None or kind in ("cube", "sphere") or (
             shape == "vertex" and kind == "ball"):
         budget = 10 ** 6
     else:
         budget = 3000
-    return c, target, draw(st.integers(0, 300)), budget
+    return c, target, budget
 
 
 @st.composite
@@ -630,7 +651,7 @@ def trace_cases(draw):
         for _ in range(draw(st.integers(0, 2))):
             c = c.stellar_subdivision(c.facets[rng.randrange(len(c.facets))])
         body = SimplicialComplex(c.num_vertices, c.facets[1:])
-    found = outcome(lambda: collapse_search(body, seed=rng.randrange(100)))
+    found = outcome(lambda: collapse_search(body))
     pairs = found[1].pairs if found[0] == "found" else ()
     keep = draw(st.floats(0.0, 1.0))
     pairs = [p for p in pairs if rng.random() < keep]
@@ -644,34 +665,51 @@ def trace_cases(draw):
     return c, d, MorseMatching(tuple(pairs))
 
 
+def out_j_case(world, shape):
+    """A one- or two-round ball and d, one of its facets or the boundary
+    of one."""
+    rng = random.Random(world)
+    c = random_subdivided_ball(rng, rounds=rng.randrange(1, 3))
+    facet = c.facets[rng.randrange(len(c.facets))]
+    if shape == "facet":
+        return c, SimplicialComplex(c.num_vertices, [facet])
+    return c, SimplicialComplex(c.num_vertices,
+                                list(itertools.combinations(facet, 3)))
+
+
 class TestSearchOracle:
     @settings(max_examples=60, deadline=None)
     @given(collapse_cases())
     def test_collapse_search_matches_reference(self, case):
-        c, target, seed, budget = case
-        got = outcome(lambda: collapse_search(c, target=target,
-                                              budget=budget, seed=seed))
-        want = ref_collapse_search(c, target=target, budget=budget, seed=seed)
+        c, target, budget = case
+        got = outcome(lambda: collapse_search(c, target=target, budget=budget))
+        want = ref_collapse_search(c, target=target, budget=budget)
         assert got == want
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 3), st.integers(0, 300),
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 3),
            st.sampled_from(["boundary", "facet"]), st.one_of(
-               st.integers(1, 600), st.just(5000), st.just(10 ** 6)))
-    def test_out_j_collapse_matches_reference(self, world, j, seed, shape, budget):
-        rng = random.Random(world)
-        c = random_subdivided_ball(rng, rounds=rng.randrange(1, 3))
-        facet = c.facets[rng.randrange(len(c.facets))]
-        if shape == "facet":
-            d = SimplicialComplex(c.num_vertices, [facet])
-        else:
-            d = SimplicialComplex(c.num_vertices,
-                                  list(itertools.combinations(facet, 3)))
+               st.integers(0, 600), st.just(5000), st.just(10 ** 6)))
+    def test_out_j_collapse_matches_reference(self, world, j, shape, budget):
+        c, d = out_j_case(world, shape)
         if j != 2:
             budget = min(budget, 5000)  # the wrong dimension may never finish
-        got = outcome(lambda: out_j_collapse(c, d, j, budget=budget, seed=seed))
-        want = ref_out_j_collapse(c, d, j, budget=budget, seed=seed)
+        got = outcome(lambda: out_j_collapse(c, d, j, budget=budget))
+        want = ref_out_j_collapse(c, d, j, budget=budget)
         assert got == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 3),
+           st.sampled_from(["boundary", "facet"]), st.integers(1, 2000))
+    def test_out_j_collapse_keeps_every_collapse_of_the_crossing_rule(
+            self, world, j, shape, budget):
+        # the rule that let a search cross past the last crossing: when
+        # its depth-first search finds a collapse within the budget, the
+        # search that stops crossing finds the same one
+        c, d = out_j_case(world, shape)
+        want = ref_out_j_collapse(c, d, j, budget=budget, chi_rule=False)
+        if want[0] == "found":
+            assert outcome(lambda: out_j_collapse(c, d, j, budget=budget)) == want
 
     @pytest.mark.parametrize("world", range(4))
     def test_derived_balls_match_reference(self, world):
@@ -685,14 +723,14 @@ class TestSearchOracle:
         b = random_subdivided_ball(rng, rounds=2)
         facet = b.facets[0]
         d = SimplicialComplex(b.num_vertices, list(itertools.combinations(facet, 3)))
-        for seed in (0, 101):
-            got = outcome(lambda: out_j_collapse(b, d, 2, seed=seed))
-            assert got == ref_out_j_collapse(b, d, 2, seed=seed)
+        got = outcome(lambda: out_j_collapse(b, d, 2))
+        assert got == ref_out_j_collapse(b, d, 2)
+        assert got[0] == "found"
 
     def test_out_j_exhaustion_matches_reference(self):
         c = simplex_complex(2)
         d = boundary_sphere(2)
-        for budget in (4, 7, 50, 5000):
+        for budget in (0, 1, 7, 5000):
             got = outcome(lambda: out_j_collapse(c, d, 2, budget=budget))
             want = ref_out_j_collapse(c, d, 2, budget=budget)
             assert got[0] == "exhausted"
@@ -701,13 +739,12 @@ class TestSearchOracle:
     @settings(max_examples=40, deadline=None)
     @given(collapse_cases())
     def test_trace_of_found_collapse_matches_reference(self, case):
-        c, target, seed, budget = case
+        c, target, budget = case
         if not isinstance(c, SimplicialComplex):
             return
         if target is None:
             target = SimplicialComplex(c.num_vertices, [c.facets[0][:1]])
-        found = outcome(lambda: collapse_search(c, target=target,
-                                                budget=budget, seed=seed))
+        found = outcome(lambda: collapse_search(c, target=target, budget=budget))
         if found[0] != "found":
             return
         m = found[1]
