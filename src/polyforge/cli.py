@@ -551,13 +551,13 @@ _COMMANDS = (
 
 def _build_parser(argv) -> argparse.ArgumentParser:
     """The parser for ``argv``: when argv[:2] names a command, only that
-    command and its group, under usage lines that still list every choice;
-    any other argv (help, errors) gets every command, and no metavar, which
-    would rename the subject of its "invalid choice" errors."""
+    command and its group; any other argv (help, errors) gets every
+    command.  Each level's metavar lists all its choices, so usage lines
+    and "invalid choice" errors name them either way."""
     rows = [r for r in _COMMANDS if list(r[:2]) == list(argv[:2])]
 
     def listing(names):
-        return "{" + ",".join(dict.fromkeys(names)) + "}" if rows else None
+        return "{" + ",".join(dict.fromkeys(names)) + "}"
 
     parser = argparse.ArgumentParser(
         prog="polyforge",

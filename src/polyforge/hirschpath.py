@@ -12,8 +12,8 @@ of faces, lk(v, lk(σ, K)) = lk(σ ∪ v, K), so the recursion carries the
 face σ and reads the link off the top complex K; path facets are facets
 of K with its vertex ids throughout.  K keeps one vertex index: each
 link's 1-skeleton as vertex bitmasks, built on first use, so every path
-on K shares it.  The searches run on bitmask layers, grow only as far as
-a query needs, and are kept for one call only.
+on K shares it.  Each link call runs one search, from its targets, on
+bitmask layers grown only as far as a query needs.
 
 All choices (start pearl, next pearl, base-case facet) break ties by
 smallest vertex id, so paths are deterministic.
@@ -106,46 +106,6 @@ def vertex_distance(c: SimplicialComplex, x: int, targets):
     return d, _vertex_set(live & search.layers[d])
 
 
-class _Views:
-    """Link views lk(σ, K) of one pure complex K, for one call.
-
-    σ is a sorted tuple of vertices.  The facets of lk(σ, K) are the
-    facets f of K containing σ, less σ; links of links are links of
-    faces, so the recursion only ever adds a vertex to σ and vertex ids
-    stay those of K.  Vertex sets are bitmasks.  Each view's 1-skeleton
-    comes from K's vertex index (`SimplicialComplex._link_index`), which K
-    keeps, so the segments of one complex share them; the searches, one
-    per (σ, source set), are held by this object and dropped when the
-    call that made it returns.
-    """
-
-    def __init__(self, c: SimplicialComplex):
-        self.skeleton = c._link_index().skeleton
-        self._searches = {}
-
-    def search(self, sigma: tuple, g: dict, sources: int) -> _Search:
-        """The search in g, the 1-skeleton of lk(σ), from a set of its
-        vertices."""
-        key = (sigma, sources)
-        found = self._searches.get(key)
-        if found is None:
-            found = self._searches[key] = _Search(g, sources)
-        return found
-
-
-def _nearest(g: dict, x: int, targets: int, d: int) -> int:
-    """The targets nearest to x in the skeleton g, as vertex_distance
-    finds them, given their distance d from x: the targets in layer d of
-    a search from x that stops there (a lone target is nearest)."""
-    if not targets & (targets - 1):
-        return targets
-    seen = layer = 1 << x
-    for _ in range(d):
-        layer = _step(g, layer) & ~seen
-        seen |= layer
-    return targets & layer
-
-
 def _with(sigma: tuple, x: int) -> tuple:
     return tuple(sorted(sigma + (x,)))
 
@@ -157,14 +117,25 @@ def _mask(vertices) -> int:
     return out
 
 
-def _part1(views: _Views, sigma: tuple, X: tuple, targets: int):
+def _part1(skeleton, sigma: tuple, X: tuple, targets: int):
     """Facet path in the star of σ from facet X toward `targets`, a
-    bitmask of vertices of lk(σ); the target set is met only by the last
-    facet.  Returns (facets, pearls, chis) where chis[i] indexes the facet
-    current when pearl i starts; facets are facets of K and contain σ.
-    Below the top (σ nonempty) every target is a neighbour of the pearl
-    whose link is entered, or a vertex of the facet Y of a segment; at
-    the top, the callers drop the targets that are not vertices of K.
+    bitmask of vertices of lk(σ), whose 1-skeleton is skeleton(σ); the
+    target set is met only by the last facet.  Returns (facets, pearls,
+    chis) where chis[i] indexes the facet current when pearl i starts;
+    facets are facets of K and contain σ.  Below the top (σ nonempty)
+    every target is a neighbour of the pearl whose link is entered, or a
+    vertex of the facet Y of a segment; at the top, the callers drop the
+    targets that are not vertices of K.
+
+    One search from the targets T serves every pearl.  Let x be a pearl
+    at distance d >= 1 from T and N the targets at distance d from x; the
+    path descends to the neighbours y of x with dist(y, N) = d - 1, which
+    are those in layer d - 1 of T's search.  If dist(y, N) = d - 1 then
+    d - 1 <= dist(y, T) <= dist(y, N); if dist(y, t) = d - 1 with t in T,
+    then dist(x, t) <= d, so t is in N.  The next pearl is such a y and
+    its nearest targets are again T's at distance d - 1, so this repeats
+    pearl by pearl.  A pearl off T has a neighbour one step closer, so
+    the descent set is never empty.
     """
     residue = [v for v in X if v not in sigma]
     if len(residue) == 1:
@@ -176,8 +147,8 @@ def _part1(views: _Views, sigma: tuple, X: tuple, targets: int):
         y = (targets & -targets).bit_length() - 1  # the smallest target
         return [X, _with(sigma, y)], [x, y], [0, 1]
 
-    g = views.skeleton(sigma)
-    search = views.search(sigma, g, targets)
+    g = skeleton(sigma)
+    search = _Search(g, targets)
     # the residue is a face of lk(σ): all of it is reachable, or none
     reached = _mask(residue)
     d = search.depth(reached)
@@ -185,29 +156,23 @@ def _part1(views: _Views, sigma: tuple, X: tuple, targets: int):
         raise ValueError(f"vertices {residue} cannot reach the target set")
     reached &= search.layers[d]
     x = (reached & -reached).bit_length() - 1
-    current_targets = _nearest(g, x, targets, d)
 
     facets, pearls, chis = [X], [x], [0]
-    Xi, mask = X, _mask(X)
+    mask = _mask(X)
     while not targets & mask:
-        search = views.search(sigma, g, current_targets)
-        dxi = search.depth(1 << x)
-        tilde = g[x] & search.layers[dxi - 1]
-        if not tilde:
-            raise ValueError("no descent neighbour; complex not connected enough")
-        sub_facets, _, _ = _part1(views, _with(sigma, x), Xi, tilde)
+        d -= 1
+        tilde = g[x] & search.layers[d]
+        sub_facets, _, _ = _part1(skeleton, _with(sigma, x), facets[-1], tilde)
         facets.extend(sub_facets[1:])
-        Xi = sub_facets[-1]
-        mask = _mask(Xi)
+        mask = _mask(facets[-1])
         tilde &= mask
         x = (tilde & -tilde).bit_length() - 1
-        current_targets = _nearest(g, x, current_targets, dxi - 1)
         pearls.append(x)
         chis.append(len(facets) - 1)
     return facets, pearls, chis
 
 
-def _segment(views: _Views, sigma: tuple, X: tuple, Y: tuple):
+def _segment(skeleton, sigma: tuple, X: tuple, Y: tuple):
     """Non-revisiting facet path in the star of σ from facet X to facet
     Y, both containing σ, as (facets, pearls, chis) like _part1."""
     if len(X) == len(sigma) + 1:
@@ -216,12 +181,12 @@ def _segment(views: _Views, sigma: tuple, X: tuple, Y: tuple):
             return [X], [x], [0]
         return [X, Y], [x, y], [0, 1]
     facets, pearls, chis = _part1(
-        views, sigma, X, _mask(v for v in Y if v not in sigma))
+        skeleton, sigma, X, _mask(v for v in Y if v not in sigma))
     xl = pearls[-1]
     last = facets[-1]
     if xl not in last or xl not in Y:
         raise RuntimeError("final pearl does not join the two facets")
-    facets += _segment(views, _with(sigma, xl), last, Y)[0][1:]
+    facets += _segment(skeleton, _with(sigma, xl), last, Y)[0][1:]
     return facets, pearls, chis
 
 
@@ -245,9 +210,9 @@ def segment_to_vertex_set(c: SimplicialComplex, X, targets) -> FacetPath:
     targets = frozenset(targets)
     if not targets:
         raise ValueError("empty target set")
-    views = _Views(c)
-    live = _mask(views.skeleton(()).keys() & targets)
-    facets, pearls, chis = _part1(views, (), X, live)
+    skeleton = c._link_index().skeleton
+    live = _mask(skeleton(()).keys() & targets)
+    facets, pearls, chis = _part1(skeleton, (), X, live)
     return FacetPath(tuple(facets), tuple(pearls),
                      tuple(chis + [len(facets) - 1]))
 
@@ -258,7 +223,7 @@ def combinatorial_segment(c: SimplicialComplex, X, Y) -> FacetPath:
         raise ValueError("construction requires a pure complex")
     X = _require_facet(c, X)
     Y = _require_facet(c, Y)
-    facets, pearls, chis = _segment(_Views(c), (), X, Y)
+    facets, pearls, chis = _segment(c._link_index().skeleton, (), X, Y)
     return FacetPath(tuple(facets), tuple(pearls),
                      tuple(chis + [len(facets) - 1]))
 

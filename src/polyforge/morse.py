@@ -331,9 +331,11 @@ def out_j_collapse(c, d, j: int, budget: int = 10 ** 6):
     part of d, by -(-1)^j, and a collapse ends on one vertex of d, of
     Euler characteristic 1.  So every out-j collapse makes exactly
     (-1)^j (chi(d) - 1) crossings, and the search refuses any crossing
-    past that many without losing a collapse.  The argument needs d
-    closed under faces: a face of d with a face outside d is a
-    ValueError.
+    past that many without losing a collapse.  Each crossing removes a
+    distinct j-face of d, so when that count is negative or exceeds d's
+    j-faces no collapse exists, and SearchExhausted is raised before the
+    first node.  The argument needs d closed under faces: a face of d
+    with a face outside d is a ValueError.
 
     Returns (matching, ledger) where the ledger lists the crossing faces
     in removal order.
@@ -347,6 +349,11 @@ def out_j_collapse(c, d, j: int, budget: int = 10 ** 6):
                 raise ValueError(f"subcomplex is not closed under faces: "
                                  f"{key[k]} is a face of {key[i]}")
     limit = (-1) ** j * (sum((-1) ** dims[i] for i in d_ids) - 1)
+    faces = sum(dims[i] == j for i in d_ids)
+    if not 0 <= limit <= faces:
+        raise SearchExhausted(
+            f"a constrained collapse needs {limit} crossings of {j}-faces "
+            f"and the subcomplex has {faces}; none found", 0)
     result = _collapse_backtrack(poset, None, d_ids, j, limit, budget,
                                  "constrained collapse")
     pairs = tuple((key[i], key[k]) for i, k in result)

@@ -255,13 +255,28 @@ class TestMorseCommands:
             f"FAIL: collapse budget exhausted after {nodes}\n")
 
     def test_out_j_exhaustion_reports_nodes_spent(self, tmp_path, capsys):
-        c_file = write_json(tmp_path / "c.json", simplex_complex(2).to_json())
-        t_file = write_json(tmp_path / "t.json", boundary_sphere(2).to_json())
-        # the only crossing pairs leave through edges, not triangles
-        assert main(["morse", "collapse", "--complex", c_file, "--target", t_file,
-                     "--out-j", "2", "--budget", "5000"]) == 1
+        c_file = write_json(tmp_path / "c.json", boundary_sphere(2).to_json())
+        # a circle onto itself needs one crossing through an edge, but no
+        # face of a circle is free
+        assert main(["morse", "collapse", "--complex", c_file, "--target", c_file,
+                     "--out-j", "1", "--budget", "5000"]) == 1
         assert capsys.readouterr().out == ("FAIL: no constrained collapse found "
                                            "within budget after 1 node\n")
+
+    def test_out_j_infeasible_crossing_count_fails_at_once(self, tmp_path, capsys):
+        from test_golden import BALL
+        c_file = write_json(tmp_path / "ball.json", BALL)
+        t_file = write_json(tmp_path / "circle.json", {
+            "vertices": 15, "facets": [[0, 4], [0, 10], [4, 10]]})
+        # the circle of the triangle (0, 4, 10) has chi = 0, so every even
+        # j needs (-1)^j (chi - 1) = -1 crossings
+        for j in ("0", "2"):
+            assert main(["morse", "collapse", "--complex", c_file, "--target", t_file,
+                         "--out-j", j, "--budget", "1000"]) == 1
+            assert capsys.readouterr().out == (
+                f"FAIL: a constrained collapse needs -1 crossings of {j}-faces "
+                f"and the subcomplex has {3 if j == '0' else 0}; none found "
+                "after 0 nodes\n")
 
     def test_budget_env_variable(self, tmp_path, capsys, monkeypatch):
         circle = boundary_sphere(2)
@@ -801,7 +816,7 @@ class TestProjCommands:
 def ref_build_parser():
     """The full argparse tree as cli._build_parser made it with every
     command registered, kept here as the oracle for its usage lines, help
-    texts and errors."""
+    texts and errors; each level's metavar lists its choices."""
     from polyforge import cli
 
     common = argparse.ArgumentParser(add_help=False)
@@ -812,9 +827,11 @@ def ref_build_parser():
         prog="polyforge",
         description="exact certificates for paths, collapses, "
                     "arrangements, tubes, and incidence constructions")
-    groups = parser.add_subparsers(dest="group")
+    groups = parser.add_subparsers(dest="group",
+                                   metavar="{hirsch,morse,arr,cct,proj}")
 
-    hirsch = groups.add_parser("hirsch").add_subparsers(dest="command")
+    hirsch = groups.add_parser("hirsch").add_subparsers(
+        dest="command", metavar="{segment,diameter}")
     seg = hirsch.add_parser("segment", parents=[common])
     seg.add_argument("--complex", required=True)
     seg.add_argument("--from", dest="from_facet", required=True)
@@ -824,7 +841,8 @@ def ref_build_parser():
     dia.add_argument("--complex", required=True)
     dia.set_defaults(handler=cli._cmd_hirsch_diameter)
 
-    morse = groups.add_parser("morse").add_subparsers(dest="command")
+    morse = groups.add_parser("morse").add_subparsers(
+        dest="command", metavar="{collapse,validate}")
     col = morse.add_parser("collapse", parents=[common])
     col.add_argument("--complex", required=True)
     col.add_argument("--target")
@@ -838,13 +856,15 @@ def ref_build_parser():
     val.add_argument("--matching", required=True)
     val.set_defaults(handler=cli._cmd_morse_validate)
 
-    arr = groups.add_parser("arr").add_subparsers(dest="command")
+    arr = groups.add_parser("arr").add_subparsers(
+        dest="command", metavar="{betti}")
     betti = arr.add_parser("betti", parents=[common])
     betti.add_argument("--file", required=True)
     betti.add_argument("--i", type=cli._int_at_least(0), required=True)
     betti.set_defaults(handler=cli._cmd_arr_betti)
 
-    cct = groups.add_parser("cct").add_subparsers(dest="command")
+    cct = groups.add_parser("cct").add_subparsers(
+        dest="command", metavar="{generate,verify,kappa}")
     gen = cct.add_parser("generate", parents=[common])
     gen.add_argument("--n", type=cli._int_at_least(1), required=True)
     gen.set_defaults(handler=cli._cmd_cct_generate)
@@ -855,7 +875,8 @@ def ref_build_parser():
     kap.add_argument("--upto", type=cli._int_at_least(0), required=True)
     kap.set_defaults(handler=cli._cmd_cct_kappa)
 
-    proj = groups.add_parser("proj").add_subparsers(dest="command")
+    proj = groups.add_parser("proj").add_subparsers(
+        dest="command", metavar="{staudt,lawrence,k-config,pcctp}")
     sta = proj.add_parser("staudt")
     sta.add_argument("--poly", required=True)
     sta.add_argument("--at")

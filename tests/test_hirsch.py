@@ -561,8 +561,9 @@ class TestRecursionOracle:
 
 
 # ---------------------------------------------------------------------------
-# the link views against their definitions: each view's 1-skeleton, the
-# BFS run on it, and segments whose views are shared between calls
+# the link skeletons against their definitions: each link's 1-skeleton in
+# the vertex index, the BFS run on it, and segments whose index is shared
+# between calls
 
 
 def _skeleton(faces) -> dict:
@@ -591,13 +592,11 @@ def _neighbour_sets(g) -> dict:
     return {v: set(_bits(n)) for v, n in g.items()}
 
 
-def _view_distances(views, sigma, sources, rng) -> dict:
-    """The views' search from a vertex set, asked for the depth of every
-    vertex of the link in a shuffled order, as vertex -> hops, with None
-    for the vertices it cannot reach."""
-    g = views.skeleton(sigma)
-    search = views.search(sigma, g, _mask(sources))
-    order = sorted(g)
+def _search_distances(search, rng) -> dict:
+    """A search asked for the depth of every vertex of its graph in a
+    shuffled order, as vertex -> hops, with None for the vertices it
+    cannot reach."""
+    order = sorted(search.g)
     rng.shuffle(order)
     return {v: search.depth(1 << v) for v in order}
 
@@ -615,29 +614,29 @@ class TestLinkViewOracle:
     @given(link_complexes, st.data())
     def test_view_skeleton_is_skeleton_of_residues(self, c, data):
         rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
-        views = hirschpath._Views(c)
+        skeleton = c._link_index().skeleton
         for sigma in [()] + [_random_face(c, rng) for _ in range(6)]:
             want = _skeleton([v for v in f if v not in sigma]
                              for f in c.facets if set(sigma) <= set(f))
-            assert _neighbour_sets(views.skeleton(sigma)) == want
+            assert _neighbour_sets(skeleton(sigma)) == want
 
     @settings(max_examples=60, deadline=None)
     @given(link_complexes, st.data())
     def test_view_bfs_matches_bfs(self, c, data):
         rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
-        views = hirschpath._Views(c)
+        skeleton = c._link_index().skeleton
         for _ in range(6):
             sigma = _random_face(c, rng)
-            g = _neighbour_sets(views.skeleton(sigma))
+            g = _neighbour_sets(skeleton(sigma))
             if not g:
                 continue
             sources = rng.sample(sorted(g), rng.randrange(1, min(4, len(g)) + 1))
             hops = bfs(g, sources)
-            assert (_view_distances(views, sigma, sources, rng)
+            search = hirschpath._Search(skeleton(sigma), _mask(sources))
+            assert (_search_distances(search, rng)
                     == {v: hops.get(v) for v in g})
             # a vertex set's depth is its nearest vertex's, also once the
             # search has grown past it
-            search = views.search(sigma, views.skeleton(sigma), _mask(sources))
             for _ in range(4):
                 vs = rng.sample(sorted(g), rng.randrange(1, len(g) + 1))
                 near = [hops[v] for v in vs if v in hops]
@@ -662,3 +661,36 @@ class TestLinkViewOracle:
             targets = {rng.randrange(c.num_vertices) for _ in range(3)}
             assert (outcome(lambda: segment_to_vertex_set(c, X, targets))
                     == outcome(lambda: ref_segment_to_vertex_set(c, X, targets)))
+
+
+class TestOneSearchPerLinkCall:
+    def test_every_link_call_builds_at_most_one_search(self, monkeypatch):
+        # every pearl of a link call reads its descent set off the one
+        # search from the call's targets; frames[-1] counts the searches
+        # built by the innermost call in progress
+        frames, per_call = [], []
+        search, part1 = hirschpath._Search, hirschpath._part1
+
+        def counted_search(g, sources):
+            frames[-1] += 1
+            return search(g, sources)
+
+        def counted_part1(*args):
+            frames.append(0)
+            try:
+                return part1(*args)
+            finally:
+                per_call.append(frames.pop())
+
+        monkeypatch.setattr(hirschpath, "_Search", counted_search)
+        monkeypatch.setattr(hirschpath, "_part1", counted_part1)
+        pearls = []
+        for k, c in enumerate(criterion_6_complexes()[:12]):
+            rng = random.Random(f"one search per link call {k}")
+            for _ in range(10):
+                X, Y = rng.choice(c.facets), rng.choice(c.facets)
+                targets = {rng.randrange(c.num_vertices) for _ in range(3)}
+                pearls.append(len(combinatorial_segment(c, X, Y).pearls))
+                pearls.append(len(segment_to_vertex_set(c, X, targets).pearls))
+        assert max(pearls) > 2  # paths that walk several pearls
+        assert per_call and max(per_call) == 1

@@ -259,11 +259,33 @@ class TestSearchExhausted:
             "no collapse found within budget after 137 nodes")
 
     def test_out_j_reports_nodes(self):
+        # a circle onto itself needs one crossing through an edge, but no
+        # face of a circle is free
         with pytest.raises(SearchExhausted) as info:
-            out_j_collapse(simplex_complex(2), boundary_sphere(2), 2, budget=5000)
+            out_j_collapse(boundary_sphere(2), boundary_sphere(2), 1, budget=5000)
         assert info.value.nodes == 1
         assert str(info.value) == (
             "no constrained collapse found within budget after 1 node")
+
+    def test_infeasible_crossing_count_visits_no_node(self):
+        # the golden ball onto the circle of its triangle (0, 4, 10) with
+        # j = 0 needs (-1)^0 (chi - 1) = -1 crossings
+        ball = SimplicialComplex.from_json(BALL)
+        circle = SimplicialComplex(ball.num_vertices, [(0, 4), (0, 10), (4, 10)])
+        with pytest.raises(SearchExhausted) as info:
+            out_j_collapse(ball, circle, 0, budget=1000)
+        assert info.value.nodes == 0
+        assert str(info.value) == (
+            "a constrained collapse needs -1 crossings of 0-faces and the "
+            "subcomplex has 3; none found after 0 nodes")
+        # more crossings than faces: two points need one crossing of a
+        # triangle, and the empty subcomplex one of an edge
+        for d, j in (([(0,), (1,)], 2), ([], 1)):
+            with pytest.raises(SearchExhausted) as info:
+                out_j_collapse(simplex_complex(2), d, j, budget=1000)
+            assert info.value.nodes == 0
+            assert str(info.value).startswith(
+                f"a constrained collapse needs 1 crossings of {j}-faces")
 
 
 class TestOutJ:
@@ -571,6 +593,15 @@ def ref_deformation_trace(c, d, m):
     return events
 
 
+def ref_crossings_needed(d, j):
+    """(-1)^j (chi(d) - 1), the crossings every out-j collapse onto a
+    point of the simplicial subcomplex d makes, and d's count of
+    j-faces; a count outside [0, faces] admits no collapse."""
+    keys = ref_keys(d)
+    chi = sum((-1) ** (len(f) - 1) for f in keys)
+    return (-1) ** j * (chi - 1), sum(len(f) - 1 == j for f in keys)
+
+
 def outcome(call):
     """("found", value) or ("exhausted", nodes) for a library search."""
     try:
@@ -696,7 +727,13 @@ class TestSearchOracle:
             budget = min(budget, 5000)  # the wrong dimension may never finish
         got = outcome(lambda: out_j_collapse(c, d, j, budget=budget))
         want = ref_out_j_collapse(c, d, j, budget=budget)
-        assert got == want
+        need, faces = ref_crossings_needed(d, j)
+        if 0 <= need <= faces:
+            assert got == want
+        else:
+            # the reference searches and finds nothing; the library
+            # fails before its first node
+            assert want[0] == "exhausted" and got == ("exhausted", 0)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 3),
@@ -728,13 +765,24 @@ class TestSearchOracle:
         assert got[0] == "found"
 
     def test_out_j_exhaustion_matches_reference(self):
-        c = simplex_complex(2)
-        d = boundary_sphere(2)
-        for budget in (0, 1, 7, 5000):
-            got = outcome(lambda: out_j_collapse(c, d, 2, budget=budget))
-            want = ref_out_j_collapse(c, d, 2, budget=budget)
-            assert got[0] == "exhausted"
+        # a ball onto the boundary of a facet through a vertex: one
+        # crossing is needed, and the search proves in 137 nodes that
+        # none works
+        c, d = out_j_case(1, "boundary")
+        for budget in (0, 1, 7, 136, 137, 5000):
+            got = outcome(lambda: out_j_collapse(c, d, 0, budget=budget))
+            want = ref_out_j_collapse(c, d, 0, budget=budget)
+            assert got == ("exhausted", min(budget, 137))
             assert got == want
+        # a triangle onto its circle through a triangle needs -1
+        # crossings: the reference exhausts every budget, the library
+        # visits no node
+        c, d = simplex_complex(2), boundary_sphere(2)
+        for budget in (0, 1, 7, 5000):
+            want = ref_out_j_collapse(c, d, 2, budget=budget)
+            assert want[0] == "exhausted"
+            assert outcome(lambda: out_j_collapse(c, d, 2, budget=budget)) == (
+                "exhausted", 0)
 
     @settings(max_examples=40, deadline=None)
     @given(collapse_cases())
