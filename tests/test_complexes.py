@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyforge.cct import AbstractCCT
 from polyforge.complexcore import (
     CubicalComplex,
     FacePoset,
@@ -27,6 +28,7 @@ from polyforge.complexcore import (
     simplex_complex,
     solid_cube,
 )
+from polyforge.morse import MorseMatching, critical_faces
 
 
 def octahedron():
@@ -524,7 +526,6 @@ class TestSubdivisionOracle:
         same_complex(q.derived_subdivision(), ref_cubical_subdivision(q))
 
     def test_tube_cells(self):
-        from polyforge.cct import AbstractCCT
         q = AbstractCCT(4).cubes
         same_complex(q.derived_subdivision(), ref_cubical_subdivision(q))
 
@@ -533,4 +534,81 @@ class TestSubdivisionOracle:
         # again as generating cubes, a pendant edge and an isolated vertex
         q = CubicalComplex(7, [(2, (0, 1, 2, 3)), (1, (0, 1)), (0, (3,)),
                                (1, (3, 4)), (0, (6,))])
+        same_complex(q.derived_subdivision(), ref_cubical_subdivision(q))
+
+
+# ---------------------------------------------------------------------------
+# the face table against test-local enumerations: faces, f-vectors, the
+# face poset, derived subdivisions and the critical faces of the empty
+# matching all come from one table, and each must match a brute-force
+# count made here from the facets or cubes alone
+
+
+def ref_face_table(faces: dict) -> tuple:
+    """(elements, dims) of a face table given as key -> dimension, in
+    (dimension, key) order."""
+    elements = sorted(faces, key=lambda k: (faces[k], k))
+    return elements, [faces[k] for k in elements]
+
+
+def ref_cube_faces(cubes) -> dict:
+    """Sorted corner tuple -> dimension for every face of every cube: a
+    face fixes some axes to 0 or 1 and keeps the corners whose bit
+    positions agree with them."""
+    out = {}
+    for dim, corners in cubes:
+        for fixed in itertools.product((0, 1, None), repeat=dim):
+            sub = tuple(sorted(
+                corners[pos] for pos in range(1 << dim)
+                if all(b is None or (pos >> a) & 1 == b
+                       for a, b in enumerate(fixed))))
+            out[sub] = fixed.count(None)
+    return out
+
+
+def check_face_table(c, faces: dict, down: list):
+    """Compare every reader of c's face table with the reference faces
+    (key -> dimension) and cover lists (aligned with the reference
+    elements)."""
+    elements, dims = ref_face_table(faces)
+    top = max(dims, default=-1)
+    assert c.f_vector() == tuple(dims.count(d) for d in range(top + 1))
+    p = (FacePoset.from_simplicial(c) if isinstance(c, SimplicialComplex)
+         else FacePoset.from_cubical(c))
+    assert (p.elements, p.dims, p.down) == (elements, dims, down)
+    want = {}
+    for key, d in zip(elements, dims):
+        want.setdefault(d, []).append(key)
+    assert critical_faces(c, MorseMatching(())) == want
+
+
+class TestFaceTableOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(any_complex)
+    def test_simplicial_complexes(self, c):
+        faces = {f: len(f) - 1 for f in all_faces(c.facets)}
+        elements, _ = ref_face_table(faces)
+        index = {f: i for i, f in enumerate(elements)}
+        # entry m of a simplex's cover list drops vertex len(f) - 1 - m
+        down = [[index[f[:k] + f[k + 1:]] for k in reversed(range(len(f)))]
+                if len(f) > 1 else [] for f in elements]
+        check_face_table(c, faces, down)
+        layers = {}
+        for f, d in faces.items():
+            layers.setdefault(d, set()).add(f)
+        assert c.faces() == layers
+        same_complex(c.derived_subdivision(), ref_simplicial_subdivision(c))
+
+    @pytest.mark.parametrize("kind, k", [("cube", 2), ("cube", 3), ("cube", 4),
+                                         ("tube", 0), ("tube", 1), ("tube", 2),
+                                         ("tube", 3)])
+    def test_cubical_complexes(self, kind, k):
+        q = solid_cube(k) if kind == "cube" else AbstractCCT(k).cubes
+        faces = ref_cube_faces(q.cubes)
+        elements, dims = ref_face_table(faces)
+        down = [[i for i, g in enumerate(elements)
+                 if dims[i] == d - 1 and set(g) <= set(f)]
+                for f, d in zip(elements, dims)]
+        check_face_table(q, faces, down)
+        assert {tuple(sorted(k)): d for k, (d, _) in q.faces().items()} == faces
         same_complex(q.derived_subdivision(), ref_cubical_subdivision(q))
