@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .complexcore import FacePoset, SimplicialComplex, order_complex
+from .complexcore import SimplicialComplex, order_complex
 from .exactfield import (
     ONE,
     ZERO,
@@ -267,7 +267,7 @@ def _reduced_betti_numbers(c: SimplicialComplex) -> list:
     of ``c``, one contiguous range.  Row j of the boundary out of degree
     k is read off down[j]: its entry m is the face with vertex k − m
     dropped, with sign (−1)^(k − m).  A vertex bounds the empty face."""
-    p = FacePoset.from_simplicial(c)
+    p = c.face_poset()
     # the ids of dimension k run from start[k] up to start[k + 1]
     start = [bisect_left(p.dims, k) for k in range(c.dim + 2)]
     # ranks[k + 1] is the rank of the boundary out of degree k

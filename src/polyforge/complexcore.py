@@ -126,6 +126,8 @@ class SimplicialComplex:
 
     def __init__(self, num_vertices: int, facets):
         self.num_vertices = int(num_vertices)
+        if self.num_vertices < 0:
+            raise ValueError(f"negative vertex count {self.num_vertices}")
         canon = []
         for f in facets:
             t = _canon_face(f)
@@ -145,27 +147,29 @@ class SimplicialComplex:
         sizes = {len(f) for f in self.facets}
         self.dim = max(sizes, default=0) - 1
         self._pure = len(sizes) <= 1
-        self._faces = None
+        self._poset = None
         self._links = None
 
     def is_pure(self) -> bool:
         return self._pure
 
+    def face_poset(self) -> "FacePoset":
+        """The face poset of the complex, built on first use and kept."""
+        if self._poset is None:
+            self._poset = FacePoset.from_simplicial(self)
+        return self._poset
+
     def faces(self) -> dict:
-        """All nonempty faces, keyed by dimension."""
-        if self._faces is None:
-            out: dict[int, set] = {}
-            for f in self.facets:
-                for k in range(1, len(f) + 1):
-                    out.setdefault(k - 1, set()).update(
-                        itertools.combinations(f, k)
-                    )
-            self._faces = out
-        return self._faces
+        """All nonempty faces, keyed by dimension: a fresh view of the
+        face poset on each call."""
+        out: dict[int, set] = {}
+        p = self.face_poset()
+        for f, d in zip(p.elements, p.dims):
+            out.setdefault(d, set()).add(f)
+        return out
 
     def f_vector(self) -> tuple:
-        fv = self.faces()
-        return tuple(len(fv[d]) for d in range(self.dim + 1))
+        return tuple(map(self.face_poset().dims.count, range(self.dim + 1)))
 
     def _link_index(self) -> _LinkIndex:
         """The vertex index of the complex, built on first use and kept."""
@@ -249,13 +253,11 @@ class SimplicialComplex:
         when for every face and every vertex adjacent to all of it, the
         two together span a face."""
         g = self.one_skeleton()
-        faces = self.faces()
-        for k, layer in faces.items():
-            above = faces.get(k + 1, ())
-            for face in layer:
-                for v in set.intersection(*(g[u] for u in face)):
-                    if tuple(sorted(face + (v,))) not in above:
-                        return False
+        index = self.face_poset().index
+        for face in index:
+            for v in set.intersection(*(g[u] for u in face)):
+                if tuple(sorted(face + (v,))) not in index:
+                    return False
         return True
 
     def is_normal(self) -> bool:
@@ -266,9 +268,8 @@ class SimplicialComplex:
         if not self.facets:
             return True
         adj = self.dual_graph()
-        faces = self.faces()
         # the empty face's star is the whole complex
-        for face in itertools.chain([()], *(faces[k] for k in range(self.dim))):
+        for face in itertools.chain([()], self.face_poset().elements):
             members = self._facets_containing(face)
             star = {i: adj[i] & members for i in members}
             if len(bfs(star, [min(members)])) != len(members):
@@ -278,7 +279,7 @@ class SimplicialComplex:
     def derived_subdivision(self) -> "SimplicialComplex":
         """Order complex of the face poset (barycentric subdivision): new
         vertex i is the i-th face in (dimension, lex) order."""
-        p = FacePoset.from_simplicial(self)
+        p = self.face_poset()
         return order_complex(range(p.size()), p.down)
 
     def stellar_subdivision(self, face) -> "SimplicialComplex":
@@ -358,6 +359,8 @@ class CubicalComplex:
 
     def __init__(self, num_vertices: int, cubes):
         self.num_vertices = int(num_vertices)
+        if self.num_vertices < 0:
+            raise ValueError(f"negative vertex count {self.num_vertices}")
         table = {}
         order = []
         for dim, corners in cubes:
@@ -378,33 +381,34 @@ class CubicalComplex:
             order.append(key)
         self.cubes = tuple(table[k] for k in sorted(
             order, key=lambda k: (len(k), tuple(sorted(k)))))
-        self._faces = None
+        self._poset = None
+
+    def face_poset(self) -> "FacePoset":
+        """The face poset of the complex, built on first use and kept."""
+        if self._poset is None:
+            self._poset = FacePoset.from_cubical(self)
+        return self._poset
 
     def faces(self) -> dict:
         """Every face of every cube, deduplicated by corner set; maps
         frozenset(corners) -> (dim, corner tuple)."""
-        if self._faces is None:
-            out = {}
-            for dim, corners in self.cubes:
-                for fdim, sub in _cube_faces(dim, corners):
-                    key = frozenset(sub)
-                    prev = out.get(key)
-                    if prev is None:
-                        out[key] = (fdim, sub)
-                    elif prev[0] != fdim:
-                        raise ValueError("inconsistent face identification")
-            self._faces = out
-        return self._faces
+        out = {}
+        for dim, corners in self.cubes:
+            for fdim, sub in _cube_faces(dim, corners):
+                key = frozenset(sub)
+                prev = out.get(key)
+                if prev is None:
+                    out[key] = (fdim, sub)
+                elif prev[0] != fdim:
+                    raise ValueError("inconsistent face identification")
+        return out
 
     @property
     def dim(self) -> int:
         return max((d for d, _ in self.cubes), default=-1)
 
     def f_vector(self) -> tuple:
-        counts = {}
-        for fdim, _ in self.faces().values():
-            counts[fdim] = counts.get(fdim, 0) + 1
-        return tuple(counts.get(d, 0) for d in range(self.dim + 1))
+        return tuple(map(self.face_poset().dims.count, range(self.dim + 1)))
 
     def vertices(self) -> list:
         seen = set()
@@ -416,7 +420,7 @@ class CubicalComplex:
         """Faces of the closed star that are disjoint from the face,
         re-indexed to 0..m-1.  Returns (CubicalComplex, old_ids)."""
         key = frozenset(face_corners)
-        if key not in self.faces():
+        if tuple(sorted(key)) not in self.face_poset().index:
             raise ValueError(f"{face_corners} is not a face")
         star_cubes = [c for c in self.cubes
                       if key <= frozenset(c[1])]
@@ -433,7 +437,7 @@ class CubicalComplex:
     def derived_subdivision(self) -> SimplicialComplex:
         """Order complex of the face poset: new vertex i is the i-th face
         in (dimension, sorted corners) order."""
-        p = FacePoset.from_cubical(self)
+        p = self.face_poset()
         return order_complex(range(p.size()), p.down)
 
     def to_json(self) -> dict:
@@ -508,13 +512,16 @@ class FacePoset:
 
     @classmethod
     def from_simplicial(cls, c: SimplicialComplex) -> "FacePoset":
-        layers = c.faces()
+        layers = [set() for _ in range(c.dim + 1)]
+        for f in c.facets:
+            for k in range(len(f)):
+                layers[k].update(itertools.combinations(f, k + 1))
         faces, dims = [], []
-        for d in sorted(layers):
-            faces += sorted(layers[d])
-            dims += [d] * len(layers[d])
+        for d, layer in enumerate(layers):
+            faces += sorted(layer)
+            dims += [d] * len(layer)
         position = {f: i for i, f in enumerate(faces)}.__getitem__
-        vertices = len(layers.get(0, ()))
+        vertices = len(layers[0]) if layers else 0
         # combinations lists the facets of a sorted face in ascending order
         down = [[]] * vertices + [
             list(map(position, itertools.combinations(f, len(f) - 1)))

@@ -51,27 +51,17 @@ class MorseMatching:
 
 
 def _poset_of(c) -> FacePoset:
-    if isinstance(c, SimplicialComplex):
-        return FacePoset.from_simplicial(c)
-    if isinstance(c, CubicalComplex):
-        return FacePoset.from_cubical(c)
-    raise TypeError(f"unsupported complex type {type(c)!r}")
-
-
-def _face_dims(c) -> dict:
-    """Face key -> dimension, with the keys of `_poset_of(c)`."""
-    if isinstance(c, SimplicialComplex):
-        return {f: d for d, fs in c.faces().items() for f in fs}
-    if isinstance(c, CubicalComplex):
-        return {tuple(sorted(corners)): d for d, corners in c.faces().values()}
-    raise TypeError(f"unsupported complex type {type(c)!r}")
+    """The face poset the complex keeps."""
+    if not isinstance(c, (SimplicialComplex, CubicalComplex)):
+        raise TypeError(f"unsupported complex type {type(c)!r}")
+    return c.face_poset()
 
 
 def _ids_in(poset: FacePoset, d, what: str) -> set:
     """The ids in poset of the faces of d, a complex or a list of face
     keys; faces missing from poset are a ValueError."""
     if isinstance(d, (SimplicialComplex, CubicalComplex)):
-        keys = _face_dims(d).keys()
+        keys = d.face_poset().index.keys()
     else:
         keys = {tuple(f) for f in d}
     missing = keys - poset.index.keys()
@@ -146,13 +136,15 @@ def validate_matching(c, m: MorseMatching) -> bool:
 
 
 def critical_faces(c, m: MorseMatching) -> dict:
-    """Unmatched faces keyed by dimension, each list sorted."""
+    """Unmatched faces keyed by dimension, each list sorted: the poset's
+    elements are already in (dimension, key) order."""
+    poset = _poset_of(c)
     matched = {k for pair in m.pairs for k in pair}
     out: dict[int, list] = {}
-    for key, dim in _face_dims(c).items():
+    for key, dim in zip(poset.elements, poset.dims):
         if key not in matched:
             out.setdefault(dim, []).append(key)
-    return {d: sorted(v) for d, v in sorted(out.items())}
+    return out
 
 
 def _collapse_backtrack(poset, keep, inner, j, limit, budget, what):
@@ -444,33 +436,29 @@ def _canonical_key(c: SimplicialComplex):
                         for f in c.facets))
 
 
-def is_nonevasive(c: SimplicialComplex, _memo=None) -> bool:
+def is_nonevasive(c: SimplicialComplex) -> bool:
     """Recursive zero-argument evasiveness test.
 
     A complex is non-evasive when it is a point, or some vertex has both
-    a non-evasive link and a non-evasive deletion.
+    a non-evasive link and a non-evasive deletion.  Answers are memoized
+    by canonical key for the one call; a link or a deletion has fewer
+    vertices than its complex, so no key recurs on the stack.
     """
     if not isinstance(c, SimplicialComplex):
         raise TypeError("non-evasiveness is defined here for simplicial complexes")
-    if _memo is None:
-        _memo = {}
-    verts = c.vertices()
-    if not verts:
-        return False
-    if len(verts) == 1:
-        return True
-    key = _canonical_key(c)
-    hit = _memo.get(key)
-    if hit is not None:
-        return hit
-    _memo[key] = False  # guard against hypothetical re-entry
-    answer = False
-    for v in verts:
-        lk, _ = c.link((v,))
-        if not lk.vertices():
-            continue
-        if is_nonevasive(lk, _memo) and is_nonevasive(c.delete_vertex(v), _memo):
-            answer = True
-            break
-    _memo[key] = answer
-    return answer
+    memo = {}
+
+    def nonevasive(c):
+        verts = c.vertices()
+        if not verts:
+            return False
+        if len(verts) == 1:
+            return True
+        key = _canonical_key(c)
+        if key not in memo:
+            # the link of an isolated vertex is empty, so evasive
+            memo[key] = any(nonevasive(c.link((v,))[0])
+                            and nonevasive(c.delete_vertex(v)) for v in verts)
+        return memo[key]
+
+    return nonevasive(c)

@@ -162,6 +162,19 @@ class TestExitDiscipline:
         assert "must be integers" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["hirsch", "segment", "--from", "0,1", "--to", "1,2", "--complex"],
+        ["hirsch", "diameter", "--complex"],
+        ["morse", "collapse", "--complex"],
+    ])
+    def test_negative_vertex_count_is_usage_error(self, tmp_path, capsys, argv):
+        c_file = write_json(tmp_path / "neg.json", {"vertices": -3, "facets": []})
+        assert main(argv + [c_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"{c_file} is not a complex document: negative vertex count -3"]
+        assert captured.out == ""
+
     def test_cli_import_leaves_networkx_unloaded(self):
         src = str(Path(polyforge.__file__).parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -56,6 +56,13 @@ class TestSimplicialBasics:
         with pytest.raises(ValueError):
             SimplicialComplex(3, [(0, 0, 1)])
 
+    @pytest.mark.parametrize("cls", [SimplicialComplex, CubicalComplex])
+    def test_negative_vertex_count_raises(self, cls):
+        with pytest.raises(ValueError, match="negative vertex count -3"):
+            cls(-3, [])
+        with pytest.raises(ValueError, match="negative vertex count -3"):
+            cls.from_json({"vertices": -3, "facets": [], "cubes": []})
+
     def test_f_vector_boundary_of_4_simplex(self):
         c = boundary_sphere(4)
         assert c.f_vector() == (5, 10, 10, 5)

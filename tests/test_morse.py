@@ -808,34 +808,56 @@ class TestSearchOracle:
 
 
 # ---------------------------------------------------------------------------
-# One face poset per call: every Morse entry point builds the face poset of
-# its complex at most once and keeps nothing on the complex.
+# One face poset per complex: a complex builds its face poset on first use
+# and keeps it, and every Morse entry point reads that one.
 
 
-class TestOnePosetPerCall:
+class TestOnePosetPerComplex:
     @pytest.fixture
     def poset_calls(self, monkeypatch):
         calls = []
-        build = FacePoset.from_simplicial.__func__
+        for name in ("from_simplicial", "from_cubical"):
+            build = getattr(FacePoset, name).__func__
 
-        def counted(cls, c):
-            calls.append(c)
-            return build(cls, c)
+            def counted(cls, c, build=build):
+                calls.append(c)
+                return build(cls, c)
 
-        monkeypatch.setattr(FacePoset, "from_simplicial", classmethod(counted))
+            monkeypatch.setattr(FacePoset, name, classmethod(counted))
         return calls
 
-    def entry_points(self):
-        rng = random.Random("one-poset")
-        c = random_subdivided_ball(rng, rounds=1)
+    def ball(self):
+        c = random_subdivided_ball(random.Random("one-poset"), rounds=1)
         facet = c.facets[0]
         sphere = SimplicialComplex(c.num_vertices,
                                    [facet[:i] + facet[i + 1:] for i in range(4)])
+        return c, facet, sphere
+
+    @pytest.mark.parametrize("kind", ["simplicial", "cubical"])
+    def test_collapse_validate_and_critical_faces_build_one(self, poset_calls,
+                                                           kind):
+        c = self.ball()[0] if kind == "simplicial" else solid_cube(3)
+        m = collapse_search(c)
+        assert validate_matching(c, m)
+        assert sum(len(v) for v in critical_faces(c, m).values()) == 1
+        assert poset_calls == [c]
+        assert c.face_poset() is vars(c)["_poset"]
+        assert poset_calls == [c]
+
+    def test_out_j_then_validate_build_one_per_complex(self, poset_calls):
+        c, _, sphere = self.ball()
+        m, _ = out_j_collapse(c, sphere, 2)
+        assert validate_matching(c, m)
+        assert poset_calls == [c, sphere]
+
+    def test_entry_points_read_the_kept_poset(self, poset_calls):
+        c, facet, sphere = self.ball()
+        target = SimplicialComplex(c.num_vertices, [facet])
         m = collapse_search(c)
         onto, _ = out_j_collapse(c, sphere, 2)
-        target = SimplicialComplex(c.num_vertices, [facet])
         m_target = collapse_search(c, target=target)
-        return c, [
+        assert poset_calls == [c, sphere, target]
+        for name, call in [
             ("collapse_search", lambda: collapse_search(c)),
             ("collapse_search target", lambda: collapse_search(c, target=target)),
             ("out_j_collapse", lambda: out_j_collapse(c, sphere, 2)),
@@ -843,15 +865,11 @@ class TestOnePosetPerCall:
             ("validate_matching out_j", lambda: validate_matching(c, onto)),
             ("critical_faces", lambda: critical_faces(c, m)),
             ("deformation_trace", lambda: deformation_trace(c, target, m_target)),
-        ]
-
-    def test_at_most_one_poset_and_no_state_kept(self, poset_calls):
-        c, calls = self.entry_points()
-        for name, call in calls:
+        ]:
             before = dict(vars(c))
             poset_calls.clear()
             call()
-            assert [x is c for x in poset_calls] in ([], [True]), name
+            assert poset_calls == [], name
             after = vars(c)
             assert after.keys() == before.keys(), name
             assert all(after[k] is before[k] for k in before), name
