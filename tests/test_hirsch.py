@@ -559,6 +559,18 @@ class TestRecursionOracle:
         want = outcome(lambda: ref_combinatorial_segment(c, X, Y))
         assert got[:2] == want[:2]
 
+    @settings(max_examples=60, deadline=None)
+    @given(random_pure(), st.data())
+    def test_pure_complexes_vertex_set_raise_like_reference(self, c, data):
+        # the vertex-set entry point on the same complexes, with targets
+        # that may miss the complex or a component of it
+        X = c.facets[data.draw(st.integers(0, len(c.facets) - 1))]
+        targets = data.draw(st.sets(st.integers(0, c.num_vertices + 2),
+                                    max_size=4))
+        got = outcome(lambda: segment_to_vertex_set(c, X, targets))
+        want = outcome(lambda: ref_segment_to_vertex_set(c, X, targets))
+        assert got[:2] == want[:2]
+
 
 # ---------------------------------------------------------------------------
 # the link skeletons against their definitions: each link's 1-skeleton in
