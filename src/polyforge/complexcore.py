@@ -47,14 +47,12 @@ def _incidence(faces) -> dict:
     return out
 
 
-def _vertex_set(mask: int) -> set:
-    """The vertices whose bits are set in `mask`."""
-    out = set()
+def _bits(mask: int):
+    """The vertices whose bits are set in `mask`, in ascending order."""
     while mask:
         low = mask & -mask
-        out.add(low.bit_length() - 1)
+        yield low.bit_length() - 1
         mask ^= low
-    return out
 
 
 class _LinkIndex:
@@ -64,10 +62,10 @@ class _LinkIndex:
     incidence maps each vertex to the positions of the facets containing
     it; masks[i] has bit v set for each vertex v of facets[i]; facet_set
     answers facet membership with one hash lookup.  skeletons maps a face
-    σ (a sorted tuple) to the 1-skeleton of lk(σ) as vertex -> bitmask of
-    its neighbours, one key per vertex of the link, built on first
-    request and kept for the life of the complex; skeleton(()) is the
-    1-skeleton of the complex.  Vertex ids are those of the complex, so
+    σ, as the bitmask of its vertices, to the 1-skeleton of lk(σ) as
+    vertex -> bitmask of its neighbours, one key per vertex of the link,
+    built on first request and kept for the life of the complex;
+    skeleton(0) is the 1-skeleton of the complex.  Vertex ids are those of the complex, so
     ascending bit order is ascending vertex order.
     """
 
@@ -78,7 +76,7 @@ class _LinkIndex:
         self.incidence = _incidence(facets)
         self.masks = [sum(1 << v for v in f) for f in facets]
         self.facet_set = frozenset(facets)
-        self.skeletons: dict[tuple, dict] = {}
+        self.skeletons: dict[int, dict] = {}
 
     def containing(self, sigma: tuple) -> set:
         """Positions in facets of the facets containing the face σ, a
@@ -88,13 +86,13 @@ class _LinkIndex:
         incidence = self.incidence
         return set.intersection(*(incidence.get(v, set()) for v in sigma))
 
-    def skeleton(self, sigma: tuple) -> dict:
+    def skeleton(self, sigma: int) -> dict:
         g = self.skeletons.get(sigma)
         if g is None:
-            keep = ~sum(1 << v for v in sigma)
+            keep = ~sigma
             facets, masks = self.facets, self.masks
             g = {}
-            for i in self.containing(sigma):
+            for i in self.containing(tuple(_bits(sigma))):
                 r = masks[i] & keep
                 for v in facets[i]:
                     if r >> v & 1:
@@ -244,9 +242,9 @@ class SimplicialComplex:
 
     def one_skeleton(self) -> dict:
         """Vertex -> set of neighbours, one key per vertex: the vertex
-        index's skeleton(()), as a fresh map on each call."""
-        return {v: _vertex_set(m)
-                for v, m in self._link_index().skeleton(()).items()}
+        index's skeleton(0), as a fresh map on each call."""
+        return {v: set(_bits(m))
+                for v, m in self._link_index().skeleton(0).items()}
 
     def is_flag(self) -> bool:
         """True when every clique of the 1-skeleton spans a face, that is,

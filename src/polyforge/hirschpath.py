@@ -13,7 +13,8 @@ face σ and reads the link off the top complex K; path facets are facets
 of K with its vertex ids throughout.  K keeps one vertex index: each
 link's 1-skeleton as vertex bitmasks, built on first use, so every path
 on K shares it.  Each link call runs one search, from its targets, on
-bitmask layers grown only as far as a query needs.
+bitmask layers grown only as far as a query needs.  σ and every facet
+are bitmasks too; only the entry points convert facets from and to tuples.
 
 All choices (start pearl, next pearl, base-case facet) break ties by
 smallest vertex id, so paths are deterministic.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexcore import SimplicialComplex, _vertex_set
+from .complexcore import SimplicialComplex, _bits
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ def vertex_distance(c: SimplicialComplex, x: int, targets):
     targets = set(targets)
     if not targets:
         raise ValueError("empty target set")
-    g = c._link_index().skeleton(())
+    g = c._link_index().skeleton(0)
     if x not in g:
         raise ValueError(f"vertex {x} not in complex")
     live = _mask(g.keys() & targets)
@@ -103,11 +104,7 @@ def vertex_distance(c: SimplicialComplex, x: int, targets):
     d = search.depth(live)
     if d is None:
         raise ValueError(f"vertex {x} cannot reach the target set")
-    return d, _vertex_set(live & search.layers[d])
-
-
-def _with(sigma: tuple, x: int) -> tuple:
-    return tuple(sorted(sigma + (x,)))
+    return d, set(_bits(live & search.layers[d]))
 
 
 def _mask(vertices) -> int:
@@ -117,15 +114,16 @@ def _mask(vertices) -> int:
     return out
 
 
-def _part1(skeleton, sigma: tuple, X: tuple, targets: int):
+def _part1(skeleton, sigma: int, X: int, targets: int):
     """Facet path in the star of σ from facet X toward `targets`, a
     bitmask of vertices of lk(σ), whose 1-skeleton is skeleton(σ); the
-    target set is met only by the last facet.  Returns (facets, pearls,
-    chis) where chis[i] indexes the facet current when pearl i starts;
-    facets are facets of K and contain σ.  Below the top (σ nonempty)
-    every target is a neighbour of the pearl whose link is entered, or a
-    vertex of the facet Y of a segment; at the top, the callers drop the
-    targets that are not vertices of K.
+    target set is met only by the last facet.  σ, X and every facet are
+    vertex bitmasks.  Returns (facets, pearls, chis) where chis[i]
+    indexes the facet current when pearl i starts; facets are facets of
+    K and contain σ.  Below the top (σ nonempty) every target is a
+    neighbour of the pearl whose link is entered, or a vertex of the
+    facet Y of a segment; at the top, the callers drop the targets that
+    are not vertices of K.
 
     One search from the targets T serves every pearl.  Let x be a pearl
     at distance d >= 1 from T and N the targets at distance d from x; the
@@ -137,57 +135,56 @@ def _part1(skeleton, sigma: tuple, X: tuple, targets: int):
     pearl by pearl.  A pearl off T has a neighbour one step closer, so
     the descent set is never empty.
     """
-    residue = [v for v in X if v not in sigma]
-    if len(residue) == 1:
-        x = residue[0]
+    residue = X & ~sigma
+    if not residue & (residue - 1):  # one vertex left
+        x = residue.bit_length() - 1
         if targets >> x & 1:
             return [X], [x], [0]
         if not targets:
             raise ValueError("target set missing from complex")
-        y = (targets & -targets).bit_length() - 1  # the smallest target
-        return [X, _with(sigma, y)], [x, y], [0, 1]
+        y = targets & -targets  # the smallest target
+        return [X, sigma | y], [x, y.bit_length() - 1], [0, 1]
 
     g = skeleton(sigma)
     search = _Search(g, targets)
     # the residue is a face of lk(σ): all of it is reachable, or none
-    reached = _mask(residue)
-    d = search.depth(reached)
+    d = search.depth(residue)
     if d is None:
-        raise ValueError(f"vertices {residue} cannot reach the target set")
-    reached &= search.layers[d]
+        raise ValueError(
+            f"vertices {list(_bits(residue))} cannot reach the target set")
+    reached = residue & search.layers[d]
     x = (reached & -reached).bit_length() - 1
 
     facets, pearls, chis = [X], [x], [0]
-    mask = _mask(X)
-    while not targets & mask:
+    while not targets & facets[-1]:
         d -= 1
         tilde = g[x] & search.layers[d]
-        sub_facets, _, _ = _part1(skeleton, _with(sigma, x), facets[-1], tilde)
-        facets.extend(sub_facets[1:])
-        mask = _mask(facets[-1])
-        tilde &= mask
+        facets += _part1(skeleton, sigma | 1 << x, facets[-1], tilde)[0][1:]
+        tilde &= facets[-1]
         x = (tilde & -tilde).bit_length() - 1
         pearls.append(x)
         chis.append(len(facets) - 1)
     return facets, pearls, chis
 
 
-def _segment(skeleton, sigma: tuple, X: tuple, Y: tuple):
+def _segment(skeleton, sigma: int, X: int, Y: int):
     """Non-revisiting facet path in the star of σ from facet X to facet
-    Y, both containing σ, as (facets, pearls, chis) like _part1."""
-    if len(X) == len(sigma) + 1:
-        x, y = (v for f in (X, Y) for v in f if v not in sigma)
-        if X == Y:
-            return [X], [x], [0]
-        return [X, Y], [x, y], [0, 1]
-    facets, pearls, chis = _part1(
-        skeleton, sigma, X, _mask(v for v in Y if v not in sigma))
+    Y, bitmasks that both contain σ, as (facets, pearls, chis) like
+    _part1, which steps to Y itself when one vertex of X is off σ."""
+    facets, pearls, chis = _part1(skeleton, sigma, X, Y & ~sigma)
     xl = pearls[-1]
     last = facets[-1]
-    if xl not in last or xl not in Y:
+    if not (last & Y) >> xl & 1:
         raise RuntimeError("final pearl does not join the two facets")
-    facets += _segment(skeleton, _with(sigma, xl), last, Y)[0][1:]
+    if last != Y:
+        facets += _segment(skeleton, sigma | 1 << xl, last, Y)[0][1:]
     return facets, pearls, chis
+
+
+def _facet_path(facets: list, pearls: list, chis: list) -> FacetPath:
+    """The FacetPath of a (facets, pearls, chis) triple on facet masks."""
+    return FacetPath(tuple(tuple(_bits(f)) for f in facets), tuple(pearls),
+                     tuple(chis + [len(facets) - 1]))
 
 
 def _is_facet(c: SimplicialComplex, t) -> bool:
@@ -195,11 +192,11 @@ def _is_facet(c: SimplicialComplex, t) -> bool:
     return isinstance(t, tuple) and t in c._link_index().facet_set
 
 
-def _require_facet(c: SimplicialComplex, f) -> tuple:
+def _require_facet(c: SimplicialComplex, f) -> int:
     t = tuple(sorted(f))
     if not _is_facet(c, t):
         raise ValueError(f"{f} is not a facet of the complex")
-    return t
+    return _mask(t)
 
 
 def segment_to_vertex_set(c: SimplicialComplex, X, targets) -> FacetPath:
@@ -211,10 +208,8 @@ def segment_to_vertex_set(c: SimplicialComplex, X, targets) -> FacetPath:
     if not targets:
         raise ValueError("empty target set")
     skeleton = c._link_index().skeleton
-    live = _mask(skeleton(()).keys() & targets)
-    facets, pearls, chis = _part1(skeleton, (), X, live)
-    return FacetPath(tuple(facets), tuple(pearls),
-                     tuple(chis + [len(facets) - 1]))
+    live = _mask(skeleton(0).keys() & targets)
+    return _facet_path(*_part1(skeleton, 0, X, live))
 
 
 def combinatorial_segment(c: SimplicialComplex, X, Y) -> FacetPath:
@@ -223,9 +218,7 @@ def combinatorial_segment(c: SimplicialComplex, X, Y) -> FacetPath:
         raise ValueError("construction requires a pure complex")
     X = _require_facet(c, X)
     Y = _require_facet(c, Y)
-    facets, pearls, chis = _segment(c._link_index().skeleton, (), X, Y)
-    return FacetPath(tuple(facets), tuple(pearls),
-                     tuple(chis + [len(facets) - 1]))
+    return _facet_path(*_segment(c._link_index().skeleton, 0, X, Y))
 
 
 def validate_path(c: SimplicialComplex, path: FacetPath) -> None:

@@ -173,11 +173,18 @@ class TestSegment:
         assert set(vars(hirschpath)) == module_before
         # the paths replace no attribute of the complex: the only state
         # they leave is the skeleton memo of its vertex index, which is
-        # keyed by faces of the complex and dies with it
+        # keyed by face bitmasks of the complex and dies with it
         assert set(vars(c)) == set(before)
         assert all(v is before[k] for k, v in vars(c).items())
         assert len(c._links.skeletons) > memo
-        assert all(c.contains_face(sigma) for sigma in c._links.skeletons)
+        # each key is the bitmask of a face σ, and its skeleton that of lk(σ)
+        for sigma, g in c._links.skeletons.items():
+            assert type(sigma) is int and sigma >= 0
+            face = _bits(sigma)
+            assert c.contains_face(face)
+            assert _neighbour_sets(g) == _skeleton(
+                [v for v in f if v not in face]
+                for f in c.facets if set(face) <= set(f))
         alive = weakref.ref(c)
         del c
         gc.collect()
@@ -630,7 +637,8 @@ class TestLinkViewOracle:
         for sigma in [()] + [_random_face(c, rng) for _ in range(6)]:
             want = _skeleton([v for v in f if v not in sigma]
                              for f in c.facets if set(sigma) <= set(f))
-            assert _neighbour_sets(skeleton(sigma)) == want
+            assert _neighbour_sets(skeleton(_mask(sigma))) == want
+        assert all(type(k) is int for k in c._links.skeletons)
 
     @settings(max_examples=60, deadline=None)
     @given(link_complexes, st.data())
@@ -638,7 +646,7 @@ class TestLinkViewOracle:
         rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
         skeleton = c._link_index().skeleton
         for _ in range(6):
-            sigma = _random_face(c, rng)
+            sigma = _mask(_random_face(c, rng))
             g = _neighbour_sets(skeleton(sigma))
             if not g:
                 continue
