@@ -58,16 +58,25 @@ def _poset_of(c) -> FacePoset:
 
 
 def _ids_in(poset: FacePoset, d, what: str) -> set:
-    """The ids in poset of the faces of d, a complex or a list of face
-    keys; faces missing from poset are a ValueError."""
-    if isinstance(d, (SimplicialComplex, CubicalComplex)):
-        keys = d.face_poset().index.keys()
+    """The ids in poset of the faces of d, a list of face keys or a
+    complex, read off its facets (or cubes) and closed downward, so d
+    builds no poset; faces missing from poset are a ValueError."""
+    if isinstance(d, SimplicialComplex):
+        keys = set(d.facets)
+    elif isinstance(d, CubicalComplex):
+        keys = {tuple(sorted(corners)) for _, corners in d.cubes}
     else:
         keys = {tuple(f) for f in d}
     missing = keys - poset.index.keys()
     if missing:
         raise ValueError(f"{what} faces not in complex: {sorted(missing)[:3]}")
-    return {poset.index[k] for k in keys}
+    ids = {poset.index[k] for k in keys}
+    stack = list(ids) if isinstance(d, (SimplicialComplex, CubicalComplex)) else []
+    while stack:
+        below = set(poset.down[stack.pop()]) - ids
+        ids |= below
+        stack += below
+    return ids
 
 
 def _closures(poset: FacePoset) -> tuple:
@@ -295,7 +304,7 @@ def _collapse_backtrack(poset, keep, inner, j, limit, budget, what):
         collapse(*cands[cursor])
         if enter():
             return pairs
-    raise SearchExhausted(f"no {what} found within budget", nodes)
+    raise SearchExhausted(f"no {what} exists", nodes)
 
 
 def collapse_search(c, target=None, budget: int = 10 ** 6) -> MorseMatching:

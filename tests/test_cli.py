@@ -256,7 +256,7 @@ class TestMorseCommands:
         # no face of a circle is free: the search tried everything in
         # one node
         assert capsys.readouterr().out == (
-            "FAIL: no collapse found within budget after 1 node\n")
+            "FAIL: no collapse exists after 1 node\n")
 
     @pytest.mark.parametrize("budget, nodes", [("3", "3 nodes"), ("0", "0 nodes")])
     def test_budget_spent_reports_nodes(self, tmp_path, capsys, budget, nodes):
@@ -273,8 +273,18 @@ class TestMorseCommands:
         # face of a circle is free
         assert main(["morse", "collapse", "--complex", c_file, "--target", c_file,
                      "--out-j", "1", "--budget", "5000"]) == 1
-        assert capsys.readouterr().out == ("FAIL: no constrained collapse found "
-                                           "within budget after 1 node\n")
+        assert capsys.readouterr().out == (
+            "FAIL: no constrained collapse exists after 1 node\n")
+
+    def test_target_outside_complex_names_its_facets(self, tmp_path, capsys):
+        from test_golden import BALL
+        c_file = write_json(tmp_path / "ball.json", BALL)
+        t_file = write_json(tmp_path / "far.json", {
+            "vertices": 40, "facets": [[0, 4, 39]]})
+        assert main(["morse", "collapse", "--complex", c_file,
+                     "--target", t_file]) == 1
+        assert capsys.readouterr().out == (
+            "FAIL: target faces not in complex: [(0, 4, 39)]\n")
 
     def test_out_j_infeasible_crossing_count_fails_at_once(self, tmp_path, capsys):
         from test_golden import BALL

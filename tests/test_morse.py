@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyforge import morse
 from polyforge.complexcore import (
     FacePoset,
     CubicalComplex,
@@ -217,7 +218,7 @@ class TestSearchExhausted:
         with pytest.raises(SearchExhausted) as info:
             collapse_search(boundary_sphere(3))
         assert info.value.nodes == 1
-        assert str(info.value) == "no collapse found within budget after 1 node"
+        assert str(info.value) == "no collapse exists after 1 node"
 
     def test_budget_bounds_the_search(self):
         # a triangle needs four nodes
@@ -256,7 +257,7 @@ class TestSearchExhausted:
             collapse_search(c, target=sphere)
         assert info.value.nodes == 137
         assert str(info.value) == (
-            "no collapse found within budget after 137 nodes")
+            "no collapse exists after 137 nodes")
 
     def test_out_j_reports_nodes(self):
         # a circle onto itself needs one crossing through an edge, but no
@@ -265,7 +266,7 @@ class TestSearchExhausted:
             out_j_collapse(boundary_sphere(2), boundary_sphere(2), 1, budget=5000)
         assert info.value.nodes == 1
         assert str(info.value) == (
-            "no constrained collapse found within budget after 1 node")
+            "no constrained collapse exists after 1 node")
 
     def test_infeasible_crossing_count_visits_no_node(self):
         # the golden ball onto the circle of its triangle (0, 4, 10) with
@@ -346,6 +347,44 @@ class TestOutJ:
         # the same faces with the missing vertex are a subcomplex
         m, ledger = out_j_collapse(c, [(0,), (1,), (0, 1)], 1)
         assert validate_matching(c, m) and ledger == []
+
+    def test_faces_missing_from_complex_are_named(self):
+        # a complex d is looked up by its facets, so only those are named;
+        # a list of face keys names its own missing keys
+        ball = SimplicialComplex.from_json(BALL)
+        far = SimplicialComplex(40, [(0, 4, 39)])
+        for call, what in ((lambda: collapse_search(ball, target=far), "target"),
+                           (lambda: out_j_collapse(ball, far, 2), "subcomplex"),
+                           (lambda: deformation_trace(ball, far, MorseMatching(())),
+                            "subcomplex")):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == (
+                f"{what} faces not in complex: [(0, 4, 39)]")
+        with pytest.raises(ValueError) as info:
+            collapse_search(ball, target=[(0, 4), (4, 39), (0, 39), (39,)])
+        assert str(info.value) == (
+            "target faces not in complex: [(0, 39), (4, 39), (39,)]")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_subcomplex_ids_are_those_of_its_own_faces(self, seed):
+        # the downward closure of d's facets in c's poset against the
+        # keys of d's own face poset
+        rng = random.Random(f"subcomplex ids {seed}")
+        ball, cube = random_subdivided_ball(rng, rounds=1), solid_cube(3)
+        cases = [
+            (ball, SimplicialComplex(ball.num_vertices, rng.sample(
+                ball.face_poset().elements, rng.randrange(1, 8)))),
+            (cube, CubicalComplex(cube.num_vertices, rng.sample(
+                sorted(cube.faces().values()), rng.randrange(1, 5)))),
+            (ball, SimplicialComplex(ball.num_vertices, [])),
+        ]
+        for c, d in cases:
+            index = c.face_poset().index
+            own = (FacePoset.from_simplicial(d) if isinstance(d, SimplicialComplex)
+                   else FacePoset.from_cubical(d))
+            assert morse._ids_in(c.face_poset(), d, "subcomplex") == {
+                index[k] for k in own.elements}
 
 
 class TestTrace:
@@ -848,7 +887,9 @@ class TestOnePosetPerComplex:
         c, _, sphere = self.ball()
         m, _ = out_j_collapse(c, sphere, 2)
         assert validate_matching(c, m)
-        assert poset_calls == [c, sphere]
+        # d is read off its facets in c's poset: it builds none of its own
+        assert poset_calls == [c]
+        assert sphere._poset is None
 
     def test_entry_points_read_the_kept_poset(self, poset_calls):
         c, facet, sphere = self.ball()
@@ -856,7 +897,8 @@ class TestOnePosetPerComplex:
         m = collapse_search(c)
         onto, _ = out_j_collapse(c, sphere, 2)
         m_target = collapse_search(c, target=target)
-        assert poset_calls == [c, sphere, target]
+        assert poset_calls == [c]
+        assert sphere._poset is None and target._poset is None
         for name, call in [
             ("collapse_search", lambda: collapse_search(c)),
             ("collapse_search target", lambda: collapse_search(c, target=target)),
