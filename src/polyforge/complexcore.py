@@ -65,8 +65,8 @@ class _LinkIndex:
     σ, as the bitmask of its vertices, to the 1-skeleton of lk(σ) as
     vertex -> bitmask of its neighbours, one key per vertex of the link,
     built on first request and kept for the life of the complex;
-    skeleton(0) is the 1-skeleton of the complex.  Vertex ids are those of the complex, so
-    ascending bit order is ascending vertex order.
+    skeleton(0) is the 1-skeleton of the complex.  Vertex ids are those
+    of the complex, so ascending bit order is ascending vertex order.
     """
 
     __slots__ = ("facets", "incidence", "masks", "facet_set", "skeletons")

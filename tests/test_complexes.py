@@ -81,6 +81,9 @@ class TestSimplicialBasics:
         assert c.contains_face((0, 1))
         assert c.contains_face((0, 1, 2))
         assert not c.contains_face((0, 1, 2, 3))
+        # vertices out of range or negative span no face
+        for face in [(-1,), (0, -1), (4,), (0, 1, 9)]:
+            assert not c.contains_face(face)
 
 
 class TestLinkStarDelete:
