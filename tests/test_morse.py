@@ -174,6 +174,73 @@ class TestValidationOracle:
         assert validate_matching(c, m) is nx.is_directed_acyclic_graph(g)
 
 
+def ref_acyclic(poset, matched_up) -> bool:
+    """Kahn's algorithm over the whole Hasse diagram, arrows down and the
+    matched ones reversed."""
+    succ = [[i for i in covered if matched_up.get(i) != j]
+            for j, covered in enumerate(poset.down)]
+    for i, j in matched_up.items():
+        succ[i].append(j)
+    indegree = [0] * len(succ)
+    for out in succ:
+        for w in out:
+            indegree[w] += 1
+    ready = [u for u, k in enumerate(indegree) if k == 0]
+    for u in ready:
+        for w in succ[u]:
+            indegree[w] -= 1
+            if indegree[w] == 0:
+                ready.append(w)
+    return len(ready) == len(succ)
+
+
+def cube_grid(shape) -> CubicalComplex:
+    """The cubical complex of a box of unit cubes, one cube per cell, its
+    corners in bit order."""
+    dim = len(shape)
+    strides = [1]
+    for k in shape[:-1]:
+        strides.append(strides[-1] * (k + 1))
+    cubes = []
+    for cell in itertools.product(*(range(k) for k in shape)):
+        corners = [sum((x + (pos >> a & 1)) * s
+                       for a, (x, s) in enumerate(zip(cell, strides)))
+                   for pos in range(1 << dim)]
+        cubes.append((dim, corners))
+    count = 1
+    for k in shape:
+        count *= k + 1
+    return CubicalComplex(count, cubes)
+
+
+class TestAcyclicOracle:
+    def test_matches_kahn_on_the_whole_diagram(self):
+        rng = random.Random("acyclic oracle")
+        worlds = {
+            "simplicial": [simplex_complex(3), boundary_sphere(3),
+                           simplex_complex(2).derived_subdivision(),
+                           random_subdivided_ball(rng)],
+            "cubical": [solid_cube(2), solid_cube(3), cube_grid((3, 2)),
+                        cube_grid((2, 2, 1))],
+        }
+        for kind, complexes in worlds.items():
+            seen = {True: 0, False: 0}
+            for trial in range(400):
+                poset = complexes[trial % len(complexes)].face_poset()
+                covers = [(i, j) for j, down in enumerate(poset.down) for i in down]
+                rng.shuffle(covers)
+                keep = rng.random()
+                matched_up, used = {}, set()
+                for i, j in covers:
+                    if i not in used and j not in used and rng.random() < keep:
+                        matched_up[i] = j
+                        used.update((i, j))
+                want = ref_acyclic(poset, matched_up)
+                assert morse._acyclic(poset, matched_up) is want
+                seen[want] += 1
+            assert min(seen.values()) >= 40, (kind, seen)
+
+
 class TestCollapse:
     def test_solid_simplex_collapses(self):
         c = simplex_complex(3)

@@ -7,6 +7,8 @@ results frozen here before the module was written.
 
 from fractions import Fraction
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from polyforge.exactfield import (
     ZERO,
     mat_det,
     mat_mul,
+    mat_nullspace,
     mat_pow,
     mat_rank,
     mat_vec,
@@ -129,6 +132,124 @@ class TestFlats:
         f1 = flat_span([pt(2, 0, 2), pt(0, 3, 3)])
         f2 = flat_span([pt(1, 0, 1), pt(1, 3, 4)])
         assert f1 == f2
+
+
+# entries of Q(sqrt2, sqrt3), zero twice as often as any other, so that
+# random vectors have varied zero patterns
+POOL = (ZERO, ZERO, ONE, -ONE, F(2), HALF, S2, S3, S2 + 1, S3 - S2,
+        F(0, 0, 0, 1), F(Fraction(-3, 2), 1, 0, 0), S2 * S3 - HALF)
+
+
+def random_vec(rng, n):
+    while True:
+        v = tuple(rng.choice(POOL) for _ in range(n))
+        if any(v):
+            return v
+
+
+def combination(rng, vectors):
+    """A random combination of the vectors, with nonzero coefficients."""
+    n = len(vectors[0])
+    out = [ZERO] * n
+    for v in vectors:
+        c = rng.choice([x for x in POOL if x])
+        out = [a + c * b for a, b in zip(out, v)]
+    return tuple(out)
+
+
+def ref_flat_meet(f1, f2):
+    """The meet as the flat cut out by both operands' annihilators."""
+    if not f1 or not f2:
+        return ()
+    constraints = list(mat_nullspace(list(f1))) + list(mat_nullspace(list(f2)))
+    if not constraints:
+        return f1
+    return flat_span(mat_nullspace(constraints))
+
+
+def flat_pair(rng, n, kind):
+    """Two flats of ambient dimension n, the second one `kind` of the
+    first: random, contained in it, equal to it, complementary to it
+    (generically disjoint), or the whole space."""
+    gens = [random_vec(rng, n) for _ in range(rng.randint(1, n))]
+    if kind == "random":
+        other = [random_vec(rng, n) for _ in range(rng.randint(1, n))]
+    elif kind == "contained":
+        other = [combination(rng, rng.sample(gens, rng.randint(1, len(gens))))]
+    elif kind == "equal":
+        other = [combination(rng, gens) for _ in gens] + gens
+        rng.shuffle(other)
+    elif kind == "disjoint":
+        other = [random_vec(rng, n) for _ in range(n - len(gens))] or gens
+    else:
+        other = [random_vec(rng, n) for _ in range(n)] + [
+            tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)]
+    return flat_span(gens), flat_span(other)
+
+
+def as_numerators(flat):
+    return tuple(tuple(x._n for x in row) for row in flat)
+
+
+class TestFlatMeetOracle:
+    def test_meet_matches_nullspace_formula(self):
+        rng = random.Random("flat meet oracle")
+        seen = set()
+        for trial in range(300):
+            n = 3 + trial % 3
+            kind = ("random", "contained", "equal", "disjoint", "whole")[trial % 5]
+            f1, f2 = flat_pair(rng, n, kind)
+            if rng.random() < 0.5:
+                f1, f2 = f2, f1
+            got = flat_meet(f1, f2)
+            assert as_numerators(got) == as_numerators(ref_flat_meet(f1, f2))
+            if not got:
+                seen.add("disjoint")
+            elif len(f1) == n or len(f2) == n:
+                seen.add("whole")
+            elif got == f1 == f2:
+                seen.add("equal")
+            elif got in (f1, f2):
+                seen.add("contained")
+            else:
+                seen.add("proper")
+        assert seen == {"disjoint", "whole", "equal", "contained", "proper"}
+
+
+def ref_proj_equal(u, v):
+    return any(u) and any(v) and mat_rank([u, v]) == 1
+
+
+class TestProjEqualOracle:
+    def test_proj_equal_matches_rank_one(self):
+        rng = random.Random("proj equal oracle")
+        outcomes = set()
+        for trial in range(600):
+            n = 2 + trial % 4
+            u = random_vec(rng, n)
+            kind = trial % 4
+            if kind == 0:  # a scaled copy
+                v = tuple(rng.choice([x for x in POOL if x]) * x for x in u)
+            elif kind == 1:  # a scaled copy with one entry changed
+                v = [rng.choice([x for x in POOL if x]) * x for x in u]
+                i = rng.randrange(n)
+                v[i] = rng.choice(POOL)
+                v = tuple(v)
+            elif kind == 2:  # the same zero pattern, other entries
+                v = tuple(rng.choice([x for x in POOL if x]) if x else ZERO for x in u)
+            else:  # an independent vector, zero patterns mismatched
+                v = random_vec(rng, n)
+            if rng.random() < 0.05:
+                v = tuple(ZERO for _ in u)
+            want = bool(ref_proj_equal(u, v))
+            assert proj_equal(u, v) is want
+            assert proj_equal(v, u) is want
+            outcomes.add((kind, want))
+        assert outcomes >= {(0, True), (1, True), (1, False), (2, False), (3, False)}
+
+    def test_length_mismatch_raises(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            proj_equal(pt(1, 2, 3), pt(1, 2))
 
 
 class TestGadgetArithmetic:
