@@ -227,7 +227,12 @@ def _cmd_hirsch_segment(args) -> int:
     c = _load_complex(args.complex)
     path = hirschpath.combinatorial_segment(
         c, _parse_facet(args.from_facet), _parse_facet(args.to_facet))
-    hirschpath.validate_path(c, path)
+    try:
+        hirschpath.validate_path(c, path)
+    except ValueError as exc:
+        ridge = ("ridge-adjacency", False, str(exc))
+    else:
+        ridge = ("ridge-adjacency", True, "each consecutive pair shares a ridge")
     non_revisiting = hirschpath.is_non_revisiting(path)
     bound = hirschpath.hirsch_bound(c)
     bundle = CertificateBundle(
@@ -239,7 +244,7 @@ def _cmd_hirsch_segment(args) -> int:
             "hirsch_bound": bound,
         },
         checks=(
-            ("ridge-adjacency", True, "each consecutive pair shares a ridge"),
+            ridge,
             ("non-revisiting", non_revisiting,
              "every vertex star is met along a contiguous subpath"),
         ),

@@ -470,10 +470,12 @@ def mat_pow(m: Mat, k: int) -> Mat:
 
 
 def _pivot(work: Mat, r: int, col: int) -> None:
-    """Scale row r of `work` so that its entry in column col is one, and
-    clear column col from every other row."""
-    inv = work[r][col].inverse()
-    prow = work[r] = [x * inv if x else x for x in work[r]]
+    """Scale row r of `work` so that its entry in column col is one (unless
+    it is one already), and clear column col from every other row."""
+    prow = work[r]
+    if prow[col]._n != ONE._n:
+        inv = prow[col].inverse()
+        prow = work[r] = [x * inv if x else x for x in prow]
     for i, row in enumerate(work):
         if i != r and row[col]:
             work[i] = _sub_multiple(row, row[col], prow)

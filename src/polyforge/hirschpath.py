@@ -227,8 +227,9 @@ def validate_path(c: SimplicialComplex, path: FacetPath) -> None:
     for f in path.facets:
         if not _is_facet(c, f):
             raise ValueError(f"{f} is not a facet")
-    for f1, f2 in zip(path.facets, path.facets[1:]):
-        if len(set(f1) & set(f2)) != d:
+    masks = [_mask(f) for f in path.facets]
+    for f1, f2, m1, m2 in zip(path.facets, path.facets[1:], masks, masks[1:]):
+        if (m1 & m2).bit_count() != d:
             raise ValueError(f"facets {f1} and {f2} do not share a ridge")
     if len(path.breakpoints) != len(path.pearls) + 1:
         raise ValueError("breakpoint count must exceed pearl count by one")

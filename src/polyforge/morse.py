@@ -12,6 +12,7 @@ test for simplicial complexes.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -118,22 +119,20 @@ def _check_pairs(poset: FacePoset, m: MorseMatching) -> dict:
 
 
 def _acyclic(poset: FacePoset, matched_up: dict) -> bool:
-    """Kahn's algorithm on the Hasse diagram with its arrows pointing
-    down and the matched ones reversed."""
-    succ = [[i for i in covered if matched_up.get(i) != j]
-            for j, covered in enumerate(poset.down)]
-    for i, j in matched_up.items():
-        succ[i].append(j)
-    indegree = [0] * len(succ)
-    for out in succ:
-        for w in out:
-            indegree[w] += 1
-    ready = [u for u, k in enumerate(indegree) if k == 0]
-    for u in ready:  # the list grows while it is walked
-        for w in succ[u]:
-            indegree[w] -= 1
-            if indegree[w] == 0:
-                ready.append(w)
+    """Whether the Hasse diagram, arrows down and matched ones reversed, is
+    acyclic, by Kahn's algorithm on the pairs: (i, j) points to (k, .) for
+    each low face k != i below j.  A matched up-arrow ends at a face with no
+    up-arrow, so a cycle of top dimension D, which cannot climb back from
+    D - 2, alternates matched up-arrows and down-arrows in D - 1 and D."""
+    succ = {i: [k for k in poset.down[j] if k != i and k in matched_up]
+            for i, j in matched_up.items()}
+    indegree = Counter(k for out in succ.values() for k in out)
+    ready = [i for i in succ if not indegree[i]]
+    for i in ready:  # the list grows while it is walked
+        for k in succ[i]:
+            indegree[k] -= 1
+            if indegree[k] == 0:
+                ready.append(k)
     return len(ready) == len(succ)
 
 

@@ -21,10 +21,10 @@ from .exactfield import (
     FieldElem,
     ONE,
     ZERO,
+    _sub_multiple,
     as_field,
     as_vector,
     in_convex_hull,
-    mat_nullspace,
     mat_rank,
     mat_rref,
     vec_dot,
@@ -109,7 +109,8 @@ def proj_equal(u, v) -> bool:
         raise ValueError("dimension mismatch")
     if _is_zero_vec(u) or _is_zero_vec(v):
         return False
-    return mat_rank([u, v]) == 1
+    p = next(j for j, x in enumerate(u) if x)  # then v = (v[p]/u[p])·u
+    return bool(v[p]) and all(u[p] * y == x * v[p] for x, y in zip(u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -129,13 +130,29 @@ def flat_rank(flat) -> int:
 
 
 def flat_meet(f1, f2):
-    """Intersection of two flats given as canonical row spaces."""
+    """Intersection of two flats given by their rows, f1 in reduced echelon
+    form (a ValueError names it otherwise).  As f1[s][p_r] = [s = r] at its
+    pivot columns p_r, x is in span f1 exactly when its residue
+    x - sum_r x[p_r]·f1[r], linear in x, is zero.  With R the residues of
+    f2's rows, mu·f2 is in f1 exactly when mu·R = 0, so the meet is spanned
+    by mu·f2 over the nullspace basis of R's transpose (mu_f = 1 at a free
+    f and -rref[r][f] at pivot r, as in mat_nullspace); flat_span makes it
+    canonical."""
     if not f1 or not f2:
         return ()
-    constraints = list(mat_nullspace(list(f1))) + list(mat_nullspace(list(f2)))
-    if not constraints:
-        return f1
-    return flat_span(mat_nullspace(constraints))
+    rows, pivots = mat_rref(f1)
+    if [tuple(r) for r in rows] != [tuple(r) for r in f1]:
+        raise ValueError("first operand of flat_meet is not in reduced echelon form")
+    f2 = residues = [_coerce_point(w) for w in f2]
+    for p, row in zip(pivots, rows):
+        residues = [_sub_multiple(w, w[p], row) if w[p] else w for w in residues]
+    rref, bound = mat_rref([c for c in zip(*residues) if any(c)])
+    free = [f for f in range(len(f2)) if f not in bound]
+    meet = [f2[f] for f in free]
+    for row, pc in zip(rref, bound):
+        meet = [_sub_multiple(x, row[f], f2[pc]) if row[f] else x
+                for x, f in zip(meet, free)]
+    return flat_span(meet)
 
 
 # ---------------------------------------------------------------------------

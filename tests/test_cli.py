@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import polyforge
 from polyforge import cct as cct_mod
-from polyforge import cli
+from polyforge import cli, hirschpath
 from polyforge.cli import main
 from polyforge.cct import generate
 from polyforge.complexcore import SimplicialComplex, boundary_sphere, simplex_complex
@@ -217,6 +217,23 @@ class TestHirschCommands:
         out = capsys.readouterr().out
         payload = json.loads(out[out.index("{"):])
         assert payload["kind"] == "facet-path"
+
+    def test_segment_failed_ridge_check(self, tetra_file, tmp_path, capsys,
+                                        monkeypatch):
+        # a path whose two facets are one and the same fails the computed
+        # check, with validate_path's message as its witness
+        bad = hirschpath.FacetPath(((0, 1, 2), (0, 1, 2)), (), (1,))
+        monkeypatch.setattr(hirschpath, "combinatorial_segment", lambda c, x, y: bad)
+        out_file = tmp_path / "path.json"
+        rc = main(["hirsch", "segment", "--complex", tetra_file,
+                   "--from", "0,1,2", "--to", "1,2,3", "--out", str(out_file)])
+        assert rc == 1
+        capsys.readouterr()
+        bundle = json.loads(out_file.read_text(encoding="utf-8"))
+        assert bundle["checks"][0] == {
+            "name": "ridge-adjacency", "pass": False,
+            "witness": "facets (0, 1, 2) and (0, 1, 2) do not share a ridge"}
+        assert bundle["pass"] is False
 
     def test_segment_unknown_facet(self, tetra_file, capsys):
         rc = main([

@@ -219,6 +219,65 @@ def facet_sequences(draw):
     return FacetPath(tuple(tuple(sorted(f)) for f in facets), (), (0,)), extras
 
 
+def ref_validate_path(c, path):
+    """The set-based check: facets, then each consecutive pair sharing d
+    vertices, then the breakpoint count and each pearl in its facet."""
+    d = c.dim
+    for f in path.facets:
+        if not (isinstance(f, tuple) and f in set(c.facets)):
+            raise ValueError(f"{f} is not a facet")
+    for f1, f2 in zip(path.facets, path.facets[1:]):
+        if len(set(f1) & set(f2)) != d:
+            raise ValueError(f"facets {f1} and {f2} do not share a ridge")
+    if len(path.breakpoints) != len(path.pearls) + 1:
+        raise ValueError("breakpoint count must exceed pearl count by one")
+    for j, xj in enumerate(path.pearls):
+        if xj not in path.facets[path.breakpoints[j]]:
+            raise ValueError(f"pearl {xj} missing from its breakpoint facet")
+
+
+class TestValidatePathOracle:
+    def test_matches_set_intersections(self):
+        # random facet walks of a flag sphere: dual-graph steps, repeated
+        # facets and jumps, with pearls sometimes off their facets
+        rng = random.Random("validate path oracle")
+        c = random_flag_sphere(rng, 3, 2)
+        nbrs = c.dual_graph()
+        messages = set()
+        for _ in range(400):
+            i = rng.randrange(len(c.facets))
+            walk = [i]
+            for _ in range(rng.randrange(6)):
+                step = rng.random()
+                i = (rng.choice(sorted(nbrs[i])) if step < 0.8
+                     else i if step < 0.9 else rng.randrange(len(c.facets)))
+                walk.append(i)
+            facets = tuple(c.facets[k] for k in walk)
+            pearls = tuple(rng.choice(facets[0] + (99,)) for _ in range(rng.randrange(2)))
+            breakpoints = (0,) * len(pearls) + (len(facets) - 1,) * rng.choice((1, 1, 2))
+            path = FacetPath(facets, pearls, breakpoints)
+            want = outcome(lambda: ref_validate_path(c, path))
+            assert outcome(lambda: validate_path(c, path)) == want
+            messages.add(want[-1].split()[0] if want[0] == "raised" else "ok")
+        assert messages == {"ok", "facets", "breakpoint", "pearl"}
+
+    def test_messages(self):
+        c = SimplicialComplex(5, [(0, 1, 2), (1, 2, 3), (2, 3, 4)])
+        for path, message in [
+            (FacetPath(((0, 1, 2), (2, 3, 4)), (), (1,)),
+             "facets (0, 1, 2) and (2, 3, 4) do not share a ridge"),
+            (FacetPath(((0, 1, 2), (0, 1, 2)), (), (1,)),
+             "facets (0, 1, 2) and (0, 1, 2) do not share a ridge"),
+            (FacetPath(((0, 1, 2), (1, 2, 3)), (0,), (1,)),
+             "breakpoint count must exceed pearl count by one"),
+            (FacetPath(((0, 1, 2), (1, 2, 3)), (3,), (0, 1)),
+             "pearl 3 missing from its breakpoint facet"),
+        ]:
+            with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+                validate_path(c, path)
+        validate_path(c, FacetPath(((0, 1, 2), (1, 2, 3), (2, 3, 4)), (0,), (0, 2)))
+
+
 class TestNonRevisiting:
     @settings(max_examples=300, deadline=None)
     @given(facet_sequences())

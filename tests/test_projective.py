@@ -216,6 +216,35 @@ class TestFlatMeetOracle:
         assert seen == {"disjoint", "whole", "equal", "contained", "proper"}
 
 
+class TestFlatMeetOperands:
+    @pytest.mark.parametrize("f1", [
+        (pt(2, 0, 0),),                     # a pivot that is not one
+        (pt(1, 1, 0), pt(0, 1, 0)),         # a pivot column not cleared
+        (pt(0, 1, 0), pt(1, 0, 0)),         # pivots out of order
+        (pt(1, 0, 0), pt(1, 0, 0)),         # a repeated row
+        (pt(0, 0, 0), pt(1, 0, 0)),         # a zero row above a pivot
+    ], ids=["pivot-not-one", "column-not-cleared", "pivots-out-of-order",
+            "repeated-row", "zero-row-first"])
+    def test_first_operand_must_be_reduced(self, f1):
+        with pytest.raises(ValueError, match="^first operand of flat_meet is not in "
+                                             "reduced echelon form$"):
+            flat_meet(f1, flat_span([pt(1, 1, 1), pt(0, 1, 0)]))
+
+    def test_second_operand_is_any_spanning_set(self):
+        rng = random.Random("second operand")
+        for _ in range(40):
+            n = rng.randint(3, 5)
+            f1 = flat_span([random_vec(rng, n) for _ in range(rng.randint(1, n))])
+            rows = [random_vec(rng, n) for _ in range(rng.randint(1, n))]
+            rows += [combination(rng, rows)]  # dependent rows too
+            want = flat_meet(f1, flat_span(rows))
+            assert as_numerators(flat_meet(f1, rows)) == as_numerators(want)
+            assert as_numerators(ref_flat_meet(f1, rows)) == as_numerators(want)
+
+    def test_integer_operands(self):
+        assert flat_meet(((1, 0, 0), (0, 1, 0)), ((1, 1, 1), (0, 0, 1))) == (pt(1, 1, 0),)
+
+
 def ref_proj_equal(u, v):
     return any(u) and any(v) and mat_rank([u, v]) == 1
 
