@@ -222,9 +222,9 @@ def facet_sequences(draw):
 def ref_validate_path(c, path):
     """The set-based check: facets, then each consecutive pair sharing d
     vertices, then the breakpoint count and each pearl in its facet."""
-    d = c.dim
+    d, facets = c.dim, set(c.facets)
     for f in path.facets:
-        if not (isinstance(f, tuple) and f in set(c.facets)):
+        if not (isinstance(f, tuple) and f in facets):
             raise ValueError(f"{f} is not a facet")
     for f1, f2 in zip(path.facets, path.facets[1:]):
         if len(set(f1) & set(f2)) != d:
