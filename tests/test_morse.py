@@ -5,8 +5,10 @@ outward ledgers must reproduce it exactly.  Matching acyclicity is
 compared with networkx on random matchings.
 """
 
+import heapq
 import itertools
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -982,3 +984,352 @@ class TestOnePosetPerComplex:
             after = vars(c)
             assert after.keys() == before.keys(), name
             assert all(after[k] is before[k] for k in before), name
+
+
+# ---------------------------------------------------------------------------
+# Closure-count oracle: a copy of the search and the trace that count, for
+# every face, the live faces strictly above it, read off a table of every
+# face's strict down-closure.  The library must give the same matchings,
+# ledgers, trace events, node counts and errors.
+
+
+def closure_table(poset):
+    """(below, counts): below[i] holds the ids strictly below face i and
+    counts[i] the number of faces strictly above it."""
+    n = len(poset.elements)
+    below = [()] * n
+    counts = [0] * n
+    for i, covered in enumerate(poset.down):
+        acc = set(covered)
+        for k in covered:
+            acc.update(below[k])
+        below[i] = tuple(acc)
+        for k in acc:
+            counts[k] += 1
+    return below, counts
+
+
+def closure_backtrack(poset, keep, inner, j, limit, budget, what):
+    """The depth-first collapse search on closure counts: count[i] live
+    faces strictly above face i, free when it is 1."""
+    below, counts = closure_table(poset)
+    up, dims = poset.up, poset.dims
+    rnd = random.Random(len(counts))
+    tokens = [rnd.getrandbits(64) for _ in counts]
+    size = 1 if keep is None else len(keep)
+    keep = keep or frozenset()
+    count = list(counts)
+    live = set(range(len(count)))
+    free = {i for i in live if count[i] == 1 and i not in keep}
+    heap = sorted(free)
+    queued = set(free)
+    state_hash = crossings = nodes = 0
+    dead = {}
+    stack = []
+    pairs = []
+
+    def partner(i):
+        for k in up[i]:
+            if k in live:
+                return k
+
+    def allowed(i, k):
+        return k not in keep and (i not in inner or k in inner
+                                  or dims[i] == j and crossings < limit)
+
+    def candidates():
+        out = [(i, partner(i)) for i in sorted(free)]
+        return [(i, k) for i, k in out if allowed(i, k)]
+
+    def first_candidate():
+        aside = []
+        found = None
+        while heap:
+            i = heap[0]
+            if i not in free:
+                heapq.heappop(heap)
+                queued.discard(i)
+                continue
+            k = partner(i)
+            if allowed(i, k):
+                found = (i, k)
+                break
+            aside.append(heapq.heappop(heap))
+        for i in aside:
+            heapq.heappush(heap, i)
+        return found
+
+    def became_free(f):
+        free.add(f)
+        if f not in queued:
+            queued.add(f)
+            heapq.heappush(heap, f)
+
+    def shift(i, k, step):
+        nonlocal state_hash, crossings
+        state_hash ^= tokens[i] ^ tokens[k]
+        if i in inner and k not in inner:
+            crossings -= step
+        for face in (i, k):
+            for f in below[face]:
+                c = count[f] + step
+                count[f] = c
+                if c != 1:
+                    free.discard(f)
+                elif f not in keep:
+                    became_free(f)
+
+    def collapse(i, k):
+        live.discard(i)
+        live.discard(k)
+        pairs.append((i, k))
+        shift(i, k, -1)
+
+    def restore():
+        i, k = pairs.pop()
+        live.add(i)
+        live.add(k)
+        shift(i, k, 1)
+
+    def removed():
+        return frozenset(f for pair in pairs for f in pair)
+
+    def enter():
+        nonlocal nodes
+        if nodes == budget:
+            raise SearchExhausted("collapse budget exhausted", nodes)
+        nodes += 1
+        if len(live) == size and crossings == limit:
+            return True
+        if state_hash in dead and removed() in dead[state_hash]:
+            restore()
+            return False
+        cand = first_candidate()
+        stack.append([[cand] if cand else [], 0, cand is None])
+        return False
+
+    if enter():
+        return pairs
+    while stack:
+        frame = stack[-1]
+        cands, cursor, complete = frame
+        if cursor == len(cands) and not complete:
+            cands = frame[0] = candidates()
+            frame[2] = True
+        if cursor == len(cands):
+            stack.pop()
+            if pairs:
+                dead.setdefault(state_hash, set()).add(removed())
+                restore()
+            continue
+        frame[1] = cursor + 1
+        collapse(*cands[cursor])
+        if enter():
+            return pairs
+    raise SearchExhausted(f"no {what} exists", nodes)
+
+
+def closure_collapse_search(c, target=None, budget=10 ** 6):
+    poset = morse._poset_of(c)
+    keep = None if target is None else morse._ids_in(poset, target, "target")
+    result = closure_backtrack(poset, keep, frozenset(), 0, 0, budget,
+                               "collapse")
+    key = poset.elements
+    return MorseMatching(tuple((key[i], key[k]) for i, k in result))
+
+
+def closure_out_j_collapse(c, d, j, budget=10 ** 6):
+    poset = morse._poset_of(c)
+    d_ids = morse._ids_in(poset, d, "subcomplex")
+    key, dims = poset.elements, poset.dims
+    for i in sorted(d_ids):
+        for k in poset.down[i]:
+            if k not in d_ids:
+                raise ValueError(f"subcomplex is not closed under faces: "
+                                 f"{key[k]} is a face of {key[i]}")
+    limit = (-1) ** j * (sum((-1) ** dims[i] for i in d_ids) - 1)
+    faces = sum(dims[i] == j for i in d_ids)
+    if not 0 <= limit <= faces:
+        raise SearchExhausted(
+            f"a constrained collapse needs {limit} crossings of {j}-faces "
+            f"and the subcomplex has {faces}; none found", 0)
+    result = closure_backtrack(poset, None, d_ids, j, limit, budget,
+                               "constrained collapse")
+    pairs = tuple((key[i], key[k]) for i, k in result)
+    ledger = [key[i] for i, k in result if i in d_ids and k not in d_ids]
+    return MorseMatching(pairs), ledger
+
+
+def closure_deformation_trace(c, d, m):
+    poset = morse._poset_of(c)
+    matched_up = morse._check_pairs(poset, m)
+    if not morse._acyclic(poset, matched_up):
+        raise ValueError("matching has a gradient cycle")
+    d_ids = morse._ids_in(poset, d, "subcomplex")
+    key, dims = poset.elements, poset.dims
+    partner = {}
+    for i, j in matched_up.items():
+        if (i in d_ids) != (j in d_ids):
+            raise ValueError(
+                f"pair ({key[i]}, {key[j]}) crosses the subcomplex boundary")
+        partner[i] = j
+        partner[j] = i
+    below, counts = closure_table(poset)
+    count = list(counts)
+    collapsible, attachable = [], []
+
+    def note(k):
+        if k in d_ids:
+            return
+        if k not in partner:
+            if count[k] == 0:
+                heapq.heappush(attachable, k)
+        elif count[k] == 1 and dims[partner[k]] > dims[k]:
+            heapq.heappush(collapsible, k)
+
+    def remove(face):
+        for k in below[face]:
+            count[k] -= 1
+            if count[k] < 2:
+                note(k)
+
+    for k in range(len(count)):
+        note(k)
+    remaining = len(count) - len(d_ids)
+    events = []
+    while remaining:
+        if collapsible:
+            i = heapq.heappop(collapsible)
+            j = partner[i]
+            remove(j)
+            remove(i)
+            remaining -= 2
+            events.append(("collapse", key[i], key[j]))
+        elif attachable:
+            i = heapq.heappop(attachable)
+            remove(i)
+            remaining -= 1
+            events.append(("attach", dims[i], key[i]))
+        else:
+            raise RuntimeError("trace is stuck; matching does not collapse onto d")
+    return events
+
+
+def settled(call):
+    """What call() returns or raises: its value, SearchExhausted with its
+    node count and message, or the type and message of an error."""
+    try:
+        return ("value", call())
+    except SearchExhausted as exc:
+        return ("exhausted", exc.nodes, str(exc))
+    except (ValueError, RuntimeError) as exc:
+        return (type(exc), str(exc))
+
+
+def random_simplicial(rng) -> SimplicialComplex:
+    """Up to six random faces of up to four vertices on three to seven
+    vertices: often impure, sometimes disconnected."""
+    n = rng.randint(3, 7)
+    return SimplicialComplex(n, [rng.sample(range(n), rng.randint(1, min(4, n)))
+                                 for _ in range(rng.randint(1, 6))])
+
+
+def oracle_complex(rng, world):
+    """Every third world a stock complex, the others random simplicial
+    complexes."""
+    if world % 3:
+        return random_simplicial(rng)
+    stock = [simplex_complex(2), simplex_complex(3), boundary_sphere(2),
+             boundary_sphere(3), simplex_complex(2).derived_subdivision(),
+             random_subdivided_ball(rng, rounds=rng.randint(0, 3)),
+             solid_cube(2), solid_cube(3), cube_grid((3, 2)),
+             cube_grid((2, 2, 1)), solid_cube(2).derived_subdivision()]
+    return stock[world // 3 % len(stock)]
+
+
+def random_keys(rng, poset, closed: bool) -> list:
+    """Face keys of a few random faces, closed downward or not."""
+    n = len(poset.elements)
+    ids = set(rng.sample(range(n), rng.randint(0, min(4, n))))
+    stack = list(ids) if closed else []
+    while stack:
+        below = set(poset.down[stack.pop()]) - ids
+        ids |= below
+        stack += below
+    return [poset.elements[i] for i in sorted(ids)]
+
+
+def random_budget(rng) -> int:
+    return rng.choice([0, 1, rng.randint(2, 60), 400, 2000])
+
+
+class TestCoverCountOracle:
+    def test_searches_match_closure_counts(self):
+        rng = random.Random("cover-count searches")
+        seen = Counter()
+        for world in range(300):
+            c = oracle_complex(rng, world)
+            poset = c.face_poset()
+            targets = [None, [poset.elements[0]],
+                       random_keys(rng, poset, closed=True),
+                       random_keys(rng, poset, closed=False)]
+            if isinstance(c, SimplicialComplex):
+                facet = c.facets[rng.randrange(len(c.facets))]
+                targets.append(SimplicialComplex(c.num_vertices, list(
+                    itertools.combinations(facet, max(1, len(facet) - 1)))))
+            for target in targets:
+                budget = random_budget(rng)
+                got = settled(lambda: collapse_search(c, target, budget))
+                assert got == settled(
+                    lambda: closure_collapse_search(c, target, budget)), world
+                seen["search " + got[0]] += 1
+            for d in (random_keys(rng, poset, closed=True),
+                      random_keys(rng, poset, closed=rng.random() < 0.8)):
+                j, budget = rng.randint(0, 3), random_budget(rng)
+                got = settled(lambda: out_j_collapse(c, d, j, budget))
+                assert got == settled(
+                    lambda: closure_out_j_collapse(c, d, j, budget)), world
+                seen["out-j " + str(got[0])] += 1
+                if got[0] == "value":
+                    seen["crossings"] += len(got[1][1])
+        for outcome_class in ("search value", "search exhausted",
+                              "out-j value", "out-j exhausted",
+                              f"out-j {ValueError}"):
+            assert seen[outcome_class] >= 20, seen
+        assert seen["crossings"] >= 20, seen
+
+    def test_traces_match_closure_counts(self):
+        rng = random.Random("cover-count traces")
+        seen = Counter()
+        for world in range(1500):
+            c = oracle_complex(rng, world)
+            poset = c.face_poset()
+            if rng.random() < 0.5:
+                found = settled(lambda: closure_collapse_search(c, budget=400))
+                pairs = list(found[1].pairs) if found[0] == "value" else []
+                keep = rng.random()
+                pairs = [p for p in pairs if rng.random() < keep]
+            else:
+                covers = [(poset.elements[i], poset.elements[k])
+                          for k, down in enumerate(poset.down) for i in down]
+                rng.shuffle(covers)
+                keep, used, pairs = rng.random(), set(), []
+                for low, high in covers:
+                    if low not in used and high not in used and rng.random() < keep:
+                        pairs.append((low, high))
+                        used.update((low, high))
+            m = MorseMatching(tuple(pairs))
+            d = random_keys(rng, poset, closed=rng.random() < 0.9)
+            if not d:
+                d = [poset.elements[0]]
+            got = settled(lambda: deformation_trace(c, d, m))
+            assert got == settled(lambda: closure_deformation_trace(c, d, m)), world
+            if got[0] == "value":
+                kinds = {e[0] for e in got[1]}
+                seen["events " + "+".join(sorted(kinds))] += 1
+            else:
+                seen[got[1].split(";")[0].split(":")[0].split(" (")[0]] += 1
+        for outcome_class in ("events attach+collapse", "events attach",
+                              "matching has a gradient cycle", "pair",
+                              "trace is stuck"):
+            assert seen[outcome_class] >= 20, seen
