@@ -80,6 +80,18 @@ def _ids_in(poset: FacePoset, d, what: str) -> set:
     return ids
 
 
+def _subcomplex_ids(poset: FacePoset, d) -> set:
+    """The ids of d's faces in poset, as `_ids_in` reads them; a face of
+    d with a face outside d is a ValueError."""
+    d_ids, key = _ids_in(poset, d, "subcomplex"), poset.elements
+    for i in sorted(d_ids):
+        for k in poset.down[i]:
+            if k not in d_ids:
+                raise ValueError(f"subcomplex is not closed under faces: "
+                                 f"{key[k]} is a face of {key[i]}")
+    return d_ids
+
+
 def _closures(poset: FacePoset) -> tuple:
     """(below, counts): below[i] holds the ids strictly below face i and
     counts[i] the number of faces strictly above it (copy it before
@@ -341,13 +353,8 @@ def out_j_collapse(c, d, j: int, budget: int = 10 ** 6):
     in removal order.
     """
     poset = _poset_of(c)
-    d_ids = _ids_in(poset, d, "subcomplex")
+    d_ids = _subcomplex_ids(poset, d)
     key, dims = poset.elements, poset.dims
-    for i in sorted(d_ids):
-        for k in poset.down[i]:
-            if k not in d_ids:
-                raise ValueError(f"subcomplex is not closed under faces: "
-                                 f"{key[k]} is a face of {key[i]}")
     limit = (-1) ** j * (sum((-1) ** dims[i] for i in d_ids) - 1)
     faces = sum(dims[i] == j for i in d_ids)
     if not 0 <= limit <= faces:
@@ -373,7 +380,7 @@ def deformation_trace(c, d, m: MorseMatching) -> list:
     matched_up = _check_pairs(poset, m)
     if not _acyclic(poset, matched_up):
         raise ValueError("matching has a gradient cycle")
-    d_ids = _ids_in(poset, d, "subcomplex")
+    d_ids = _subcomplex_ids(poset, d)
     key, dims = poset.elements, poset.dims
 
     partner = {}

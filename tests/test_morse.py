@@ -480,6 +480,21 @@ class TestTrace:
         with pytest.raises(ValueError):
             deformation_trace(c, d, m)
 
+    @pytest.mark.parametrize("d, message", [
+        ([(0, 1, 2)], "(0, 1) is a face of (0, 1, 2)"),
+        ([(0, 1)], "(0,) is a face of (0, 1)"),
+    ])
+    def test_subcomplex_must_be_closed_under_faces(self, d, message):
+        # the trace names the missing face as out_j_collapse does, where it
+        # used to say that it was stuck
+        c = simplex_complex(2)
+        for call in (lambda: deformation_trace(c, d, MorseMatching(())),
+                     lambda: out_j_collapse(c, d, 1)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == (
+                f"subcomplex is not closed under faces: {message}")
+
     def test_attach_counts_equal_critical_counts(self):
         c = boundary_sphere(3)
         d = SimplicialComplex(4, [(0,)])
@@ -1138,15 +1153,21 @@ def closure_collapse_search(c, target=None, budget=10 ** 6):
     return MorseMatching(tuple((key[i], key[k]) for i, k in result))
 
 
-def closure_out_j_collapse(c, d, j, budget=10 ** 6):
-    poset = morse._poset_of(c)
+def closure_subcomplex_ids(poset, d):
     d_ids = morse._ids_in(poset, d, "subcomplex")
-    key, dims = poset.elements, poset.dims
+    key = poset.elements
     for i in sorted(d_ids):
         for k in poset.down[i]:
             if k not in d_ids:
                 raise ValueError(f"subcomplex is not closed under faces: "
                                  f"{key[k]} is a face of {key[i]}")
+    return d_ids
+
+
+def closure_out_j_collapse(c, d, j, budget=10 ** 6):
+    poset = morse._poset_of(c)
+    d_ids = closure_subcomplex_ids(poset, d)
+    key, dims = poset.elements, poset.dims
     limit = (-1) ** j * (sum((-1) ** dims[i] for i in d_ids) - 1)
     faces = sum(dims[i] == j for i in d_ids)
     if not 0 <= limit <= faces:
@@ -1165,7 +1186,7 @@ def closure_deformation_trace(c, d, m):
     matched_up = morse._check_pairs(poset, m)
     if not morse._acyclic(poset, matched_up):
         raise ValueError("matching has a gradient cycle")
-    d_ids = morse._ids_in(poset, d, "subcomplex")
+    d_ids = closure_subcomplex_ids(poset, d)
     key, dims = poset.elements, poset.dims
     partner = {}
     for i, j in matched_up.items():
@@ -1331,5 +1352,5 @@ class TestCoverCountOracle:
                 seen[got[1].split(";")[0].split(":")[0].split(" (")[0]] += 1
         for outcome_class in ("events attach+collapse", "events attach",
                               "matching has a gradient cycle", "pair",
-                              "trace is stuck"):
+                              "subcomplex is not closed under faces"):
             assert seen[outcome_class] >= 20, seen
