@@ -233,6 +233,14 @@ def validate_path(c: SimplicialComplex, path: FacetPath) -> None:
             raise ValueError(f"facets {f1} and {f2} do not share a ridge")
     if len(path.breakpoints) != len(path.pearls) + 1:
         raise ValueError("breakpoint count must exceed pearl count by one")
+    bp, last = path.breakpoints, len(path.facets) - 1
+    if bp[0] != 0:
+        raise ValueError(f"first breakpoint {bp[0]} is not 0")
+    for a, b in zip(bp, bp[1:]):
+        if not a <= b <= last:
+            raise ValueError(f"breakpoint {b} is not in [{a}, {last}]")
+    if bp[-1] != last:
+        raise ValueError(f"last breakpoint {bp[-1]} is not {last}")
     for j, xj in enumerate(path.pearls):
         if xj not in path.facets[path.breakpoints[j]]:
             raise ValueError(f"pearl {xj} missing from its breakpoint facet")

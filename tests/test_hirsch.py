@@ -221,7 +221,8 @@ def facet_sequences(draw):
 
 def ref_validate_path(c, path):
     """The set-based check: facets, then each consecutive pair sharing d
-    vertices, then the breakpoint count and each pearl in its facet."""
+    vertices, then the breakpoint count, the breakpoints running from 0
+    up to the last facet, and each pearl in its facet."""
     d, facets = c.dim, set(c.facets)
     for f in path.facets:
         if not (isinstance(f, tuple) and f in facets):
@@ -231,6 +232,15 @@ def ref_validate_path(c, path):
             raise ValueError(f"facets {f1} and {f2} do not share a ridge")
     if len(path.breakpoints) != len(path.pearls) + 1:
         raise ValueError("breakpoint count must exceed pearl count by one")
+    last = len(path.facets) - 1
+    if path.breakpoints[0] != 0:
+        raise ValueError(f"first breakpoint {path.breakpoints[0]} is not 0")
+    for j in range(1, len(path.breakpoints)):
+        a, b = path.breakpoints[j - 1], path.breakpoints[j]
+        if b < a or b > last:
+            raise ValueError(f"breakpoint {b} is not in [{a}, {last}]")
+    if path.breakpoints[-1] != last:
+        raise ValueError(f"last breakpoint {path.breakpoints[-1]} is not {last}")
     for j, xj in enumerate(path.pearls):
         if xj not in path.facets[path.breakpoints[j]]:
             raise ValueError(f"pearl {xj} missing from its breakpoint facet")
@@ -254,12 +264,14 @@ class TestValidatePathOracle:
                 walk.append(i)
             facets = tuple(c.facets[k] for k in walk)
             pearls = tuple(rng.choice(facets[0] + (99,)) for _ in range(rng.randrange(2)))
-            breakpoints = (0,) * len(pearls) + (len(facets) - 1,) * rng.choice((1, 1, 2))
-            path = FacetPath(facets, pearls, breakpoints)
+            breakpoints = [0] * len(pearls) + [len(facets) - 1] * rng.choice((1, 1, 2))
+            if rng.random() < 0.3:  # one breakpoint anywhere near the path
+                breakpoints[rng.randrange(len(breakpoints))] = rng.randint(-2, len(facets))
+            path = FacetPath(facets, pearls, tuple(breakpoints))
             want = outcome(lambda: ref_validate_path(c, path))
             assert outcome(lambda: validate_path(c, path)) == want
             messages.add(want[-1].split()[0] if want[0] == "raised" else "ok")
-        assert messages == {"ok", "facets", "breakpoint", "pearl"}
+        assert messages == {"ok", "facets", "breakpoint", "first", "last", "pearl"}
 
     def test_messages(self):
         c = SimplicialComplex(5, [(0, 1, 2), (1, 2, 3), (2, 3, 4)])
@@ -276,6 +288,20 @@ class TestValidatePathOracle:
             with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
                 validate_path(c, path)
         validate_path(c, FacetPath(((0, 1, 2), (1, 2, 3), (2, 3, 4)), (0,), (0, 2)))
+
+    @pytest.mark.parametrize("breakpoints, message", [
+        ((-4, 1, 3), "first breakpoint -4 is not 0"),
+        ((0, 1, -1), "breakpoint -1 is not in [1, 3]"),
+        ((0, 1, 99), "breakpoint 99 is not in [1, 3]"),
+        ((0, 99, 3), "breakpoint 99 is not in [0, 3]"),
+    ])
+    def test_breakpoints_run_from_first_to_last_facet(self, breakpoints, message):
+        c = boundary_sphere(3).derived_subdivision()
+        path = combinatorial_segment(c, c.facets[0], c.facets[9])
+        assert path.breakpoints == (0, 1, 3)
+        validate_path(c, path)
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            validate_path(c, FacetPath(path.facets, path.pearls, breakpoints))
 
 
 class TestNonRevisiting:
