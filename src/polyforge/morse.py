@@ -92,24 +92,6 @@ def _subcomplex_ids(poset: FacePoset, d) -> set:
     return d_ids
 
 
-def _closures(poset: FacePoset) -> tuple:
-    """(below, counts): below[i] holds the ids strictly below face i and
-    counts[i] the number of faces strictly above it (copy it before
-    changing it).  Ids are in (dimension, key) order, so lower faces
-    come first."""
-    n = len(poset.elements)
-    below = [()] * n
-    counts = [0] * n
-    for i, covered in enumerate(poset.down):
-        acc = set(covered)
-        for k in covered:
-            acc.update(below[k])
-        below[i] = tuple(acc)
-        for k in acc:
-            counts[k] += 1
-    return below, counts
-
-
 def _check_pairs(poset: FacePoset, m: MorseMatching) -> dict:
     """Low id -> high id of every pair, in the order of m; ValueError on
     a pair of unknown faces, a pair that is not a cover, or a face in
@@ -180,12 +162,17 @@ def _collapse_backtrack(poset, keep, inner, j, limit, budget, what):
     when `len(keep)` faces (one face when keep is None) are live and
     exactly `limit` crossings have been made.
 
-    count[i] is the number of live faces strictly above face i, so i is
-    free when count[i] == 1, and its partner is then its one live cover.
-    A collapse decrements the counters of the strict down-closures of
-    the two faces it removes and a backtrack increments them again.
-    `free` holds the free faces outside keep and `heap` their ids, which
-    are in (dimension, key) order, with stale entries dropped when they
+    count[i] counts the live covers of face i, the faces one dimension
+    up that contain it.  A collapse removes a free face with its one
+    coface, so the live faces form a subcomplex and every live face
+    above i contains a live cover of i: i is free (one live face above
+    it) iff count[i] == 1 and that cover, its partner k, has a count
+    of 0.  Removing or restoring (i, k) changes only the counts of the
+    faces in down[i] and down[k], so freeness can change only for those
+    faces and for the faces of one whose count reaches 0 (on a removal)
+    or leaves 0 (on a restore); `shift` settles these.  `free` holds
+    the free faces outside keep and `heap` their ids, which are in
+    (dimension, key) order, with stale entries dropped when they
     surface.  The candidates of a node are the allowed free pairs in
     (dimension, key) order: a node takes its first candidate off the
     heap and lists the others only once the search backtracks to it.  A
@@ -196,21 +183,16 @@ def _collapse_backtrack(poset, keep, inner, j, limit, budget, what):
     of the removed faces of inner, so they too are a function of the
     removed faces, and the memo makes the one pass complete.
     """
-    below, counts = _closures(poset)
-    up, dims = poset.up, poset.dims
-    rnd = random.Random(len(counts))
-    tokens = [rnd.getrandbits(64) for _ in counts]
+    up, down, dims = poset.up, poset.down, poset.dims
+    rnd = random.Random(len(up))
+    tokens = [rnd.getrandbits(64) for _ in up]
     size = 1 if keep is None else len(keep)
     keep = keep or frozenset()
-    count = list(counts)
+    count = [len(covers) for covers in up]
     live = set(range(len(count)))
-    free = {i for i in live if count[i] == 1 and i not in keep}
-    heap = sorted(free)
-    queued = set(free)
+    free, queued, heap = set(), set(), []
     state_hash = crossings = nodes = 0
-    dead = {}
-    stack = []
-    pairs = []
+    dead, stack, pairs = {}, [], []
 
     def partner(i):
         for k in up[i]:
@@ -222,12 +204,10 @@ def _collapse_backtrack(poset, keep, inner, j, limit, budget, what):
                                   or dims[i] == j and crossings < limit)
 
     def candidates():
-        out = [(i, partner(i)) for i in sorted(free)]
-        return [(i, k) for i, k in out if allowed(i, k)]
+        return [(i, k) for i in sorted(free) if allowed(i, k := partner(i))]
 
     def first_candidate():
-        aside = []
-        found = None
+        aside, found = [], None
         while heap:
             i = heap[0]
             if i not in free:
@@ -243,38 +223,40 @@ def _collapse_backtrack(poset, keep, inner, j, limit, budget, what):
             heappush(heap, i)
         return found
 
-    def became_free(f):
-        free.add(f)
-        if f not in queued:
-            queued.add(f)
-            heappush(heap, f)
+    def settle(f):
+        if count[f] == 1 and f not in keep and not count[partner(f)]:
+            free.add(f)
+            if f not in queued:
+                queued.add(f)
+                heappush(heap, f)
+        else:
+            free.discard(f)
 
     def shift(i, k, step):
-        # the live faces strictly above a face below i or k change by
-        # step; a crossing pair is made at step -1 and undone at step 1
+        # the faces of i and k lose (step -1) or regain (step 1) a live
+        # cover; a crossing pair is made at step -1 and undone at step 1
         nonlocal state_hash, crossings
         state_hash ^= tokens[i] ^ tokens[k]
         if i in inner and k not in inner:
             crossings -= step
-        for face in (i, k):
-            for f in below[face]:
-                c = count[f] + step
-                count[f] = c
-                if c != 1:
-                    free.discard(f)
-                elif f not in keep:
-                    became_free(f)
+        faces = down[i] + down[k]
+        for f in faces:
+            count[f] += step
+        bare = 0 if step < 0 else 1  # a count that reached or left 0
+        for f in faces:
+            if count[f] == bare:
+                for g in down[f]:
+                    settle(g)
+            settle(f)
 
     def collapse(i, k):
-        live.discard(i)
-        live.discard(k)
+        live.difference_update((i, k))
         pairs.append((i, k))
         shift(i, k, -1)
 
     def restore():
         i, k = pairs.pop()
-        live.add(i)
-        live.add(k)
+        live.update((i, k))
         shift(i, k, 1)
 
     def removed():
@@ -296,6 +278,8 @@ def _collapse_backtrack(poset, keep, inner, j, limit, budget, what):
         stack.append([[cand] if cand else [], 0, cand is None])
         return False
 
+    for f in range(len(count)):
+        settle(f)
     if enter():
         return pairs
     while stack:
@@ -388,50 +372,50 @@ def deformation_trace(c, d, m: MorseMatching) -> list:
         if (i in d_ids) != (j in d_ids):
             raise ValueError(
                 f"pair ({key[i]}, {key[j]}) crosses the subcomplex boundary")
-        partner[i] = j
-        partner[j] = i
+        partner[i], partner[j] = j, i
 
-    # heaps of the live faces outside d that can go next: a low face
-    # whose one live coface is its partner, or an unmatched face with no
-    # live coface
-    below, counts = _closures(poset)
-    count = list(counts)
-    collapsible, attachable = [], []
+    # one heap of the live faces outside d that can go next, collapses
+    # first: (0, a low face whose partner is its one live cover and has
+    # none) and (1, an unmatched face with no live cover); count[k] is
+    # k's number of live covers
+    count = [len(covers) for covers in poset.up]
+    ready = []
 
     def note(k):
         if k in d_ids:
             return
-        if k not in partner:
+        p = partner.get(k)
+        if p is None:
             if count[k] == 0:
-                heappush(attachable, k)
-        elif count[k] == 1 and dims[partner[k]] > dims[k]:
-            heappush(collapsible, k)
+                heappush(ready, (1, k))
+        elif count[k] == 1 and count[p] == 0 and dims[p] > dims[k]:
+            heappush(ready, (0, k))
 
     def remove(face):
-        for k in below[face]:
+        for k in poset.down[face]:
             count[k] -= 1
             if count[k] < 2:
                 note(k)
+                if count[k] == 0 and k in partner:  # may free its low face
+                    note(partner[k])
 
     for k in range(len(count)):
         note(k)
     remaining = len(count) - len(d_ids)
     events = []
     while remaining:
-        if collapsible:
-            i = heappop(collapsible)
-            j = partner[i]
-            remove(j)
-            remove(i)
-            remaining -= 2
-            events.append(("collapse", key[i], key[j]))
-        elif attachable:
-            i = heappop(attachable)
+        if not ready:
+            raise RuntimeError("trace is stuck; matching does not collapse onto d")
+        attach, i = heappop(ready)
+        if attach:
             remove(i)
             remaining -= 1
             events.append(("attach", dims[i], key[i]))
         else:
-            raise RuntimeError("trace is stuck; matching does not collapse onto d")
+            remove(partner[i])
+            remove(i)
+            remaining -= 2
+            events.append(("collapse", key[i], key[partner[i]]))
     return events
 
 
