@@ -262,16 +262,27 @@ class TestValidatePathOracle:
                 i = (rng.choice(sorted(nbrs[i])) if step < 0.8
                      else i if step < 0.9 else rng.randrange(len(c.facets)))
                 walk.append(i)
-            facets = tuple(c.facets[k] for k in walk)
-            pearls = tuple(rng.choice(facets[0] + (99,)) for _ in range(rng.randrange(2)))
+            facets = [c.facets[k] for k in walk]
+            if rng.random() < 0.15:  # one facet swapped for a non-facet
+                k = rng.randrange(len(facets))
+                f = facets[k]
+                facets[k] = rng.choice((
+                    f[:-1], f[::-1], list(f),
+                    f[:-1] + (rng.choice((-1, c.num_vertices, 99)),)))
+            facets = tuple(facets)
+            pearls = tuple(rng.choice(tuple(facets[0]) + (99,))
+                           for _ in range(rng.randrange(2)))
             breakpoints = [0] * len(pearls) + [len(facets) - 1] * rng.choice((1, 1, 2))
             if rng.random() < 0.3:  # one breakpoint anywhere near the path
                 breakpoints[rng.randrange(len(breakpoints))] = rng.randint(-2, len(facets))
             path = FacetPath(facets, pearls, tuple(breakpoints))
             want = outcome(lambda: ref_validate_path(c, path))
             assert outcome(lambda: validate_path(c, path)) == want
-            messages.add(want[-1].split()[0] if want[0] == "raised" else "ok")
-        assert messages == {"ok", "facets", "breakpoint", "first", "last", "pearl"}
+            text = want[-1] if want[0] == "raised" else "ok"
+            messages.add("not a facet" if text.endswith(" is not a facet")
+                         else text.split()[0])
+        assert messages == {"ok", "not a facet", "facets", "breakpoint",
+                            "first", "last", "pearl"}
 
     def test_messages(self):
         c = SimplicialComplex(5, [(0, 1, 2), (1, 2, 3), (2, 3, 4)])
