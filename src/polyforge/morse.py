@@ -80,14 +80,14 @@ def _ids_in(poset: FacePoset, d, what: str) -> set:
     return ids
 
 
-def _subcomplex_ids(poset: FacePoset, d) -> set:
+def _subcomplex_ids(poset: FacePoset, d, what: str = "subcomplex") -> set:
     """The ids of d's faces in poset, as `_ids_in` reads them; a face of
-    d with a face outside d is a ValueError."""
-    d_ids, key = _ids_in(poset, d, "subcomplex"), poset.elements
+    d with a face outside d is a ValueError naming d as `what`."""
+    d_ids, key = _ids_in(poset, d, what), poset.elements
     for i in sorted(d_ids):
         for k in poset.down[i]:
             if k not in d_ids:
-                raise ValueError(f"subcomplex is not closed under faces: "
+                raise ValueError(f"{what} is not closed under faces: "
                                  f"{key[k]} is a face of {key[i]}")
     return d_ids
 
@@ -306,12 +306,13 @@ def collapse_search(c, target=None, budget: int = 10 ** 6) -> MorseMatching:
     """Search for a complete collapse of c.
 
     target None means collapse to a single vertex; otherwise target is a
-    subcomplex (faces kept alive).  The search is one depth-first pass
-    in (dimension, key) order.  Raises SearchExhausted when the budget
-    runs out or the search has shown that no collapse exists.
+    subcomplex (faces kept alive), and a face list that is not closed
+    under faces is a ValueError.  The search is one depth-first pass in
+    (dimension, key) order.  Raises SearchExhausted when the budget runs
+    out or the search has shown that no collapse exists.
     """
     poset = _poset_of(c)
-    keep = None if target is None else _ids_in(poset, target, "target")
+    keep = None if target is None else _subcomplex_ids(poset, target, "target")
     result = _collapse_backtrack(poset, keep, frozenset(), 0, 0, budget,
                                  "collapse")
     key = poset.elements

@@ -435,6 +435,17 @@ class TestOutJ:
         assert str(info.value) == (
             "target faces not in complex: [(0, 39), (4, 39), (39,)]")
 
+    def test_target_must_be_closed_under_faces(self):
+        # the search names the missing face, where it used to search the
+        # target to exhaustion (SearchExhausted after 5 nodes)
+        c = simplex_complex(2)
+        with pytest.raises(ValueError) as info:
+            collapse_search(c, target=[(0, 1)])
+        assert str(info.value) == (
+            "target is not closed under faces: (0,) is a face of (0, 1)")
+        m = collapse_search(c, target=[(0, 1), (0,), (1,)])
+        assert validate_matching(c, m) and len(m.pairs) == 2
+
     @pytest.mark.parametrize("seed", range(4))
     def test_subcomplex_ids_are_those_of_its_own_faces(self, seed):
         # the downward closure of d's facets in c's poset against the
@@ -1146,20 +1157,21 @@ def closure_backtrack(poset, keep, inner, j, limit, budget, what):
 
 def closure_collapse_search(c, target=None, budget=10 ** 6):
     poset = morse._poset_of(c)
-    keep = None if target is None else morse._ids_in(poset, target, "target")
+    keep = (None if target is None
+            else closure_subcomplex_ids(poset, target, "target"))
     result = closure_backtrack(poset, keep, frozenset(), 0, 0, budget,
                                "collapse")
     key = poset.elements
     return MorseMatching(tuple((key[i], key[k]) for i, k in result))
 
 
-def closure_subcomplex_ids(poset, d):
-    d_ids = morse._ids_in(poset, d, "subcomplex")
+def closure_subcomplex_ids(poset, d, what="subcomplex"):
+    d_ids = morse._ids_in(poset, d, what)
     key = poset.elements
     for i in sorted(d_ids):
         for k in poset.down[i]:
             if k not in d_ids:
-                raise ValueError(f"subcomplex is not closed under faces: "
+                raise ValueError(f"{what} is not closed under faces: "
                                  f"{key[k]} is a face of {key[i]}")
     return d_ids
 
@@ -1303,7 +1315,7 @@ class TestCoverCountOracle:
                 got = settled(lambda: collapse_search(c, target, budget))
                 assert got == settled(
                     lambda: closure_collapse_search(c, target, budget)), world
-                seen["search " + got[0]] += 1
+                seen["search " + str(got[0])] += 1
             for d in (random_keys(rng, poset, closed=True),
                       random_keys(rng, poset, closed=rng.random() < 0.8)):
                 j, budget = rng.randint(0, 3), random_budget(rng)
@@ -1314,7 +1326,7 @@ class TestCoverCountOracle:
                 if got[0] == "value":
                     seen["crossings"] += len(got[1][1])
         for outcome_class in ("search value", "search exhausted",
-                              "out-j value", "out-j exhausted",
+                              f"search {ValueError}", "out-j value", "out-j exhausted",
                               f"out-j {ValueError}"):
             assert seen[outcome_class] >= 20, seen
         assert seen["crossings"] >= 20, seen
