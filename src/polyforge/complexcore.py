@@ -55,13 +55,21 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _mask(vertices) -> int:
+    """The bitmask with bit v set for each vertex v: the inverse of _bits."""
+    out = 0
+    for v in vertices:
+        out |= 1 << v
+    return out
+
+
 class _LinkIndex:
-    """The vertex index of one complex: facet incidence, facet membership
-    and link 1-skeletons, on vertex bitmasks.
+    """The vertex index of one complex: facet incidence, facet bitmasks
+    and link 1-skeletons.
 
     incidence maps each vertex to the positions of the facets containing
-    it; masks[i] has bit v set for each vertex v of facets[i]; facet_set
-    answers facet membership with one hash lookup.  skeletons maps a face
+    it; mask_of maps each facet to its vertex bitmask, in facets order,
+    and facet_of maps a bitmask back to its facet.  skeletons maps a face
     σ, as the bitmask of its vertices, to the 1-skeleton of lk(σ) as
     vertex -> bitmask of its neighbours, one key per vertex of the link,
     built on first request and kept for the life of the complex;
@@ -69,13 +77,13 @@ class _LinkIndex:
     of the complex, so ascending bit order is ascending vertex order.
     """
 
-    __slots__ = ("facets", "incidence", "masks", "facet_set", "skeletons")
+    __slots__ = ("facets", "incidence", "mask_of", "facet_of", "skeletons")
 
     def __init__(self, facets: tuple):
         self.facets = facets
         self.incidence = _incidence(facets)
-        self.masks = [sum(1 << v for v in f) for f in facets]
-        self.facet_set = frozenset(facets)
+        self.mask_of = {f: _mask(f) for f in facets}
+        self.facet_of = {m: f for f, m in self.mask_of.items()}
         self.skeletons: dict[int, dict] = {}
 
     def containing(self, sigma: tuple) -> set:
@@ -90,10 +98,10 @@ class _LinkIndex:
         g = self.skeletons.get(sigma)
         if g is None:
             keep = ~sigma
-            facets, masks = self.facets, self.masks
+            facets, mask_of = self.facets, self.mask_of
             g = {}
             for i in self.containing(tuple(_bits(sigma))):
-                r = masks[i] & keep
+                r = mask_of[facets[i]] & keep
                 for v in facets[i]:
                     if r >> v & 1:
                         g[v] = g.get(v, 0) | r
@@ -137,7 +145,7 @@ class SimplicialComplex:
         canon = sorted(set(canon), key=lambda t: (len(t), t))
         # maximal: of the largest size, or contained in no other face
         top = len(canon[-1]) if canon else 0
-        incidence = _incidence(canon)
+        incidence = _incidence(canon) if canon and len(canon[0]) < top else None
         self.facets = tuple(sorted(
             t for t in canon
             if len(t) == top

@@ -14,7 +14,7 @@ of K with its vertex ids throughout.  K keeps one vertex index: each
 link's 1-skeleton as vertex bitmasks, built on first use, so every path
 on K shares it.  Each link call runs one search, from its targets, on
 bitmask layers grown only as far as a query needs.  σ and every facet
-are bitmasks too; only the entry points convert facets from and to tuples.
+are bitmasks too; the entry points look facets up in the index, in and out.
 
 All choices (start pearl, next pearl, base-case facet) break ties by
 smallest vertex id, so paths are deterministic.
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexcore import SimplicialComplex, _bits
+from .complexcore import SimplicialComplex, _bits, _mask
 
 
 @dataclass(frozen=True)
@@ -107,13 +107,6 @@ def vertex_distance(c: SimplicialComplex, x: int, targets):
     return d, set(_bits(live & search.layers[d]))
 
 
-def _mask(vertices) -> int:
-    out = 0
-    for v in vertices:
-        out |= 1 << v
-    return out
-
-
 def _part1(skeleton, sigma: int, X: int, targets: int):
     """Facet path in the star of σ from facet X toward `targets`, a
     bitmask of vertices of lk(σ), whose 1-skeleton is skeleton(σ); the
@@ -181,22 +174,18 @@ def _segment(skeleton, sigma: int, X: int, Y: int):
     return facets, pearls, chis
 
 
-def _facet_path(facets: list, pearls: list, chis: list) -> FacetPath:
+def _facet_path(facet_of: dict, facets: list, pearls: list,
+                chis: list) -> FacetPath:
     """The FacetPath of a (facets, pearls, chis) triple on facet masks."""
-    return FacetPath(tuple(tuple(_bits(f)) for f in facets), tuple(pearls),
+    return FacetPath(tuple(map(facet_of.__getitem__, facets)), tuple(pearls),
                      tuple(chis + [len(facets) - 1]))
 
 
-def _is_facet(c: SimplicialComplex, t) -> bool:
-    """Whether t is in c.facets, by one lookup in the vertex index."""
-    return isinstance(t, tuple) and t in c._link_index().facet_set
-
-
 def _require_facet(c: SimplicialComplex, f) -> int:
-    t = tuple(sorted(f))
-    if not _is_facet(c, t):
+    mask = c._link_index().mask_of.get(tuple(sorted(f)))
+    if mask is None:
         raise ValueError(f"{f} is not a facet of the complex")
-    return _mask(t)
+    return mask
 
 
 def segment_to_vertex_set(c: SimplicialComplex, X, targets) -> FacetPath:
@@ -207,9 +196,9 @@ def segment_to_vertex_set(c: SimplicialComplex, X, targets) -> FacetPath:
     targets = frozenset(targets)
     if not targets:
         raise ValueError("empty target set")
-    skeleton = c._link_index().skeleton
-    live = _mask(skeleton(0).keys() & targets)
-    return _facet_path(*_part1(skeleton, 0, X, live))
+    index = c._link_index()
+    live = _mask(index.skeleton(0).keys() & targets)
+    return _facet_path(index.facet_of, *_part1(index.skeleton, 0, X, live))
 
 
 def combinatorial_segment(c: SimplicialComplex, X, Y) -> FacetPath:
@@ -218,16 +207,17 @@ def combinatorial_segment(c: SimplicialComplex, X, Y) -> FacetPath:
         raise ValueError("construction requires a pure complex")
     X = _require_facet(c, X)
     Y = _require_facet(c, Y)
-    return _facet_path(*_segment(c._link_index().skeleton, 0, X, Y))
+    index = c._link_index()
+    return _facet_path(index.facet_of, *_segment(index.skeleton, 0, X, Y))
 
 
 def validate_path(c: SimplicialComplex, path: FacetPath) -> None:
     """Raise unless the path is a genuine ridge-adjacent facet walk."""
-    d = c.dim
-    for f in path.facets:
-        if not _is_facet(c, f):
-            raise ValueError(f"{f} is not a facet")
-    masks = [_mask(f) for f in path.facets]
+    d, mask_of = c.dim, c._link_index().mask_of
+    masks = [mask_of.get(f) if isinstance(f, tuple) else None  # a list is unhashable
+             for f in path.facets]
+    if None in masks:
+        raise ValueError(f"{path.facets[masks.index(None)]} is not a facet")
     for f1, f2, m1, m2 in zip(path.facets, path.facets[1:], masks, masks[1:]):
         if (m1 & m2).bit_count() != d:
             raise ValueError(f"facets {f1} and {f2} do not share a ridge")

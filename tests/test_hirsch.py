@@ -737,6 +737,18 @@ class TestLinkViewOracle:
         assert all(type(k) is int for k in c._links.skeletons)
 
     @settings(max_examples=60, deadline=None)
+    @given(link_complexes)
+    def test_facet_tables_invert_each_other(self, c):
+        # mask_of lists the facets in their order, each with the sum of
+        # its vertex bits, and facet_of maps every mask back
+        index = c._link_index()
+        assert list(index.mask_of) == list(c.facets)
+        assert len(index.facet_of) == len(c.facets)
+        for f, m in index.mask_of.items():
+            assert m == _mask(f)
+            assert index.facet_of[m] == f
+
+    @settings(max_examples=60, deadline=None)
     @given(link_complexes, st.data())
     def test_view_bfs_matches_bfs(self, c, data):
         rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
