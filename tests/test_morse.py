@@ -1326,8 +1326,8 @@ class TestCoverCountOracle:
                 if got[0] == "value":
                     seen["crossings"] += len(got[1][1])
         for outcome_class in ("search value", "search exhausted",
-                              f"search {ValueError}", "out-j value", "out-j exhausted",
-                              f"out-j {ValueError}"):
+                              f"search {ValueError}", "out-j value",
+                              "out-j exhausted", f"out-j {ValueError}"):
             assert seen[outcome_class] >= 20, seen
         assert seen["crossings"] >= 20, seen
 
